@@ -15,7 +15,7 @@ from pathlib import Path
 from . import transform
 from .automata import Automaton, automaton_to_json, parse_automaton
 from .graphs import digraph_to_dict, parse_digraph
-from .harness import Device, device_bits, equiv_exhaustive, equiv_sampled
+from .harness import Device, equiv_exhaustive, equiv_sampled
 from .logic import MuSystem, format_formula, lfp, parse_formula
 from .runtime import (
     async_run,
@@ -67,7 +67,7 @@ def _load_device(path: str, bits: int | None = None) -> Device:
 def _harmonize(d1: Device, d2: Device) -> tuple[Device, Device]:
     """Formulas state no label width of their own; lift an inferred-width
     formula to its partner's width when its constants fit."""
-    b1, b2 = device_bits(d1), device_bits(d2)
+    b1, b2 = d1.bits, d2.bits
     if b1 == b2:
         return d1, d2
     if isinstance(d1, MuSystem) and b1 < b2:

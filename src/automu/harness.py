@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,14 +26,10 @@ from .graphs import (
     enumerate_digraphs,
     random_digraph,
 )
-from .logic import MuSystem, lfp, satisfies
-from .runtime import split_range, sync_accepting_nodes, sync_accepts
+from .logic import MuSystem, lfp
+from .runtime import check_budget, first_hit, split_range, sync_accepting_nodes, sync_accepts
 
 Device = Union[Automaton, MuSystem]
-
-
-def device_bits(d: Device) -> int:
-    return d.bits
 
 
 def accepted_nodes(d: Device, g: Digraph) -> frozenset[str]:
@@ -48,11 +43,7 @@ def accepted_nodes(d: Device, g: Digraph) -> frozenset[str]:
 
 
 def device_accepts(d: Device, p: PointedDigraph) -> bool:
-    if isinstance(d, Automaton):
-        return sync_accepts(d, p)
-    if isinstance(d, MuSystem):
-        return satisfies(d, p)
-    raise TypeError(f"not a device: {d!r}")
+    return p.point in accepted_nodes(d, p.graph)
 
 
 @dataclass(frozen=True)
@@ -85,62 +76,50 @@ class EquivVerdict:
 
 
 def _require_same_bits(d1: Device, d2: Device) -> None:
-    if device_bits(d1) != device_bits(d2):
-        raise BitWidthMismatch(
-            f"devices disagree on label width: {device_bits(d1)} vs {device_bits(d2)}"
-        )
+    if d1.bits != d2.bits:
+        raise BitWidthMismatch(f"devices disagree on label width: {d1.bits} vs {d2.bits}")
 
 
 def _exhaustive_slice(
     d1: Device, d2: Device, max_nodes: int, start: int, stop: int
-) -> tuple[int | None, Counterexample | None, int]:
-    """Scan graphs [start, stop) of the enumeration; return the index of the
-    first disagreeing graph (or None), its counterexample, and points checked."""
+) -> tuple[Counterexample | None, int]:
+    """Scan graphs [start, stop) of the enumeration; return the first
+    disagreement (or None) and the points checked up to it."""
     checked = 0
-    stream = itertools.islice(enumerate_digraphs(max_nodes, device_bits(d1)), start, stop)
-    for offset, g in enumerate(stream):
+    for g in itertools.islice(enumerate_digraphs(max_nodes, d1.bits), start, stop):
         s1 = accepted_nodes(d1, g)
         s2 = accepted_nodes(d2, g)
         checked += len(g.nodes)
         if s1 != s2:
             point = next(v for v in g.nodes if (v in s1) != (v in s2))
-            return start + offset, Counterexample(g, point, point in s1, point in s2), checked
-    return None, None, checked
+            return Counterexample(g, point, point in s1, point in s2), checked
+    return None, checked
 
 
 def equiv_exhaustive(d1: Device, d2: Device, max_nodes: int, jobs: int = 1) -> EquivVerdict:
     """Compare the devices on every digraph with up to ``max_nodes`` nodes and
-    every point, in enumeration order.  The first disagreement is returned and
-    is deterministic at any job count: parallel workers scan disjoint slices
-    and the globally smallest disagreeing index wins."""
+    every point, in enumeration order.  The first disagreement and ``checked``
+    are the same at any job count: parallel workers scan disjoint slices and
+    the earliest disagreeing slice wins."""
+    check_budget(max_nodes, jobs)
     _require_same_bits(d1, d2)
-    total = count_digraphs(max_nodes, device_bits(d1))
-    if jobs <= 1:
-        index, cex, checked = _exhaustive_slice(d1, d2, max_nodes, 0, total)
-        return EquivVerdict(equivalent=cex is None, checked=checked, counterexample=cex)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(
-            _exhaustive_slice,
-            *zip(*[(d1, d2, max_nodes, start, stop) for start, stop in split_range(total, jobs)]),
-        ))
-    checked = sum(r[2] for r in results)
-    hits = [(index, cex) for index, cex, _ in results if index is not None]
-    if hits:
-        _, cex = min(hits, key=lambda h: h[0])
-        return EquivVerdict(equivalent=False, checked=checked, counterexample=cex)
-    return EquivVerdict(equivalent=True, checked=checked)
+    total = count_digraphs(max_nodes, d1.bits)
+    cex, checked = first_hit(_exhaustive_slice, [
+        (d1, d2, max_nodes, start, stop) for start, stop in split_range(total, jobs)
+    ], jobs)
+    return EquivVerdict(equivalent=cex is None, checked=checked, counterexample=cex)
 
 
 def _sampled_slice(
-    d1: Device, d2: Device, max_nodes: int, seeds: list[int], start: int
-) -> tuple[int | None, Counterexample | None, int]:
+    d1: Device, d2: Device, max_nodes: int, seeds: list[int]
+) -> tuple[Counterexample | None, int]:
     for offset, s in enumerate(seeds):
-        p = random_digraph(random.Random(s), max_nodes, device_bits(d1))
+        p = random_digraph(random.Random(s), max_nodes, d1.bits)
         v1 = device_accepts(d1, p)
         v2 = device_accepts(d2, p)
         if v1 != v2:
-            return start + offset, Counterexample(p.graph, p.point, v1, v2), offset + 1
-    return None, None, len(seeds)
+            return Counterexample(p.graph, p.point, v1, v2), offset + 1
+    return None, len(seeds)
 
 
 def equiv_sampled(
@@ -151,24 +130,14 @@ def equiv_sampled(
     (each sample runs off its own derived sub-seed, so job count does not
     change which digraphs are drawn).  Sampling can only refute equivalence,
     never establish it."""
+    check_budget(max_nodes, jobs, samples=samples)
     _require_same_bits(d1, d2)
     rng = random.Random(seed)
     sample_seeds = [rng.randrange(2**32) for _ in range(samples)]
-    if jobs <= 1:
-        index, cex, checked = _sampled_slice(d1, d2, max_nodes, sample_seeds, 0)
-        return EquivVerdict(equivalent=cex is None, checked=checked, counterexample=cex)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        bounds = split_range(samples, jobs)
-        results = list(pool.map(
-            _sampled_slice,
-            *zip(*[(d1, d2, max_nodes, sample_seeds[start:stop], start) for start, stop in bounds]),
-        ))
-    checked = sum(r[2] for r in results)
-    hits = [(index, cex) for index, cex, _ in results if index is not None]
-    if hits:
-        _, cex = min(hits, key=lambda h: h[0])
-        return EquivVerdict(equivalent=False, checked=checked, counterexample=cex)
-    return EquivVerdict(equivalent=True, checked=checked)
+    cex, checked = first_hit(_sampled_slice, [
+        (d1, d2, max_nodes, sample_seeds[start:stop]) for start, stop in split_range(samples, jobs)
+    ], jobs)
+    return EquivVerdict(equivalent=cex is None, checked=checked, counterexample=cex)
 
 
 @dataclass(frozen=True)

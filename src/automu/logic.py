@@ -15,7 +15,7 @@ node iff the node lands in the first component.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import AbstractSet, Iterator, Mapping, Union
 
 from .graphs import BitWidthMismatch, Digraph, PointedDigraph
@@ -116,6 +116,7 @@ class MuSystem:
     bits: int
     vars: tuple[str, ...]
     bodies: tuple[Formula, ...]
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vars:
@@ -367,9 +368,208 @@ def lfp_iterations(sys: MuSystem, g: Digraph) -> tuple[dict[str, frozenset[str]]
     return {x: ev.to_set(m) for x, m in val.items()}, applications
 
 
+# ---------------------------------------------------------------------------
+# compiled kernel
+
+_OR, _AND, _DIA, _BOX = range(4)
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One strongly connected component of the variable dependencies.
+
+    ``members`` are variable positions and ``bodies`` the slots of their
+    bodies; ``ops`` are ``(code, slot, left, right)`` for every compound slot
+    whose deepest variable lies in this component, children first.  The
+    leading stage of a plan has no members and holds the variable-free ops."""
+
+    members: tuple[int, ...]
+    bodies: tuple[int, ...]
+    recursive: bool
+    ops: tuple[tuple[int, int, int, int], ...]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A system compiled once: every distinct subterm is one slot, and the
+    stages come in dependency order, so each component is solved after the
+    components it reads (Bekic's lemma; without alternation the least
+    fixpoint can be taken one component at a time)."""
+
+    size: int
+    leaves: tuple[tuple[int, str, int], ...]  # (slot, "true" | "false" | "p" | "not-p", bit)
+    var_slots: tuple[int, ...]
+    stages: tuple[_Stage, ...]
+
+
+def _compile(sys: MuSystem) -> _Plan:
+    position = {x: i for i, x in enumerate(sys.vars)}
+    keys: dict[tuple, int] = {}
+    nodes: list[tuple] = []
+    var_masks: list[int] = []  # variable positions each slot mentions, as a bitmask
+    slot_of: dict[int, int] = {}  # id of a subformula of sys -> its slot
+
+    def intern(key: tuple, mask: int) -> int:
+        if key not in keys:
+            keys[key] = len(nodes)
+            nodes.append(key)
+            var_masks.append(mask)
+        return keys[key]
+
+    def intern_tree(root: Formula) -> int:
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if id(f) in slot_of:
+                stack.pop()
+                continue
+            kids = (f.left, f.right) if isinstance(f, (Or, And)) else (
+                (f.inner,) if isinstance(f, (Dia, Box)) else ())
+            todo = [k for k in kids if id(k) not in slot_of]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            args = [slot_of[id(k)] for k in kids]
+            if isinstance(f, (Or, And)):
+                a, b = sorted(args)
+                slot = a if a == b else intern((_OR if isinstance(f, Or) else _AND, a, b),
+                                               var_masks[a] | var_masks[b])
+            elif isinstance(f, (Dia, Box)):
+                slot = intern((_DIA if isinstance(f, Dia) else _BOX, args[0]), var_masks[args[0]])
+            elif isinstance(f, Var):
+                slot = intern(("var", position[f.name]), 1 << position[f.name])
+            elif isinstance(f, (Const, NegConst)):
+                slot = intern(("p" if isinstance(f, Const) else "not-p", f.index), 0)
+            elif isinstance(f, (TrueF, FalseF)):
+                slot = intern(("true" if isinstance(f, TrueF) else "false", 0), 0)
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            slot_of[id(f)] = slot
+        return slot_of[id(root)]
+
+    n = len(sys.vars)
+    bodies = [intern_tree(b) for b in sys.bodies]
+    var_slots = tuple(intern(("var", i), 1 << i) for i in range(n))
+
+    # transitive dependencies (Warshall over bitmasks); a component is the set
+    # of variables that reach each other, and a component's closed dependency
+    # set strictly contains that of every component it reads
+    reach = [var_masks[b] for b in bodies]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    closed = [reach[i] | 1 << i for i in range(n)]
+    component = [-1] * n
+    groups: list[tuple[int, ...]] = []
+    for i in sorted(range(n), key=lambda i: (closed[i].bit_count(), i)):
+        if component[i] < 0:
+            members = tuple(j for j in range(n) if closed[j] == closed[i] and reach[i] >> j & 1) or (i,)
+            for j in members:
+                component[j] = len(groups)
+            groups.append(members)
+
+    stage_ops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(len(groups) + 1)]
+    depth = []  # 0 for variable-free slots, else 1 + the deepest component mentioned
+    for slot, key in enumerate(nodes):
+        if key[0] == "var":
+            depth.append(1 + component[key[1]])
+        elif isinstance(key[0], int):
+            depth.append(max(depth[c] for c in key[1:]))
+            stage_ops[depth[slot]].append((key[0], slot, key[1], key[-1]))
+        else:
+            depth.append(0)
+    stages = [_Stage((), (), False, tuple(stage_ops[0]))]
+    for c, members in enumerate(groups):
+        stages.append(_Stage(
+            members=members,
+            bodies=tuple(bodies[j] for j in members),
+            recursive=bool(reach[members[0]] >> members[0] & 1),
+            ops=tuple(stage_ops[c + 1]),
+        ))
+    return _Plan(
+        size=len(nodes),
+        leaves=tuple((slot, key[0], key[1]) for slot, key in enumerate(nodes)
+                     if key[0] in ("true", "false", "p", "not-p")),
+        var_slots=var_slots,
+        stages=tuple(stages),
+    )
+
+
+def _solve(plan: _Plan, g: Digraph) -> list[int]:
+    """Slot values of the least fixpoint on g, as node bitmasks."""
+    index = {v: i for i, v in enumerate(g.nodes)}
+    full = (1 << len(g.nodes)) - 1
+    succ = [0] * len(g.nodes)
+    for u, v in g.edges:
+        succ[index[u]] |= 1 << index[v]
+    image: dict[int, int] = {}  # node set -> nodes with an incoming neighbor in it
+
+    def dia(s: int) -> int:
+        out = image.get(s)
+        if out is None:
+            out, rest = 0, s
+            while rest:
+                low = rest & -rest
+                out |= succ[low.bit_length() - 1]
+                rest ^= low
+            image[s] = out
+        return out
+
+    vals = [0] * plan.size
+    for slot, kind, bit in plan.leaves:
+        if kind == "true":
+            vals[slot] = full
+        elif kind in ("p", "not-p"):
+            mask = sum(1 << i for i, v in enumerate(g.nodes) if g.labels[v][bit] == "1")
+            vals[slot] = mask if kind == "p" else full ^ mask
+
+    def run(ops: tuple[tuple[int, int, int, int], ...]) -> None:
+        for code, dst, a, b in ops:
+            if code == _OR:
+                vals[dst] = vals[a] | vals[b]
+            elif code == _AND:
+                vals[dst] = vals[a] & vals[b]
+            elif code == _DIA:
+                vals[dst] = dia(vals[a])
+            else:
+                vals[dst] = full ^ dia(full ^ vals[a])
+
+    for stage in plan.stages:
+        slots = [plan.var_slots[j] for j in stage.members]
+        if not stage.recursive:
+            for slot, body in zip(slots, stage.bodies):
+                vals[slot] = vals[body]
+            run(stage.ops)
+            continue
+        while True:
+            run(stage.ops)
+            new = [vals[body] for body in stage.bodies]
+            if all(vals[slot] == m for slot, m in zip(slots, new)):
+                break
+            for slot, m in zip(slots, new):
+                vals[slot] = m
+    return vals
+
+
 def lfp(sys: MuSystem, g: Digraph) -> dict[str, frozenset[str]]:
-    """Least fixpoint valuation of the system on g."""
-    return lfp_iterations(sys, g)[0]
+    """Least fixpoint valuation of the system on g.
+
+    Runs the system's compiled plan (built on first use and kept on the
+    system): shared subterms are evaluated once per round, non-recursive
+    components once, and recursive components are iterated until stable.
+    ``lfp_iterations`` computes the same fixpoint by Jacobi iteration."""
+    if sys.bits != g.bits:
+        raise BitWidthMismatch(f"system is {sys.bits}-bit, graph is {g.bits}-bit")
+    plan = sys._cache.get("plan")
+    if plan is None:
+        plan = sys._cache["plan"] = _compile(sys)
+    vals = _solve(plan, g)
+    return {
+        x: frozenset(v for i, v in enumerate(g.nodes) if vals[slot] >> i & 1)
+        for x, slot in zip(sys.vars, plan.var_slots)
+    }
 
 
 def satisfies(sys: MuSystem, p: PointedDigraph) -> bool:

@@ -25,8 +25,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .automata import Automaton, NotQuasiAcyclic, Trace, trace_popfirst, trace_pushlast
 from .graphs import BitWidthMismatch, Digraph, Edge, PointedDigraph, random_digraph
@@ -50,6 +51,37 @@ def split_range(total: int, parts: int) -> list[tuple[int, int]]:
         out.append((start, stop))
         start = stop
     return out
+
+
+def check_budget(max_nodes: int, jobs: int, **counts: int) -> None:
+    """Reject a scan budget that is empty or invalid before any work starts."""
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for name, count in counts.items():
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+
+
+def first_hit(scan: Callable[..., tuple], slices: list[tuple], jobs: int) -> tuple:
+    """Run ``scan(*args)`` over contiguous slices given in index order, in
+    ``jobs`` worker processes when more than one.  Each call returns its first
+    hit (or None) and how many items it checked up to and including it.  The
+    result is the hit of the earliest slice that has one, with the full counts
+    of the slices before it plus its own partial count, so both are the same
+    at any job count."""
+    if jobs > 1 and len(slices) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(scan, *zip(*slices)))
+    else:
+        results = (scan(*args) for args in slices)
+    checked = 0
+    for hit, count in results:
+        checked += count
+        if hit is not None:
+            return hit, checked
+    return None, checked
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +563,7 @@ def _fuzz_slice(
     timings_per_graph: int,
     lossless_only: bool,
     budget: int | None,
-    start: int,
-) -> tuple[int | None, FuzzWitness | None, int]:
+) -> tuple[FuzzWitness | None, int]:
     for offset, (graph_seed, timing_seed) in enumerate(specs):
         g = random_digraph(random.Random(graph_seed), max_nodes, a.bits).graph
         verdict = check_consistency(
@@ -540,8 +571,8 @@ def _fuzz_slice(
             seed=timing_seed, budget=budget,
         )
         if not verdict.consistent:
-            return start + offset, FuzzWitness(graph=g, witness=verdict.witness), offset + 1
-    return None, None, len(specs)
+            return FuzzWitness(graph=g, witness=verdict.witness), offset + 1
+    return None, len(specs)
 
 
 def fuzz_consistency(
@@ -556,28 +587,12 @@ def fuzz_consistency(
 ) -> FuzzVerdict:
     """check_consistency over ``graphs`` random digraphs.  Every graph runs
     off its own derived sub-seed, so the first inconsistent graph (by index)
-    is deterministic at any job count."""
+    and ``graphs_checked`` are the same at any job count."""
+    check_budget(max_nodes, jobs, graphs=graphs, timings_per_graph=timings_per_graph)
     rng = random.Random(seed)
     specs = [(rng.randrange(2**32), rng.randrange(2**32)) for _ in range(graphs)]
-    if jobs <= 1:
-        index, witness, checked = _fuzz_slice(
-            a, max_nodes, specs, timings_per_graph, lossless_only, budget, 0
-        )
-        return FuzzVerdict(consistent=witness is None, graphs_checked=checked, witness=witness)
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = split_range(graphs, jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(
-            _fuzz_slice,
-            *zip(*[
-                (a, max_nodes, specs[start:stop], timings_per_graph, lossless_only, budget, start)
-                for start, stop in bounds
-            ]),
-        ))
-    checked = sum(r[2] for r in results)
-    hits = [(index, witness) for index, witness, _ in results if index is not None]
-    if hits:
-        _, witness = min(hits, key=lambda h: h[0])
-        return FuzzVerdict(consistent=False, graphs_checked=checked, witness=witness)
-    return FuzzVerdict(consistent=True, graphs_checked=checked)
+    witness, checked = first_hit(_fuzz_slice, [
+        (a, max_nodes, specs[start:stop], timings_per_graph, lossless_only, budget)
+        for start, stop in split_range(graphs, jobs)
+    ], jobs)
+    return FuzzVerdict(consistent=witness is None, graphs_checked=checked, witness=witness)

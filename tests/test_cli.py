@@ -101,6 +101,34 @@ class TestExitCodes:
                      files["chain.json"]]) == 2  # a graph is not a device
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["equiv", "--max-nodes", "0"],
+        ["equiv", "--jobs", "0"],
+        ["equiv", "--samples", "-1"],
+        ["fuzz", "--max-nodes", "0"],
+        ["fuzz", "--jobs", "0"],
+        ["fuzz", "--graphs", "-1"],
+        ["fuzz", "--samples", "-1"],
+    ])
+    def test_empty_or_invalid_budget(self, files, argv, capsys):
+        devices = (["--a", files["safe_one.json"], "--b", files["safe_one.sexp"]]
+                   if argv[0] == "equiv" else ["--automaton", files["safe_one.json"]])
+        assert main(argv[:1] + devices + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be >=" in captured.err
+
+    def test_equiv_checked_independent_of_jobs(self, tmp_path, capsys):
+        a, b = tmp_path / "reach.sexp", tmp_path / "boxed.sexp"
+        a.write_text("(mu ((X (or (p 0) (dia (var X))))))")
+        b.write_text("(mu ((X (or (p 0) (box (var X))))))")
+        docs = []
+        for jobs in ("1", "2"):
+            assert main(["equiv", "--a", str(a), "--b", str(b), "--max-nodes", "3",
+                         "--jobs", jobs]) == 1
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1]
+        assert docs[0]["checked"] == 1
+
     def test_malformed_document(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"bits": 1, "nodes": [], "labels": {}, "edges": []}')

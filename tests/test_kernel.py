@@ -1,0 +1,118 @@
+"""Differential tests of the compiled fixpoint kernel (``lfp``) against the
+Jacobi reference (``lfp_iterations``)."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from automu.automata import parse_automaton
+from automu.graphs import Digraph, enumerate_digraphs
+from automu.logic import _compile, lfp, lfp_iterations, parse_formula
+from automu.transform import automaton_to_formula
+from strategies import graphs, systems
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+# the formulas the round-trip benchmark compiles and checks
+BENCHMARK_FORMULAS = {
+    "safe_one": (SAMPLES / "safe_one.sexp").read_text(),
+    "reach_one": (SAMPLES / "reach_one.sexp").read_text(),
+    "boxed_one": (SAMPLES / "boxed_one.sexp").read_text(),
+    "two_and": "(mu ((X (or (and (p 0) (p 1)) (dia (var X))))))",
+    "two_box": "(mu ((X (or (p 1) (and (p 0) (box (var X)))))))",
+}
+
+
+def assert_agrees_up_to_3_nodes(system):
+    for g in enumerate_digraphs(3, system.bits):
+        assert lfp(system, g) == lfp_iterations(system, g)[0], g
+
+
+def chain(n: int, first_label: str = "1") -> Digraph:
+    nodes = tuple(f"n{i}" for i in range(n))
+    return Digraph(
+        bits=1,
+        nodes=nodes,
+        labels={v: first_label if i == 0 else "0" for i, v in enumerate(nodes)},
+        edges=frozenset(zip(nodes, nodes[1:])),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_FORMULAS))
+def test_benchmark_formulas_exhaustive(name):
+    assert_agrees_up_to_3_nodes(parse_formula(BENCHMARK_FORMULAS[name]))
+
+
+def test_compile_down_output_exhaustive():
+    down = automaton_to_formula(parse_automaton((SAMPLES / "safe_one.json").read_text()))
+    assert_agrees_up_to_3_nodes(down)
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2).flatmap(
+    lambda bits: st.tuples(systems(bits=bits, max_vars=4), graphs(max_nodes=5, bits=bits))))
+def test_random_systems(case):
+    system, g = case
+    assert lfp(system, g) == lfp_iterations(system, g)[0]
+
+
+def test_non_recursive_chain_runs_each_component_once():
+    system = parse_formula(
+        "(mu ((X0 (dia (var X1))) (X1 (box (var X2))) (X2 (p 0))))", bits=1)
+    assert not any(stage.recursive for stage in _compile(system).stages)
+    g = chain(3)
+    assert lfp(system, g) == lfp_iterations(system, g)[0] == {
+        "X2": frozenset({"n0"}),
+        "X1": frozenset({"n0", "n1"}),
+        "X0": frozenset({"n1", "n2"}),
+    }
+
+
+def test_self_loop_diamond_stays_empty():
+    system = parse_formula("(mu ((X (dia (var X)))))", bits=1)
+    cycle = Digraph(bits=1, nodes=("u", "v"), labels={"u": "1", "v": "0"},
+                    edges=frozenset({("u", "v"), ("v", "u"), ("u", "u")}))
+    assert [stage.recursive for stage in _compile(system).stages] == [False, True]
+    assert lfp(system, cycle) == lfp_iterations(system, cycle)[0] == {"X": frozenset()}
+
+
+def test_unreachable_variables_are_solved_too():
+    # neither Y nor Z is read by X0; Z = box Z holds where every backward
+    # path is finite
+    system = parse_formula(
+        "(mu ((X0 (p 0)) (Y (or (p 0) (dia (var Y)))) (Z (box (var Z)))))", bits=1)
+    g = Digraph(bits=1, nodes=("a", "b", "c"), labels={"a": "1", "b": "0", "c": "0"},
+                edges=frozenset({("a", "b"), ("c", "c")}))
+    assert lfp(system, g) == lfp_iterations(system, g)[0] == {
+        "X0": frozenset({"a"}),
+        "Y": frozenset({"a", "b"}),
+        "Z": frozenset({"a", "b"}),
+    }
+
+
+def test_shared_subterms_are_one_slot():
+    shared = parse_formula("(mu ((X (or (dia (var Y)) (p 0))) (Y (and (dia (var Y)) (p 0)))))")
+    apart = parse_formula("(mu ((X (or (dia (var Y)) (p 0))) (Y (and (box (var Y)) (p 0)))))")
+    assert _compile(shared).size == _compile(apart).size - 1
+
+
+def test_plan_is_kept_on_the_system():
+    system = parse_formula(BENCHMARK_FORMULAS["reach_one"])
+    lfp(system, chain(2))
+    plan = system._cache["plan"]
+    lfp(system, chain(3))
+    assert system._cache["plan"] is plan
+
+
+def test_sixty_node_chain():
+    # a 2^60 table could not be built; the lazy image memo only holds the
+    # node sets the fixpoint actually visits
+    system = parse_formula(
+        "(mu ((X (and (var R) (box (var W)))) (R (or (p 0) (dia (var R)))) (W (box (var W)))))",
+        bits=1)
+    g = chain(60)
+    got = lfp(system, g)
+    assert got == lfp_iterations(system, g)[0]
+    assert got["X"] == frozenset(g.nodes)

@@ -13,6 +13,7 @@ from automu.runtime import (
     async_run,
     async_step,
     check_consistency,
+    fuzz_consistency,
     initial_configuration,
     is_quiescent,
     parse_timing,
@@ -317,3 +318,10 @@ class TestConsistency:
         )
         verdict = check_consistency(cyclic, two_cycle_graph(), samples=5, seed=1, budget=30)
         assert verdict.runs == 6
+
+    @pytest.mark.parametrize("max_nodes, graphs", [(3, 10), (3, 20), (4, 20)])
+    def test_fuzz_result_independent_of_jobs(self, max_nodes, graphs):
+        a = sync_probe_automaton()
+        seq, par = (fuzz_consistency(a, max_nodes, graphs, graphs, seed=0, jobs=jobs) for jobs in (1, 2))
+        assert not seq.consistent
+        assert seq == par

@@ -146,6 +146,18 @@ class TestFormulaToAutomaton:
         a = formula_to_automaton(sys)
         assert equiv_exhaustive(a, sys, 2).equivalent
 
+    def test_two_bit_system_with_sixteen_states(self):
+        # 16 states: quasi-acyclicity holds by construction instead of being
+        # re-derived by a scan over all 2^16 neighborhoods
+        sys = parse_formula("(mu ((X (and (dia (var Y)) (box (var Y)))) (Y (or (p 0) (p 1)))))", bits=2)
+        a = formula_to_automaton(sys)
+        assert len(a.states) == 16
+        members = {q: set(q.strip("{}").split(",")) - {""} for q in a.states}
+        for q, rules in a.rules.items():
+            assert all(members[q] <= members[rule.target] for rule in rules)
+        verdict = equiv_exhaustive(a, sys, 3)
+        assert verdict.equivalent and verdict.checked == 98824
+
 
 def _is_base_pair(a, h, t):
     if not all(len(x) == 1 for x in h):
