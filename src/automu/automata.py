@@ -13,7 +13,6 @@ check (no cycles in the state diagram other than self-loops).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Union
@@ -179,8 +178,10 @@ class Automaton:
             dup = next(s for s in self.states if self.states.count(s) > 1)
             raise AutomatonFormatError(f"duplicate state id {dup!r}")
         declared = set(self.states)
-        words = {"".join(w) for w in itertools.product("01", repeat=self.bits)}
-        if set(self.init) != words:
+        words_ok = all(len(w) == self.bits and set(w) <= {"0", "1"} for w in self.init)
+        # 2^bits distinct bit strings of length ``bits`` are all of them; a
+        # nonempty init bounds ``bits`` by a key's length before 1 << bits is formed
+        if not (self.init and words_ok and len(self.init) == 1 << self.bits):
             raise AutomatonFormatError(
                 f"init must map every {self.bits}-bit string; got keys {sorted(self.init)!r}"
             )
@@ -317,6 +318,12 @@ class Automaton:
 # ---------------------------------------------------------------------------
 # JSON document format
 
+def _strings(obj: object, what: str) -> list[str]:
+    if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):
+        raise AutomatonFormatError(f"{what} must be a list of state ids")
+    return obj
+
+
 def guard_from_obj(obj: object) -> Guard:
     if obj == "else":
         return ELSE
@@ -324,15 +331,15 @@ def guard_from_obj(obj: object) -> Guard:
         raise AutomatonFormatError(f"bad guard {obj!r}")
     (kind, arg), = obj.items()
     if kind == "subseteq":
-        return SubsetEq(frozenset(arg))
+        return SubsetEq(frozenset(_strings(arg, "'subseteq'")))
     if kind == "supseteq":
-        return SupsetEq(frozenset(arg))
+        return SupsetEq(frozenset(_strings(arg, "'supseteq'")))
     if kind == "not":
         return NotGuard(guard_from_obj(arg))
-    if kind == "and":
-        return AndGuard(tuple(guard_from_obj(g) for g in arg))
-    if kind == "or":
-        return OrGuard(tuple(guard_from_obj(g) for g in arg))
+    if kind in ("and", "or"):
+        if not isinstance(arg, list):
+            raise AutomatonFormatError(f"'{kind}' takes a list of guards")
+        return (AndGuard if kind == "and" else OrGuard)(tuple(guard_from_obj(g) for g in arg))
     raise AutomatonFormatError(f"unknown guard kind {kind!r}")
 
 
@@ -356,7 +363,7 @@ def parse_automaton(text: str) -> Automaton:
     """Parse the JSON automaton document format (see README)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise AutomatonFormatError(f"not valid JSON: {exc}") from exc
     return automaton_from_dict(doc)
 
@@ -367,6 +374,11 @@ def automaton_from_dict(doc: object) -> Automaton:
     for key in ("bits", "states", "init", "rules", "accepting"):
         if key not in doc:
             raise AutomatonFormatError(f"missing key {key!r}")
+    if not isinstance(doc["bits"], int):
+        raise AutomatonFormatError("'bits' must be an integer")
+    init = doc["init"]
+    if not isinstance(init, dict) or not all(isinstance(q, str) for q in init.values()):
+        raise AutomatonFormatError("'init' must map label strings to state ids")
     rules: dict[str, tuple[TransitionRule, ...]] = {}
     raw_rules = doc["rules"]
     if not isinstance(raw_rules, dict):
@@ -376,16 +388,16 @@ def automaton_from_dict(doc: object) -> Automaton:
             raise AutomatonFormatError(f"rules of {q!r} must be a list")
         parsed = []
         for r in lst:
-            if not isinstance(r, dict) or "guard" not in r or "to" not in r:
-                raise AutomatonFormatError(f"rule of {q!r} must have 'guard' and 'to': {r!r}")
+            if not isinstance(r, dict) or "guard" not in r or not isinstance(r.get("to"), str):
+                raise AutomatonFormatError(f"rule of {q!r} must have a 'guard' and a state id 'to': {r!r}")
             parsed.append(TransitionRule(guard_from_obj(r["guard"]), r["to"]))
         rules[q] = tuple(parsed)
     return Automaton(
         bits=doc["bits"],
-        states=tuple(doc["states"]),
-        init=dict(doc["init"]),
+        states=tuple(_strings(doc["states"], "'states'")),
+        init=dict(init),
         rules=rules,
-        accepting=frozenset(doc["accepting"]),
+        accepting=frozenset(_strings(doc["accepting"], "'accepting'")),
     )
 
 

@@ -162,6 +162,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     w = verdict.witness
     print(json.dumps({
         "verdict": "inconsistent",
+        "graphs_checked": verdict.graphs_checked,
         "graph": digraph_to_dict(w.graph),
         "node": w.witness.node,
         "verdict_a": w.witness.verdict_a,

@@ -97,7 +97,7 @@ def parse_digraph(text: str) -> Digraph:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     return digraph_from_dict(doc)
 
@@ -113,8 +113,8 @@ def digraph_from_dict(doc: object) -> Digraph:
         raise GraphFormatError("'bits' must be an integer")
     if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
         raise GraphFormatError("'nodes' must be a list of strings")
-    if not isinstance(labels, dict):
-        raise GraphFormatError("'labels' must be an object")
+    if not isinstance(labels, dict) or not all(isinstance(x, str) for x in labels.values()):
+        raise GraphFormatError("'labels' must map node ids to label strings")
     if not isinstance(edges, list):
         raise GraphFormatError("'edges' must be a list of [src, dst] pairs")
     edge_set = set()

@@ -213,6 +213,13 @@ def parse_formula(text: str, bits: int | None = None) -> MuSystem:
     """Parse ``(mu ((NAME <f>) ...))``; the first listed variable is the
     satisfaction component.  ``bits`` defaults to the smallest width that
     covers every constant used."""
+    try:
+        return _parse_formula(text, bits)
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply") from None
+
+
+def _parse_formula(text: str, bits: int | None) -> MuSystem:
     tokens = _lex(text)
     sexp, pos = _read(tokens, 0)
     if pos != len(tokens):

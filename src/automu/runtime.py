@@ -287,14 +287,23 @@ def timing_to_json(t: TimingPrefix) -> str:
 def parse_timing(text: str) -> TimingPrefix:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise RuntimeFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not all(k in doc for k in ("lossless", "K", "steps")):
         raise RuntimeFormatError("timing document needs 'lossless', 'K' and 'steps'")
+    if not isinstance(doc["lossless"], bool):
+        raise RuntimeFormatError("'lossless' must be true or false")
+    if not isinstance(doc["K"], int) or doc["K"] < 1:
+        raise RuntimeFormatError("'K' must be an integer >= 1")
+    if not isinstance(doc["steps"], list):
+        raise RuntimeFormatError("'steps' must be a list")
     steps = []
     for i, step in enumerate(doc["steps"]):
         if not isinstance(step, dict) or "nodes" not in step or "edges" not in step:
             raise RuntimeFormatError(f"step #{i} needs 'nodes' and 'edges'")
+        for part in ("nodes", "edges"):
+            if not (isinstance(step[part], dict) and all(on in (0, 1) for on in step[part].values())):
+                raise RuntimeFormatError(f"step #{i}: '{part}' must map ids to 0 or 1")
         edges = {}
         for key, on in step["edges"].items():
             if "->" not in key:
@@ -302,7 +311,7 @@ def parse_timing(text: str) -> TimingPrefix:
             u, _, v = key.partition("->")
             edges[(u, v)] = on
         steps.append(Activation(nodes=dict(step["nodes"]), edges=edges))
-    return TimingPrefix(steps=tuple(steps), lossless=bool(doc["lossless"]), starvation_bound=int(doc["K"]))
+    return TimingPrefix(steps=tuple(steps), lossless=doc["lossless"], starvation_bound=doc["K"])
 
 
 # ---------------------------------------------------------------------------

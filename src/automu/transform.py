@@ -5,15 +5,18 @@ applies directly to a variable, then build a powerset-state automaton whose
 states are the sets of atomic propositions (label constants and variables)
 already verified at a node.  A transition adds exactly the variables whose
 bodies hold shallowly of the current state and neighborhood, so states only
-grow along transitions and the result is quasi-acyclic by construction.
+grow along transitions and the result is quasi-acyclic by construction.  The
+rules say this symbolically: ``Dia X`` is the guard "not a subset of the
+states lacking X", ``Box X`` "a subset of the states containing X".
 
 Downward (``automaton_to_formula``): introduce one variable per trace of a
 quasi-acyclic automaton and encode which sets of neighbor traces can drive a
 node along each trace.  ``compute_enables`` is the inductive closure of that
 driving relation over all of P(traces); for the formula itself a restricted
-closure is used (neighborhoods drawn from initialization-reachable traces)
-and its per-trace families are pruned by a prefix-subsumption rule, both of
-which preserve the defined property while keeping the formula small enough to
+closure is used (neighborhoods drawn from initialization-reachable traces).
+One pair closure, ``_pair_closure``, serves both.  The formula's per-trace
+families are pruned by a prefix-subsumption rule; the restriction and the
+pruning preserve the defined property while keeping the formula small enough to
 evaluate.  The construction assumes the input automaton's acceptance behavior
 is independent of lossless-asynchronous timing; that hypothesis is not
 checkable here and is taken on trust.
@@ -25,15 +28,17 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
     ELSE,
     AndGuard,
     Automaton,
     AutomatonTooLarge,
+    Guard,
+    NotGuard,
+    OrGuard,
     SubsetEq,
-    SupsetEq,
     Trace,
     TransitionRule,
     trace_pushlast,
@@ -65,6 +70,12 @@ MAX_ENABLES_TRACES = 12   # full closure guard: trace count
 class NotFlattened(ValueError):
     """shallow evaluation was asked of a formula whose modal arguments are not
     plain variables."""
+
+
+def _subsets(xs: Sequence[str]) -> Iterator[frozenset[str]]:
+    """Every subset of ``xs``, in bitmask order."""
+    for mask in range(1 << len(xs)):
+        yield frozenset(x for i, x in enumerate(xs) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +155,36 @@ def shallow_sat(f: Formula, q: Iterable[str], s: Iterable[Iterable[str]]) -> boo
     return sat(f)
 
 
+def _shallow_guard(f: Formula, q: frozenset[str], dia: Mapping[str, Guard],
+                   box: Mapping[str, Guard]) -> bool | Guard:
+    """``shallow_sat(f, q, .)`` as a guard over the neighborhood: atoms read
+    from ``q`` fold to constants, ``Dia X`` and ``Box X`` become ``dia[X]``
+    (not a subset of the states lacking X) and ``box[X]`` (a subset of the
+    states containing X).  Returns True or False when no guard is needed."""
+    if isinstance(f, (TrueF, FalseF)):
+        return isinstance(f, TrueF)
+    if isinstance(f, (Const, NegConst)):
+        return (f"p{f.index}" in q) == isinstance(f, Const)
+    if isinstance(f, Var):
+        return f.name in q
+    if isinstance(f, (Dia, Box)):
+        return (dia if isinstance(f, Dia) else box)[f.inner.name]
+    if not isinstance(f, (Or, And)):
+        raise TypeError(f"not a formula: {f!r}")
+    unit = isinstance(f, And)  # True is neutral for And, False for Or
+    kind = AndGuard if unit else OrGuard
+    parts: list[Guard] = []
+    for side in (f.left, f.right):
+        g = _shallow_guard(side, q, dia, box)
+        if g is (not unit):
+            return g
+        if g is not unit:
+            parts.extend(g.parts if isinstance(g, kind) else (g,))
+    if len(parts) < 2:
+        return parts[0] if parts else unit
+    return kind(tuple(parts))
+
+
 # ---------------------------------------------------------------------------
 # formula -> automaton
 
@@ -158,9 +199,13 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
     far.  Initialization keeps the label constants; a transition on
     neighborhood S adds every variable whose body holds shallowly of
     (state, S); accepting states are those containing the first variable.
-    Transition rules are emitted as an exact-match table over the subsets of
-    initialization-reachable states, with a self-loop fallback for
-    neighborhoods that cannot occur in any run.
+
+    Rules are symbolic: at state q each body becomes a guard over the
+    neighborhood (``_shallow_guard``).  Variables whose guard folds to true
+    are always added, those folding to false never; for the remaining open
+    variables one rule per subset, largest first, adds exactly that subset.
+    The table has sum over q of 2^|open(q)| <= 2^bits * 3^vars rules, checked
+    against ``MAX_RULE_TABLE`` before any rule is built.
     """
     flat = flatten(sys)
     if any(_P_TOKEN.match(x) for x in flat.vars):
@@ -206,74 +251,50 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
     def state_id(subset: frozenset[str]) -> str:
         return "{" + ",".join(sorted(subset, key=order.__getitem__)) + "}"
 
-    subsets = [
-        frozenset(t for i, t in enumerate(atoms) if mask >> i & 1)
-        for mask in range(1 << len(atoms))
-    ]
+    subsets = list(_subsets(atoms))
+    ids = [state_id(q) for q in subsets]
+    box = {y: SubsetEq(frozenset(i for i, q in zip(ids, subsets) if y in q)) for y in flat.vars}
+    dia = {y: NotGuard(SubsetEq(frozenset(i for i, q in zip(ids, subsets) if y not in q)))
+           for y in flat.vars}
 
-    def step(qset: frozenset[str], neighborhood: frozenset[frozenset[str]]) -> frozenset[str]:
-        return qset | {
-            x for x, body in zip(flat.vars, flat.bodies) if shallow_sat(body, qset, neighborhood)
-        }
-
-    init_sets = {
-        w: frozenset(f"p{i}" for i, c in enumerate(w) if c == "1")
-        for w in ("".join(t) for t in itertools.product("01", repeat=flat.bits))
-    }
-
-    # close the initialization-reachable states under transitions whose
-    # neighborhoods are themselves drawn from reachable states
-    reachable: set[frozenset[str]] = set(init_sets.values())
-    while True:
-        pool = sorted(reachable, key=state_id)
-        if (1 << len(pool)) * len(subsets) > MAX_RULE_TABLE:
-            raise SizeGuardExceeded(
-                f"{len(pool)} reachable states would need a rule table beyond {MAX_RULE_TABLE} entries"
-            )
-        added = False
-        for q in pool:
-            for r in range(1 << len(pool)):
-                hood = frozenset(p for i, p in enumerate(pool) if r >> i & 1)
-                q2 = step(q, hood)
-                if q2 not in reachable:
-                    reachable.add(q2)
-                    added = True
-        if not added:
-            break
-
-    reach_sorted = sorted(reachable, key=state_id)
-    total_rules = (1 << len(reach_sorted)) * len(subsets)
+    # per state: what every transition adds, and the guards of the open variables
+    plan: list[tuple[frozenset[str], list[tuple[str, Guard]]]] = []
+    for q in subsets:
+        always, open_vars = set(q), []
+        for x, body in zip(flat.vars, flat.bodies):
+            if x not in q:
+                g = _shallow_guard(body, q, dia, box)
+                if g is True:
+                    always.add(x)
+                elif g is not False:
+                    open_vars.append((x, g))
+        plan.append((frozenset(always), open_vars))
+    total_rules = sum(1 << len(open_vars) for _, open_vars in plan)
     if total_rules > MAX_RULE_TABLE:
         raise SizeGuardExceeded(
             f"rule table of {total_rules} entries exceeds the guard of {MAX_RULE_TABLE}"
         )
 
-    hoods = [
-        frozenset(p for i, p in enumerate(reach_sorted) if r >> i & 1)
-        for r in range(1 << len(reach_sorted))
-    ]
-    hoods.sort(key=lambda h: (len(h), sorted(state_id(x) for x in h)))
-
+    # the rule for the set of open variables that hold comes before every
+    # smaller one, so first-match picks exactly that set
     rules: dict[str, tuple[TransitionRule, ...]] = {}
-    for q in subsets:
-        lst = []
-        for hood in hoods:
-            ids = frozenset(state_id(x) for x in hood)
-            target = step(q, hood)
-            if not q <= target:
-                raise AssertionError(f"rule from {state_id(q)} shrinks its state")
-            lst.append(TransitionRule(AndGuard((SubsetEq(ids), SupsetEq(ids))), state_id(target)))
-        lst.append(TransitionRule(ELSE, state_id(q)))
-        rules[state_id(q)] = tuple(lst)
+    for q_id, (base, open_vars) in zip(ids, plan):
+        rules[q_id] = tuple(
+            TransitionRule(AndGuard(tuple(g for _, g in chosen)),
+                           state_id(base.union(x for x, _ in chosen)))
+            for k in range(len(open_vars), 0, -1)
+            for chosen in itertools.combinations(open_vars, k)
+        ) + (TransitionRule(ELSE, state_id(base)),)
 
-    # every rule target contains its source and the else rule is a self-loop,
-    # so the only cycles of the state diagram are self-loops
+    # every rule target contains its source, so the only cycles of the state
+    # diagram are self-loops
+    words = ("".join(w) for w in itertools.product("01", repeat=flat.bits))
     return Automaton(
         bits=flat.bits,
-        states=tuple(state_id(q) for q in subsets),
-        init={w: state_id(s) for w, s in init_sets.items()},
+        states=tuple(ids),
+        init={w: state_id(frozenset(f"p{i}" for i, c in enumerate(w) if c == "1")) for w in words},
         rules=rules,
-        accepting=frozenset(state_id(q) for q in subsets if flat.vars[0] in q),
+        accepting=frozenset(i for i, q in zip(ids, subsets) if flat.vars[0] in q),
     )
 
 
@@ -294,7 +315,7 @@ class EnablesSet:
 
 
 def _extension_choices(
-    ext: Mapping[Trace, tuple[Trace, ...]], h: frozenset[Trace]
+    ext: Mapping[Trace, Sequence[Trace]], h: frozenset[Trace]
 ) -> list[tuple[frozenset[Trace], frozenset[str]]]:
     """All sets obtainable by replacing every trace in ``h`` with a nonempty
     set of its one-step extensions (keeping the trace counts as extending by
@@ -318,15 +339,10 @@ def _extension_choices(
 
 def compute_enables(a: Automaton, max_rounds: int | None = None,
                     max_traces: int = MAX_ENABLES_TRACES) -> EnablesSet:
-    """Inductive closure of the driving relation over all of P(traces).
-
-    Seeds: for every state q and every subset N of states (as length-1
-    traces, including the empty set), N drives q extended by delta(q, N).
-    Step: from a known pair (H, t), every H' obtainable by extending the
-    members of H by at most one state apiece drives t extended by
-    delta(t's last, last states of H').  Iterates to a fixpoint, FIFO order;
-    ``iterations_used`` counts pairs processed and is bounded by
-    |traces| * 2^|traces|.
+    """Inductive closure of the driving relation over all of P(traces):
+    ``_pair_closure`` seeded with every state, neighbor traces drawn from
+    every trace.  ``iterations_used`` counts pairs processed and is bounded
+    by |traces| * 2^|traces|.
 
     The closure is exponential in the trace count; ``max_traces`` guards it.
     ``max_rounds`` limits derivation depth (round 0 = seeds only), which
@@ -338,41 +354,44 @@ def compute_enables(a: Automaton, max_rounds: int | None = None,
             f"full closure over {len(traces)} traces (up to |T|*2^|T| pairs) exceeds "
             f"the guard of {max_traces}; pass max_rounds for a bounded under-approximation"
         )
-    ext: dict[Trace, tuple[Trace, ...]] = {}
-    for t in traces:
-        more = tuple(sorted(t2 for t2 in traces if len(t2) == len(t) + 1 and t2[:-1] == t))
-        ext[t] = (t,) + more
+    pairs, iterations = _pair_closure(a, a.states, traces, max_rounds)
+    return EnablesSet(pairs=frozenset(pairs), iterations_used=iterations)
 
-    seen: set[tuple[frozenset[Trace], Trace]] = set()
-    frontier: deque[tuple[frozenset[Trace], Trace]] = deque()
 
-    def add(pair: tuple[frozenset[Trace], Trace], out: deque) -> None:
-        if pair not in seen:
-            seen.add(pair)
-            out.append(pair)
+def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
+                  max_rounds: int | None = None
+                  ) -> tuple[set[tuple[frozenset[Trace], Trace]], int]:
+    """The driving pairs derivable from ``seeds`` with neighbor traces drawn
+    from ``universe``, a prefix-closed trace set; returns the pairs and how
+    many were processed.  Seeds: every set N of seed states, as length-1
+    traces, drives each seed q extended by delta(q, N).  Step: from (H, t),
+    every H' obtainable by extending the members of H by at most one state
+    apiece drives t extended by delta(t's last, last states of H').  Rounds
+    are breadth-first layers; round 0 is the seeds alone."""
+    ext: dict[Trace, list[Trace]] = {t: [t] for t in universe}
+    for t in ext:
+        if len(t) > 1:
+            ext[t[:-1]].append(t)
 
-    states = a.states
-    for mask in range(1 << len(states)):
-        n = frozenset(s for i, s in enumerate(states) if mask >> i & 1)
-        h = frozenset((q,) for q in n)
-        for q in states:
-            add((h, trace_pushlast((q,), a.delta(q, n))), frontier)
-
-    iterations = 0
-    rounds = 0
+    frontier = [(frozenset((s,) for s in n), trace_pushlast((q,), a.delta(q, n)))
+                for n in _subsets(seeds) for q in seeds]
+    seen = set(frontier)
+    iterations = rounds = 0
     choice_memo: dict[frozenset[Trace], list] = {}
     while frontier and (max_rounds is None or rounds < max_rounds):
         rounds += 1
-        next_frontier: deque[tuple[frozenset[Trace], Trace]] = deque()
-        while frontier:
-            h, t = frontier.popleft()
-            iterations += 1
+        iterations += len(frontier)
+        next_frontier = []
+        for h, t in frontier:
             if h not in choice_memo:
                 choice_memo[h] = _extension_choices(ext, h)
             for h2, lasts in choice_memo[h]:
-                add((h2, trace_pushlast(t, a.delta(t[-1], lasts))), next_frontier)
+                pair = (h2, trace_pushlast(t, a.delta(t[-1], lasts)))
+                if pair not in seen:
+                    seen.add(pair)
+                    next_frontier.append(pair)
         frontier = next_frontier
-    return EnablesSet(pairs=frozenset(seen), iterations_used=iterations)
+    return seen, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -407,57 +426,15 @@ def _driver_closure(a: Automaton) -> dict[Trace, list[frozenset[Trace]]]:
     reach: set[Trace] = {(q,) for q in init_states}
     while True:
         lasts = sorted({t[-1] for t in reach})
-        nexts: dict[str, set[str]] = {}
-        for q in lasts:
-            nexts[q] = set()
-            for mask in range(1 << len(lasts)):
-                n = frozenset(s for i, s in enumerate(lasts) if mask >> i & 1)
-                nexts[q].add(a.delta(q, n))
-        grown = set(reach)
-        for t in reach:
-            for q2 in nexts[t[-1]]:
-                if q2 != t[-1]:
-                    grown.add(t + (q2,))
+        nexts = {q: {a.delta(q, n) for n in _subsets(lasts)} for q in lasts}
+        grown = reach | {t + (q2,) for t in reach for q2 in nexts[t[-1]] if q2 != t[-1]}
         if grown == reach:
             break
         reach = grown
 
-    ext: dict[Trace, tuple[Trace, ...]] = {}
-    lasts = sorted({t[-1] for t in reach})
-    nexts = {}
-    for q in lasts:
-        nexts[q] = set()
-        for mask in range(1 << len(lasts)):
-            n = frozenset(s for i, s in enumerate(lasts) if mask >> i & 1)
-            nexts[q].add(a.delta(q, n))
-    for t in reach:
-        more = tuple(sorted(t + (q2,) for q2 in nexts[t[-1]] if q2 != t[-1] and t + (q2,) in reach))
-        ext[t] = (t,) + more
-
-    seen: set[tuple[frozenset[Trace], Trace]] = set()
-    work: deque[tuple[frozenset[Trace], Trace]] = deque()
-
-    def add(pair: tuple[frozenset[Trace], Trace]) -> None:
-        if pair not in seen:
-            seen.add(pair)
-            work.append(pair)
-
-    for mask in range(1 << len(init_states)):
-        n = frozenset(s for i, s in enumerate(init_states) if mask >> i & 1)
-        h = frozenset((q,) for q in n)
-        for q in init_states:
-            add((h, trace_pushlast((q,), a.delta(q, n))))
-
-    choice_memo: dict[frozenset[Trace], list] = {}
-    while work:
-        h, t = work.popleft()
-        if h not in choice_memo:
-            choice_memo[h] = _extension_choices(ext, h)
-        for h2, last_states in choice_memo[h]:
-            add((h2, trace_pushlast(t, a.delta(t[-1], last_states))))
-
+    pairs, _ = _pair_closure(a, init_states, reach)
     families: dict[Trace, list[frozenset[Trace]]] = {}
-    for h, t in seen:
+    for h, t in pairs:
         families.setdefault(t, []).append(h)
     return families
 

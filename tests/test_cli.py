@@ -1,13 +1,25 @@
+import contextlib
+import copy
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from automu.automata import automaton_to_json, parse_automaton
+from automu.automata import automaton_to_dict, automaton_to_json, parse_automaton
 from automu.cli import main
-from automu.graphs import digraph_to_json
+from automu.graphs import digraph_to_dict, digraph_to_json, parse_digraph
 from automu.logic import parse_formula
-from automu.runtime import parse_timing, sample_timing, timing_to_json
+from automu.runtime import (
+    fuzz_consistency,
+    parse_timing,
+    sample_timing,
+    timing_to_dict,
+    timing_to_json,
+)
 from automu.zoo import (
     SAFE_ONE_SEXP,
     chain_graph,
@@ -94,6 +106,17 @@ class TestExitCodes:
         assert doc["verdict"] == "inconsistent"
         assert {doc["verdict_a"], doc["verdict_b"]} == {"yes", "no"}
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fuzz_inconsistent_reports_graphs_checked(self, files, jobs, capsys):
+        code = main(["fuzz", "--automaton", files["probe.json"], "--max-nodes", "3",
+                     "--graphs", "10", "--samples", "10", "--seed", "0", "--jobs", str(jobs)])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        verdict = fuzz_consistency(sync_probe_automaton(), max_nodes=3, graphs=10,
+                                   timings_per_graph=10, seed=0)
+        assert not verdict.consistent
+        assert doc["graphs_checked"] == verdict.graphs_checked
+
     def test_usage_errors(self, files, capsys):
         assert main(["no-such-command"]) == 2
         assert main(["eval", "--formula", "/nonexistent.sexp", "--graph", files["chain.json"]]) == 2
@@ -134,6 +157,158 @@ class TestExitCodes:
         bad.write_text('{"bits": 1, "nodes": [], "labels": {}, "edges": []}')
         assert main(["eval", "--formula", files["safe_one.sexp"], "--graph", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _timing_doc():
+    return timing_to_dict(sample_timing(chain_graph(), steps=4, seed=0))
+
+
+def _automaton_doc():
+    return automaton_to_dict(safe_one_automaton())
+
+
+# one malformed document of each kind, with the flag that takes it and the
+# fault each one used to raise past the CLI
+MALFORMED = {
+    "timing_edges_list": ("--timing", json.dumps(
+        {**_timing_doc(), "steps": [{"nodes": {"u": 1, "v": 1}, "edges": []}]})),  # AttributeError
+    "automaton_states_int": ("--automaton", json.dumps(
+        {**_automaton_doc(), "states": 5})),  # TypeError
+    "graph_label_int": ("--graph", json.dumps(
+        {**digraph_to_dict(chain_graph()), "labels": {"u": 1, "v": "0"}})),  # TypeError
+    "formula_3000_deep": ("--formula",
+                          "(mu ((X " + "(dia " * 3000 + "(p 0)" + ")" * 3000 + ")))"),  # RecursionError
+    # RecursionError inside the JSON decoder
+    **{f"{flag[2:]}_json_deep": (flag, "[" * 100000 + "]" * 100000)
+       for flag in ("--timing", "--automaton", "--graph")},
+}
+
+
+class TestParseBoundary:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_input_exits_2(self, files, tmp_path, name, capsys):
+        flag, text = MALFORMED[name]
+        path = tmp_path / "document"
+        path.write_text(text)
+        argv = {
+            "--formula": ["eval", "--formula", str(path), "--graph", files["chain.json"]],
+            "--graph": ["eval", "--formula", files["safe_one.sexp"], "--graph", str(path)],
+            "--automaton": ["run", "--automaton", str(path), "--graph", files["chain.json"], "--sync"],
+            "--timing": ["run", "--automaton", files["safe_one.json"], "--graph", files["chain.json"],
+                         "--timing", str(path)],
+        }[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+# exit-code fuzzer: mutate the sample documents and feed them to the CLI
+
+_JUNK_VALUES = [None, True, 0, 1, -1, 7, 2.5, "", "1", "01", "x", "u->v", [], ["u"], [["u", "v"]],
+                {}, {"u": 1}, {"subseteq": ["q1"]}]
+_JUNK_TOKENS = ["(", ")", "p", "not-p", "var", "dia", "box", "or", "and", "mu", "true", "false",
+                "X1", "X9", "0", "1", "-1", "99"]
+
+
+def _slots(obj):
+    """(container, key) for every value nested in a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in list(items):
+        yield obj, key
+        yield from _slots(value)
+
+
+@st.composite
+def mutated_json(draw, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots or draw(st.integers(0, 19)) == 0:
+            return json.dumps(draw(st.sampled_from(_JUNK_VALUES)))
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            container[key] = copy.deepcopy(draw(st.sampled_from(_JUNK_VALUES)))
+        else:
+            del container[key]
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_sexp(draw, text):
+    tokens = re.findall(r"\(|\)|[^\s()]+", text)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        op = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if op == "insert" or i == len(tokens):
+            tokens.insert(i, draw(st.sampled_from(_JUNK_TOKENS)))
+        elif op == "delete":
+            del tokens[i]
+        else:
+            tokens[i] = draw(st.sampled_from(_JUNK_TOKENS))
+    return " ".join(tokens)
+
+
+def _graph_argvs(path, ref):
+    return [["eval", "--formula", ref["safe_one.sexp"], "--graph", path],
+            ["run", "--automaton", ref["safe_one.json"], "--graph", path, "--sync", "--steps", "4"]]
+
+
+def _automaton_argvs(path, ref):
+    return [["check", "--automaton", path],
+            ["run", "--automaton", path, "--graph", ref["chain.json"], "--sync", "--steps", "4"]]
+
+
+def _timing_argvs(path, ref):
+    return [["run", "--automaton", ref["safe_one.json"], "--graph", ref["chain.json"], "--timing", path]]
+
+
+def _formula_argvs(path, ref):
+    return [["eval", "--formula", path, "--graph", ref["chain.json"]]]
+
+
+DOCUMENT_KINDS = {
+    "graph": (mutated_json(digraph_to_dict(chain_graph())), parse_digraph, _graph_argvs),
+    "automaton": (mutated_json(_automaton_doc()), parse_automaton, _automaton_argvs),
+    "timing": (mutated_json(_timing_doc()), parse_timing, _timing_argvs),
+    "formula": (mutated_sexp(SAFE_ONE_SEXP), lambda text: parse_formula(text, bits=1), _formula_argvs),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reference")
+    out = {}
+    for name, text in [("safe_one.json", automaton_to_json(safe_one_automaton())),
+                       ("safe_one.sexp", SAFE_ONE_SEXP),
+                       ("chain.json", digraph_to_json(chain_graph()))]:
+        (root / name).write_text(text)
+        out[name] = str(root / name)
+    out["mutant"] = str(root / "mutant")
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENT_KINDS))
+def test_mutated_documents_keep_the_exit_code_contract(kind, reference_files):
+    strategy, parse, argvs = DOCUMENT_KINDS[kind]
+
+    @settings(max_examples=100)
+    @given(strategy)
+    def check(text):
+        Path(reference_files["mutant"]).write_text(text)
+        try:
+            parse(text)
+            malformed = False
+        except ValueError:
+            malformed = True
+        for argv in argvs(reference_files["mutant"], reference_files):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            assert code == 2 or not malformed, (argv, text)
+            assert "Traceback" not in err.getvalue()
+
+    check()
 
 
 class TestRoundTrips:

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 
 from automu.automata import (
     ELSE,
@@ -13,6 +14,7 @@ from automu.automata import (
 )
 from automu.graphs import enumerate_digraphs
 from automu.harness import equiv_exhaustive
+from automu import transform
 from automu.logic import (
     And,
     Box,
@@ -22,6 +24,7 @@ from automu.logic import (
     MuSystem,
     Or,
     Var,
+    format_formula,
     lfp,
     parse_formula,
 )
@@ -42,7 +45,11 @@ from automu.zoo import (
     safe_one_formula,
     sync_probe_automaton,
 )
-from strategies import make_automaton
+from strategies import make_automaton, seeds, systems
+from test_kernel import BENCHMARK_FORMULAS
+
+SIX_VARIABLES = ("(mu ((X (or (dia (and (var Y) (var Z))) (box (or (var Y) (p 0))))) "
+                 "(Y (or (p 0) (dia (var Z)))) (Z (or (not-p 0) (box (dia (var X)))))))")
 
 
 class TestFlatten:
@@ -157,6 +164,89 @@ class TestFormulaToAutomaton:
             assert all(members[q] <= members[rule.target] for rule in rules)
         verdict = equiv_exhaustive(a, sys, 3)
         assert verdict.equivalent and verdict.checked == 98824
+
+
+def _members(state_id):
+    return frozenset(state_id.strip("{}").split(",")) - {""}
+
+
+def _assert_delta_is_shallow_step(a, flat, hoods):
+    """delta(q, N) = q + {x : shallow_sat(body_x, q, N)} for every state q and
+    every neighborhood N in ``hoods``; ``flat`` names the variables as the
+    automaton's states do."""
+    for n in hoods:
+        hood = [_members(s) for s in n]
+        for q in a.states:
+            atoms = _members(q)
+            want = atoms | {x for x, body in zip(flat.vars, flat.bodies) if shallow_sat(body, atoms, hood)}
+            assert _members(a.delta(q, n)) == want, (q, sorted(n))
+
+
+def _all_hoods(a):
+    return [frozenset(s for i, s in enumerate(a.states) if mask >> i & 1)
+            for mask in range(1 << len(a.states))]
+
+
+class TestSymbolicCompileUp:
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_FORMULAS))
+    def test_delta_is_the_shallow_step_everywhere(self, name):
+        sys = parse_formula(BENCHMARK_FORMULAS[name])
+        a = formula_to_automaton(sys)
+        _assert_delta_is_shallow_step(a, flatten(sys), _all_hoods(a))
+
+    def test_renamed_variable_is_the_shallow_step_everywhere(self):
+        # the variable p0 is renamed V0 so it cannot collide with constant p0
+        a = formula_to_automaton(parse_formula("(mu ((p0 (p 0))))"))
+        ref = MuSystem(bits=1, vars=("V0",), bodies=(Const(0),))
+        _assert_delta_is_shallow_step(a, ref, _all_hoods(a))
+
+    @settings(max_examples=60)
+    @given(systems(bits=1, max_vars=2, depth=2), seeds)
+    def test_random_systems_on_sampled_hoods(self, sys, seed):
+        flat = flatten(sys)
+        assume(flat.bits + len(flat.vars) <= 6)
+        a = formula_to_automaton(sys)
+        rng = random.Random(seed)
+        hoods = [frozenset(s for s in a.states if rng.random() < p) for p in (0.0, 0.1, 0.3, 0.6, 1.0)]
+        _assert_delta_is_shallow_step(a, flat, hoods)
+
+    def test_rule_counts(self):
+        # one rule per subset of the variables still open at a state
+        counts = {name: sum(map(len, formula_to_automaton(parse_formula(f)).rules.values()))
+                  for name, f in BENCHMARK_FORMULAS.items()}
+        assert counts == {"safe_one": 17, "reach_one": 5, "boxed_one": 12, "two_and": 11, "two_box": 9}
+
+    def test_six_variable_system_compiles_and_round_trips(self):
+        sys = parse_formula(SIX_VARIABLES, bits=1)
+        a = formula_to_automaton(sys)
+        assert len(flatten(sys).vars) == 6 and len(a.states) == 2 ** 7
+        assert sum(map(len, a.rules.values())) <= 2 * 3 ** 6
+        verdict = equiv_exhaustive(a, sys, 3)
+        assert verdict.equivalent and verdict.checked == 12420
+
+    def test_rule_guard_trips_before_any_rule_is_built(self, monkeypatch):
+        # 14 variables open at every state lacking them: 3^14 rules
+        def no_rules(*args):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(transform, "TransitionRule", no_rules)
+        names = tuple(f"V{i}" for i in range(14))
+        sys = MuSystem(bits=0, vars=names, bodies=tuple(Dia(Var(n)) for n in names))
+        with pytest.raises(SizeGuardExceeded, match=f"{3 ** 14} entries"):
+            formula_to_automaton(sys)
+
+
+class TestPinnedClosure:
+    def test_probe_full_closure(self):
+        closure = compute_enables(sync_probe_automaton())
+        assert (len(closure.pairs), closure.iterations_used) == (96, 96)
+
+    def test_flagship_one_round(self):
+        closure = compute_enables(safe_one_automaton(), max_rounds=1, max_traces=20)
+        assert (len(closure.pairs), closure.iterations_used) == (20480, 160)
+
+    def test_flagship_compile_down_size(self):
+        assert len(format_formula(automaton_to_formula(safe_one_automaton()))) == 12247
 
 
 def _is_base_pair(a, h, t):
