@@ -280,6 +280,38 @@ class Automaton:
         self._cache["qa"] = acyclic
         return acyclic
 
+    def trace_length_bound(self) -> int | None:
+        """An upper bound on the number of states in a trace, or None when
+        the trace set is infinite (the automaton is not quasi-acyclic).
+
+        The state diagram is a subgraph of the graph of all rule targets, so
+        when that graph has no cycle but self-loops its longest path is the
+        bound and no 2^|Q| scan is needed; otherwise the traces decide, which
+        needs ``state_diagram``."""
+        if "bound" not in self._cache:
+            succ = {q: {r.target for r in self.rules[q]} - {q} for q in self.states}
+            indegree = dict.fromkeys(self.states, 0)
+            for targets in succ.values():
+                for q in targets:
+                    indegree[q] += 1
+            order = [q for q in self.states if indegree[q] == 0]  # topological
+            for q in order:
+                for q2 in succ[q]:
+                    indegree[q2] -= 1
+                    if indegree[q2] == 0:
+                        order.append(q2)
+            if len(order) == len(self.states):
+                depth: dict[str, int] = {}
+                for q in reversed(order):
+                    depth[q] = 1 + max((depth[q2] for q2 in succ[q]), default=0)
+                bound = max(depth.values())
+            elif self.is_quasi_acyclic():
+                bound = max(map(len, self.traces()))
+            else:
+                bound = None
+            self._cache["bound"] = bound
+        return self._cache["bound"]
+
     def traces(self) -> frozenset[Trace]:
         """All traces: paths in the self-loop-free state diagram, from every
         state, including every length-1 trace.  Requires quasi-acyclicity."""

@@ -378,15 +378,15 @@ def _run(
                 break
 
     if extend_until_quiescent and stabilized is None:
-        if not a.is_quasi_acyclic():
-            raise NotQuasiAcyclic(
-                "cannot extend to quiescence: buffers of a non-quasi-acyclic automaton may grow forever"
-            )
         # termination bound for the fully-active policy: every node moves at
         # most (longest trace - 1) times in total, buffers never exceed the
         # longest trace in length, and a move-free stretch of longest+2 steps
         # drains every buffer and forces the quiescence check to succeed
-        longest = max(len(t) for t in a.traces())
+        longest = a.trace_length_bound()
+        if longest is None:
+            raise NotQuasiAcyclic(
+                "cannot extend to quiescence: buffers of a non-quasi-acyclic automaton may grow forever"
+            )
         budget = (len(g.nodes) * (longest + 1) + 2) * (longest + 2) + sum(
             len(b) for b in config.buffers.values()
         )
@@ -496,7 +496,8 @@ def check_consistency(
     starvation_bound: int = DEFAULT_STARVATION_BOUND,
 ) -> ConsistencyVerdict:
     """Run ``samples`` sampled fair timings plus the synchronous timing and
-    compare definitive per-node verdicts.
+    compare definitive per-node verdicts.  A graph whose initial
+    configuration is already quiescent takes the synchronous run alone.
 
     Without ``lossless_only``, sampled timings alternate lossless and lossy.
     A disagreement is returned with the two timings (truncated to the steps
@@ -504,7 +505,7 @@ def check_consistency(
     """
     if budget is None:
         budget = 10 * starvation_bound * len(g.nodes)
-    quasi = a.is_quasi_acyclic()
+    quasi = a.trace_length_bound() is not None
 
     def run_prefix(activations: Iterable[Activation], lossless: bool, k: int) -> tuple[RunReport, TimingPrefix]:
         consumed_steps: list[Activation] = []
@@ -518,6 +519,9 @@ def check_consistency(
         return report, TimingPrefix(tuple(consumed_steps), lossless=lossless, starvation_bound=k)
 
     base_report, base_prefix = run_prefix(iter(synchronous_prefix(g, budget).steps), True, 1)
+    if base_report.stabilized_at == 0:
+        # quiescent from the start: every timing gives this run's verdicts
+        return ConsistencyVerdict(consistent=True, runs=1)
     verdicts: dict[str, tuple[str, TimingPrefix]] = {
         v: (base_report.accepted[v], base_prefix) for v in g.nodes
     }

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
     ELSE,
+    SUBSET_ENUMERATION_GUARD,
     AndGuard,
     Automaton,
     AutomatonTooLarge,
@@ -41,7 +42,6 @@ from .automata import (
     SubsetEq,
     Trace,
     TransitionRule,
-    trace_pushlast,
 )
 from .logic import (
     And,
@@ -300,6 +300,11 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
 
 # ---------------------------------------------------------------------------
 # the trace-driving relation
+#
+# The closure runs over ints.  The trace universe is indexed: a set of
+# neighbor traces is a bitmask over that index, a set of states a |Q|-bit mask
+# over ``a.states`` and a node trace an index.  Masks become frozensets of
+# traces only where results leave the closure, each distinct mask once.
 
 @dataclass(frozen=True)
 class EnablesSet:
@@ -314,27 +319,64 @@ class EnablesSet:
         return frozenset(h for h, t2 in self.pairs if t2 == t)
 
 
-def _extension_choices(
-    ext: Mapping[Trace, Sequence[Trace]], h: frozenset[Trace]
-) -> list[tuple[frozenset[Trace], frozenset[str]]]:
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _extension_choices(subs: Sequence[Sequence[tuple[int, int]]], h: int) -> dict[int, int]:
     """All sets obtainable by replacing every trace in ``h`` with a nonempty
     set of its one-step extensions (keeping the trace counts as extending by
     its own last state).  Distinct neighbor nodes sharing a trace may diverge,
-    hence set-of-extensions rather than one extension per trace.  Returns each
-    result with its set of last states; the empty set extends only to itself."""
-    per: list[list[tuple[Trace, ...]]] = []
-    for t in sorted(h):
-        choices = ext[t]
-        per.append([
-            tuple(c for i, c in enumerate(choices) if r >> i & 1)
-            for r in range(1, 1 << len(choices))
-        ])
-    out: dict[frozenset[Trace], frozenset[str]] = {}
-    for combo in itertools.product(*per):
-        h2 = frozenset(t for group in combo for t in group)
-        if h2 not in out:
-            out[h2] = frozenset(t[-1] for t in h2)
-    return sorted(out.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    hence set-of-extensions rather than one extension per trace.
+
+    ``h`` is a trace mask and ``subs[i]`` lists the nonempty subsets of trace
+    i's extensions, each as (trace mask, mask of their last states).  The
+    product is built one member of ``h`` at a time and drops duplicates at
+    every step, since a set holding both t and an extension of t reaches the
+    same result by many choices.  Returns each distinct result with the mask
+    of its last states; the empty set extends only to itself."""
+    acc = {0: 0}
+    for i in _bits(h):
+        acc = {x | s: x_lasts | s_lasts for x, x_lasts in acc.items() for s, s_lasts in subs[i]}
+    return acc
+
+
+def _extension_subsets(traces: Sequence[Trace], last: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """Per trace of a prefix-closed list: every nonempty subset of the trace
+    and its one-step extensions in the list, as (trace mask, mask of their
+    last states); ``last[i]`` is the state index trace i ends in."""
+    index = {t: i for i, t in enumerate(traces)}
+    ext = [1 << i for i in range(len(traces))]
+    for i, t in enumerate(traces):
+        if len(t) > 1:
+            ext[index[t[:-1]]] |= 1 << i
+    subs: list[list[tuple[int, int]]] = []
+    for m in ext:
+        row, s = [], m
+        while s:
+            lasts = 0
+            for i in _bits(s):
+                lasts |= 1 << last[i]
+            row.append((s, lasts))
+            s = (s - 1) & m
+        subs.append(row)
+    return subs
+
+
+def _decoded(pairs: Iterable[tuple[int, int]], traces: Sequence[Trace]
+             ) -> Iterator[tuple[frozenset[Trace], Trace]]:
+    """``_pair_closure``'s pairs as (set of traces, trace), decoding every
+    distinct mask once."""
+    sets: dict[int, frozenset[Trace]] = {}
+    for h, t in pairs:
+        hs = sets.get(h)
+        if hs is None:
+            hs = sets[h] = frozenset(traces[i] for i in _bits(h))
+        yield hs, traces[t]
 
 
 def compute_enables(a: Automaton, max_rounds: int | None = None,
@@ -354,62 +396,111 @@ def compute_enables(a: Automaton, max_rounds: int | None = None,
             f"full closure over {len(traces)} traces (up to |T|*2^|T| pairs) exceeds "
             f"the guard of {max_traces}; pass max_rounds for a bounded under-approximation"
         )
-    pairs, iterations = _pair_closure(a, a.states, traces, max_rounds)
-    return EnablesSet(pairs=frozenset(pairs), iterations_used=iterations)
+    pairs, iterations, index = _pair_closure(a, a.states, traces, max_rounds)
+    return EnablesSet(pairs=frozenset(_decoded(pairs, index)), iterations_used=iterations)
 
 
 def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
                   max_rounds: int | None = None
-                  ) -> tuple[set[tuple[frozenset[Trace], Trace]], int]:
+                  ) -> tuple[set[tuple[int, int]], int, list[Trace]]:
     """The driving pairs derivable from ``seeds`` with neighbor traces drawn
-    from ``universe``, a prefix-closed trace set; returns the pairs and how
-    many were processed.  Seeds: every set N of seed states, as length-1
+    from ``universe``, a prefix-closed trace set that also holds every node
+    trace the closure reaches (all traces do, and so do the traces reachable
+    from initialization).  Seeds: every set N of seed states, as length-1
     traces, drives each seed q extended by delta(q, N).  Step: from (H, t),
     every H' obtainable by extending the members of H by at most one state
     apiece drives t extended by delta(t's last, last states of H').  Rounds
-    are breadth-first layers; round 0 is the seeds alone."""
-    ext: dict[Trace, list[Trace]] = {t: [t] for t in universe}
-    for t in ext:
-        if len(t) > 1:
-            ext[t[:-1]].append(t)
+    are breadth-first layers; round 0 is the seeds alone.
 
-    frontier = [(frozenset((s,) for s in n), trace_pushlast((q,), a.delta(q, n)))
-                for n in _subsets(seeds) for q in seeds]
+    Returns the pairs, how many were processed, and the trace index they are
+    written over: a pair is (mask of H over the index, index of t).  ``delta``
+    is read from a table over state indices and last-state masks, filled as
+    the pairs need it."""
+    states = a.states
+    n = len(states)
+    if n > SUBSET_ENUMERATION_GUARD:
+        raise AutomatonTooLarge(
+            f"trace closure needs a 2^{n}-entry delta table per state; "
+            f"guard is |Q| <= {SUBSET_ENUMERATION_GUARD}"
+        )
+    state_index = {q: i for i, q in enumerate(states)}
+    traces = sorted(universe)
+    index = {t: i for i, t in enumerate(traces)}
+    last = [state_index[t[-1]] for t in traces]
+    subs = _extension_subsets(traces, last)
+
+    table: list[list[int | None] | None] = [None] * n  # delta[q][lasts], rows made on first use
+    # per trace: its index extended by each state, itself for its own last state
+    kids: list[list[int | None]] = [[None] * n for _ in traces]
+    for t, q in enumerate(last):
+        kids[t][q] = t
+
+    def row_of(q: int) -> list[int | None]:
+        if table[q] is None:
+            table[q] = [None] * (1 << n)
+        return table[q]
+
+    def step(t: int, lasts: int) -> int:
+        """Trace ``t`` extended by delta(its last state, ``lasts``), filling
+        ``table`` and ``kids`` on the way."""
+        q = last[t]
+        row = row_of(q)
+        if row[lasts] is None:
+            row[lasts] = state_index[a.delta(states[q], [states[j] for j in _bits(lasts)])]
+        q2 = row[lasts]
+        if kids[t][q2] is None:
+            kids[t][q2] = index[traces[t] + (states[q2],)]
+        return kids[t][q2]
+
+    seed_ids = [state_index[q] for q in seeds]
+    frontier: list[tuple[int, int]] = []
+    for chosen in range(1 << len(seed_ids)):
+        lasts = h = 0
+        for i in _bits(chosen):
+            lasts |= 1 << seed_ids[i]
+            h |= 1 << index[(seeds[i],)]
+        frontier.extend((h, step(index[(q,)], lasts)) for q in seeds)
     seen = set(frontier)
     iterations = rounds = 0
-    choice_memo: dict[frozenset[Trace], list] = {}
+    choice_memo: dict[int, dict[int, int]] = {}
     while frontier and (max_rounds is None or rounds < max_rounds):
         rounds += 1
         iterations += len(frontier)
         next_frontier = []
         for h, t in frontier:
-            if h not in choice_memo:
-                choice_memo[h] = _extension_choices(ext, h)
-            for h2, lasts in choice_memo[h]:
-                pair = (h2, trace_pushlast(t, a.delta(t[-1], lasts)))
+            choices = choice_memo.get(h)
+            if choices is None:
+                choices = choice_memo[h] = _extension_choices(subs, h)
+            row = row_of(last[t])
+            kid = kids[t]
+            for h2, lasts in choices.items():
+                q2 = row[lasts]
+                t2 = None if q2 is None else kid[q2]
+                if t2 is None:
+                    t2 = step(t, lasts)
+                pair = (h2, t2)
                 if pair not in seen:
                     seen.add(pair)
                     next_frontier.append(pair)
         frontier = next_frontier
-    return seen, iterations
+    return seen, iterations, traces
 
 
 # ---------------------------------------------------------------------------
 # automaton -> formula
 
-def _is_prefix(a: Trace, b: Trace) -> bool:
-    return len(a) <= len(b) and b[: len(a)] == a
-
-
-def _covers(small: frozenset[Trace], big: frozenset[Trace]) -> bool:
-    """Prefix subsumption: every member of ``small`` is a prefix of some
-    member of ``big`` and every member of ``big`` extends some member of
-    ``small``.  Under any valuation in which a trace's set is contained in
-    each of its prefixes' sets, the neighborhood described by ``big`` also
-    matches the (weaker) description by ``small``."""
-    return all(any(_is_prefix(x, y) for y in big) for x in small) and all(
-        any(_is_prefix(x, y) for x in small) for y in big
-    )
+def _reachable_traces(a: Automaton) -> set[Trace]:
+    """Traces a node can traverse in a run started from initialization: the
+    initialization states, closed under extension by delta with
+    neighborhoods drawn from the last states of what is reachable so far."""
+    reach: set[Trace] = {(q,) for q in a.init.values()}
+    while True:
+        lasts = sorted({t[-1] for t in reach})
+        nexts = {q: {a.delta(q, n) for n in _subsets(lasts)} for q in lasts}
+        grown = reach | {t + (q2,) for t in reach for q2 in nexts[t[-1]] if q2 != t[-1]}
+        if grown == reach:
+            return reach
+        reach = grown
 
 
 def _driver_closure(a: Automaton) -> dict[Trace, list[frozenset[Trace]]]:
@@ -420,36 +511,54 @@ def _driver_closure(a: Automaton) -> dict[Trace, list[frozenset[Trace]]]:
     synchronous run (on any digraph) is produced, which is exactly what the
     formula construction needs."""
     init_states = sorted(set(a.init.values()))
-
-    # traces reachable from initialization, closing neighborhoods over the
-    # last states of what is reachable so far
-    reach: set[Trace] = {(q,) for q in init_states}
-    while True:
-        lasts = sorted({t[-1] for t in reach})
-        nexts = {q: {a.delta(q, n) for n in _subsets(lasts)} for q in lasts}
-        grown = reach | {t + (q2,) for t in reach for q2 in nexts[t[-1]] if q2 != t[-1]}
-        if grown == reach:
-            break
-        reach = grown
-
-    pairs, _ = _pair_closure(a, init_states, reach)
+    pairs, _, traces = _pair_closure(a, init_states, _reachable_traces(a))
     families: dict[Trace, list[frozenset[Trace]]] = {}
-    for h, t in pairs:
+    for h, t in _decoded(pairs, traces):
         families.setdefault(t, []).append(h)
     return families
 
 
 def _prune_family(family: list[frozenset[Trace]]) -> list[frozenset[Trace]]:
     """Keep only subsumption-minimal neighborhood descriptions; dropped
-    members are implied by a kept one wherever they hold."""
+    members are implied by a kept one wherever they hold.
+
+    Description ``small`` covers ``big`` when every member of ``small`` is a
+    prefix of some member of ``big`` and every member of ``big`` extends some
+    member of ``small``.  Under any valuation in which a trace's set is
+    contained in each of its prefixes' sets, the neighborhood described by
+    ``big`` also matches the (weaker) description by ``small``.  Sets are
+    tested as masks over the traces the family names: with ``down`` the
+    prefixes and ``up`` the extensions of a set's members, ``small`` covers
+    ``big`` iff small ⊆ down(big) and big ⊆ up(small)."""
     ordered = sorted(set(family), key=lambda h: (len(h), sorted(h)))
-    kept: list[frozenset[Trace]] = []
+    bit = {t: 1 << i for i, t in enumerate(sorted(set().union(*ordered)))}
+    down = dict.fromkeys(bit, 0)
+    up = dict.fromkeys(bit, 0)
+    for y in bit:
+        for k in range(1, len(y) + 1):
+            x = y[:k]
+            if x in bit:
+                down[y] |= bit[x]
+                up[x] |= bit[y]
+    coded = []  # (set, its mask, the mask of its prefixes, the mask of its extensions)
     for h in ordered:
-        if any(_covers(k, h) for k in kept):
+        m = h_down = h_up = 0
+        for t in h:
+            m |= bit[t]
+            h_down |= down[t]
+            h_up |= up[t]
+        coded.append((h, m, h_down, h_up))
+
+    def covers(small: tuple, big: tuple) -> bool:
+        return not (small[1] & ~big[2] or big[1] & ~small[3])
+
+    kept: list[tuple] = []
+    for h in coded:
+        if any(covers(k, h) for k in kept):
             continue
-        kept = [k for k in kept if not _covers(h, k)]
+        kept = [k for k in kept if not covers(h, k)]
         kept.append(h)
-    return kept
+    return [k[0] for k in kept]
 
 
 def _or_all(parts: list[Formula]) -> Formula:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from automu.automata import (
 )
 from automu.zoo import safe_one_automaton, sync_probe_automaton
 from strategies import automata, state_traces
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def tiny(rules=None, **kw):
@@ -189,6 +192,64 @@ class TestQuasiAcyclicity:
         )
         with pytest.raises(AutomatonTooLarge):
             a.is_quasi_acyclic()
+
+
+class TestTraceLengthBound:
+    """The rule-target graph's longest path, against the 2^|Q| scan."""
+
+    def assert_agrees_with_the_scan(self, a):
+        bound = a.trace_length_bound()
+        assert (bound is not None) == a.is_quasi_acyclic()
+        if bound is not None:
+            assert max(len(t) for t in a.traces()) <= bound <= len(a.states)
+
+    @pytest.mark.parametrize("name", ["safe_one.json", "sync_probe.json"])
+    def test_samples(self, name):
+        a = parse_automaton((SAMPLES / name).read_text())
+        assert a.trace_length_bound() is not None
+        self.assert_agrees_with_the_scan(a)
+
+    def test_two_cycle(self):
+        a = Automaton(
+            bits=0, states=("q1", "q2"), init={"": "q1"}, accepting=frozenset(),
+            rules={
+                "q1": (TransitionRule(ELSE, "q2"),),
+                "q2": (TransitionRule(ELSE, "q1"),),
+            },
+        )
+        assert a.trace_length_bound() is None
+
+    def test_cycle_through_a_rule_that_never_fires(self):
+        # q2 -> q1 is a rule target but no neighborhood takes it: the traces
+        # decide
+        a = Automaton(
+            bits=0, states=("q1", "q2"), init={"": "q1"}, accepting=frozenset(),
+            rules={
+                "q1": (TransitionRule(ELSE, "q2"),),
+                "q2": (TransitionRule(SubsetEq(frozenset({"q1", "q2"})), "q2"),
+                       TransitionRule(ELSE, "q1")),
+            },
+        )
+        assert a.trace_length_bound() == 2 and a.is_quasi_acyclic()
+
+    def test_chain_of_rules(self):
+        states = tuple(f"s{i}" for i in range(30))
+        a = Automaton(
+            bits=0, states=states, init={"": "s0"}, accepting=frozenset(),
+            rules={q: (TransitionRule(ELSE, states[min(i + 1, 29)]),) for i, q in enumerate(states)},
+        )
+        assert a.trace_length_bound() == 30
+
+    @settings(max_examples=100)
+    @given(automata(quasi_acyclic=True))
+    def test_random_quasi_acyclic(self, a):
+        assert a.trace_length_bound() is not None
+        self.assert_agrees_with_the_scan(a)
+
+    @settings(max_examples=100)
+    @given(automata())
+    def test_random(self, a):
+        self.assert_agrees_with_the_scan(a)
 
 
 class TestTraces:

@@ -24,9 +24,13 @@ from automu.runtime import (
     synchronous_prefix,
     timing_to_json,
 )
+from automu.transform import formula_to_automaton
 from automu.zoo import (
+    boxed_one_formula,
     chain_graph,
+    reach_one_formula,
     safe_one_automaton,
+    safe_one_formula,
     single_node,
     sync_probe_automaton,
     two_cycle_graph,
@@ -325,3 +329,35 @@ class TestConsistency:
         seq, par = (fuzz_consistency(a, max_nodes, graphs, graphs, seed=0, jobs=jobs) for jobs in (1, 2))
         assert not seq.consistent
         assert seq == par
+
+
+def criterion_4_subjects():
+    return [safe_one_automaton()] + [formula_to_automaton(f())
+                                     for f in (safe_one_formula, reach_one_formula, boxed_one_formula)]
+
+
+class TestQuiescentAtStart:
+    def test_takes_the_synchronous_run_alone(self):
+        rng = random.Random(0)
+        quiet = 0
+        for a in criterion_4_subjects():
+            for _ in range(15):
+                g = make_graph(rng, 5, a.bits)
+                verdict = check_consistency(a, g, samples=6, seed=1)
+                if not is_quiescent(a, g, initial_configuration(a, g)):
+                    assert verdict.runs == 7
+                    continue
+                quiet += 1
+                assert (verdict.consistent, verdict.runs) == (True, 1)
+                # no timing can move a configuration that is quiescent
+                sync = async_run(a, g, synchronous_prefix(g, 1)).accepted
+                for seed in range(4):
+                    for lossless in (True, False):
+                        timing = sample_timing(g, steps=12, lossless=lossless, seed=seed)
+                        assert async_run(a, g, timing).accepted == sync
+        assert quiet > 0
+
+    @pytest.mark.parametrize("subject", range(4))
+    def test_criterion_4_subjects_fuzz_as_before(self, subject):
+        verdict = fuzz_consistency(criterion_4_subjects()[subject], 5, 20, 20, seed=0)
+        assert (verdict.consistent, verdict.graphs_checked) == (True, 20)

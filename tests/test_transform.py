@@ -248,6 +248,13 @@ class TestPinnedClosure:
     def test_flagship_compile_down_size(self):
         assert len(format_formula(automaton_to_formula(safe_one_automaton()))) == 12247
 
+    def test_up_down_round_trip(self):
+        a = formula_to_automaton(safe_one_formula())
+        assert sum(map(len, transform._driver_closure(a).values())) == 8340
+        down = automaton_to_formula(a)
+        assert len(down.vars) == 23 and len(format_formula(down)) == 29893
+        assert equiv_exhaustive(down, safe_one_formula(), 2).equivalent
+
 
 def _is_base_pair(a, h, t):
     if not all(len(x) == 1 for x in h):
