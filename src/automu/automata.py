@@ -94,27 +94,30 @@ def eval_guard(guard: Guard, neighbors: frozenset[str]) -> bool:
     raise TypeError(f"not a guard: {guard!r}")
 
 
-def _guard_states(guard: Guard) -> frozenset[str]:
-    if isinstance(guard, (SubsetEq, SupsetEq)):
-        return guard.states
-    if isinstance(guard, NotGuard):
-        return _guard_states(guard.inner)
-    if isinstance(guard, (AndGuard, OrGuard)):
-        out: frozenset[str] = frozenset()
-        for g in guard.parts:
-            out |= _guard_states(g)
-        return out
-    return frozenset()
+# Every guard class in one table: its kind word in the JSON format and the
+# field it is built from (a set of states, one guard, or a tuple of guards;
+# ``else`` has none).  The walk, the reader and the writer all read it.
+_GUARD_SYNTAX: dict[type, tuple[str, str | None]] = {
+    SubsetEq: ("subseteq", "states"),
+    SupsetEq: ("supseteq", "states"),
+    NotGuard: ("not", "inner"),
+    AndGuard: ("and", "parts"),
+    OrGuard: ("or", "parts"),
+    Else: ("else", None),
+}
+_GUARD_OF_KIND = {kind: (cls, attr) for cls, (kind, attr) in _GUARD_SYNTAX.items()}
 
 
-def _contains_else(guard: Guard) -> bool:
-    if isinstance(guard, Else):
-        return True
-    if isinstance(guard, NotGuard):
-        return _contains_else(guard.inner)
-    if isinstance(guard, (AndGuard, OrGuard)):
-        return any(_contains_else(g) for g in guard.parts)
-    return False
+def _guard_parts(guard: Guard) -> list[Guard]:
+    """``guard`` and every guard nested in it, outermost first."""
+    out = [guard]
+    for g in out:  # the list grows while it is read
+        attr = _GUARD_SYNTAX[type(g)][1]
+        if attr == "inner":
+            out.append(g.inner)
+        elif attr == "parts":
+            out.extend(g.parts)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +201,15 @@ class Automaton:
             for i, rule in enumerate(lst):
                 if isinstance(rule.guard, Else) and i != len(lst) - 1:
                     raise AutomatonFormatError(f"state {q!r}: else rule must be last")
-                if not isinstance(rule.guard, Else) and _contains_else(rule.guard):
+                parts = _guard_parts(rule.guard)
+                if any(isinstance(g, Else) for g in parts[1:]):
                     raise AutomatonFormatError(
                         f"state {q!r}: 'else' is a whole-rule guard, not a combinator operand"
                     )
                 if rule.target not in declared:
                     raise AutomatonFormatError(f"state {q!r}: rule target {rule.target!r} undeclared")
-                bad = _guard_states(rule.guard) - declared
+                named = [g.states for g in parts if _GUARD_SYNTAX[type(g)][1] == "states"]
+                bad = set().union(*named) - declared
                 if bad:
                     raise AutomatonFormatError(f"state {q!r}: guard references undeclared states {sorted(bad)!r}")
 
@@ -362,33 +367,28 @@ def guard_from_obj(obj: object) -> Guard:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise AutomatonFormatError(f"bad guard {obj!r}")
     (kind, arg), = obj.items()
-    if kind == "subseteq":
-        return SubsetEq(frozenset(_strings(arg, "'subseteq'")))
-    if kind == "supseteq":
-        return SupsetEq(frozenset(_strings(arg, "'supseteq'")))
-    if kind == "not":
-        return NotGuard(guard_from_obj(arg))
-    if kind in ("and", "or"):
+    cls, attr = _GUARD_OF_KIND.get(kind, (None, None))
+    if attr == "states":
+        return cls(frozenset(_strings(arg, f"'{kind}'")))
+    if attr == "inner":
+        return cls(guard_from_obj(arg))
+    if attr == "parts":
         if not isinstance(arg, list):
             raise AutomatonFormatError(f"'{kind}' takes a list of guards")
-        return (AndGuard if kind == "and" else OrGuard)(tuple(guard_from_obj(g) for g in arg))
+        return cls(tuple(guard_from_obj(g) for g in arg))
     raise AutomatonFormatError(f"unknown guard kind {kind!r}")
 
 
 def guard_to_obj(guard: Guard) -> object:
-    if isinstance(guard, Else):
-        return "else"
-    if isinstance(guard, SubsetEq):
-        return {"subseteq": sorted(guard.states)}
-    if isinstance(guard, SupsetEq):
-        return {"supseteq": sorted(guard.states)}
-    if isinstance(guard, NotGuard):
-        return {"not": guard_to_obj(guard.inner)}
-    if isinstance(guard, AndGuard):
-        return {"and": [guard_to_obj(g) for g in guard.parts]}
-    if isinstance(guard, OrGuard):
-        return {"or": [guard_to_obj(g) for g in guard.parts]}
-    raise TypeError(f"not a guard: {guard!r}")
+    kind, attr = _GUARD_SYNTAX[type(guard)]
+    if attr is None:
+        return kind
+    arg = getattr(guard, attr)
+    if attr == "states":
+        return {kind: sorted(arg)}
+    if attr == "inner":
+        return {kind: guard_to_obj(arg)}
+    return {kind: [guard_to_obj(g) for g in arg]}
 
 
 def parse_automaton(text: str) -> Automaton:

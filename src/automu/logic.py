@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator, Mapping, Union
+from functools import reduce
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .graphs import BitWidthMismatch, Digraph, PointedDigraph
 
@@ -86,25 +87,69 @@ class Box:
 Formula = Union[FalseF, TrueF, Const, NegConst, Var, Or, And, Dia, Box]
 
 
+# Every node class in one table: its head word in the s-expression format
+# and the fields that hold its subformulas, in constructor order (none for a
+# leaf).  The traversal, the reader and the printer all read this table.
+_SYNTAX: dict[type, tuple[str, tuple[str, ...]]] = {
+    FalseF: ("false", ()),
+    TrueF: ("true", ()),
+    Const: ("p", ()),
+    NegConst: ("not-p", ()),
+    Var: ("var", ()),
+    Or: ("or", ("left", "right")),
+    And: ("and", ("left", "right")),
+    Dia: ("dia", ("inner",)),
+    Box: ("box", ("inner",)),
+}
+_CLASS_OF_HEAD = {head: cls for cls, (head, _) in _SYNTAX.items()}
+
+
+def _head(f: Formula) -> str:
+    return _SYNTAX[type(f)][0]
+
+
+def _children(f: Formula) -> list[Formula]:
+    return [getattr(f, name) for name in _SYNTAX[type(f)][1]]
+
+
+def _rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """A node of f's kind over ``kids`` in place of its children."""
+    return type(f)(*kids) if kids else f
+
+
+def _postorder(roots: Iterable[Formula]) -> Iterator[tuple[Formula, list[Formula]]]:
+    """Every node object under the roots once, with its children, children
+    first.  The walk keeps its own stack, so a chain of any length is fine."""
+    seen: set[int] = set()
+    for root in roots:
+        stack: list[tuple[Formula, list[Formula] | None]] = [(root, None)]
+        while stack:
+            f, kids = stack.pop()
+            if kids is not None:  # every child has been yielded
+                yield f, kids
+            elif id(f) not in seen:
+                seen.add(id(f))
+                kids = _children(f)
+                stack.append((f, kids))
+                stack.extend([(k, None) for k in kids])
+
+
+def _fold(roots: Sequence[Formula], node: Callable[[Formula, list], object]) -> list:
+    """``node(f, the values of f's children)`` for every node f under the
+    roots, children first; returns the roots' values."""
+    value: dict[int, object] = {}  # id of a node -> its value
+    for f, kids in _postorder(roots):
+        value[id(f)] = node(f, [value[id(k)] for k in kids])
+    return [value[id(root)] for root in roots]
+
+
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset({f.name})
-    if isinstance(f, (Or, And)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Dia, Box)):
-        return free_vars(f.inner)
-    return frozenset()
+    return frozenset(g.name for g, _ in _postorder([f]) if _head(g) == "var")
 
 
 def max_const_index(f: Formula) -> int:
     """Largest constant index used, or -1 if none."""
-    if isinstance(f, (Const, NegConst)):
-        return f.index
-    if isinstance(f, (Or, And)):
-        return max(max_const_index(f.left), max_const_index(f.right))
-    if isinstance(f, (Dia, Box)):
-        return max_const_index(f.inner)
-    return -1
+    return max((g.index for g, _ in _postorder([f]) if _head(g) in ("p", "not-p")), default=-1)
 
 
 @dataclass(frozen=True, eq=True)
@@ -173,10 +218,8 @@ def _read(tokens: list[str], pos: int) -> tuple[object, int]:
 
 
 def _formula_from_sexp(node: object) -> Formula:
-    if node == "true":
-        return TrueF()
-    if node == "false":
-        return FalseF()
+    if node in ("true", "false"):
+        return _CLASS_OF_HEAD[node]()
     if isinstance(node, str):
         raise FormulaSyntaxError(f"bare atom {node!r}; did you mean (var {node})?")
     if not isinstance(node, list) or not node:
@@ -186,8 +229,7 @@ def _formula_from_sexp(node: object) -> Formula:
     if head in ("p", "not-p"):
         if len(args) != 1 or not isinstance(args[0], str) or not args[0].isdigit():
             raise FormulaSyntaxError(f"({head} <int>) expected, got {node!r}")
-        idx = int(args[0])
-        return Const(idx) if head == "p" else NegConst(idx)
+        return _CLASS_OF_HEAD[head](int(args[0]))
     if head == "var":
         if len(args) != 1 or not isinstance(args[0], str):
             raise FormulaSyntaxError(f"(var NAME) expected, got {node!r}")
@@ -195,17 +237,12 @@ def _formula_from_sexp(node: object) -> Formula:
     if head in ("or", "and"):
         if len(args) < 2:
             raise FormulaSyntaxError(f"({head} ...) needs at least two arguments")
-        parts = [_formula_from_sexp(a) for a in args]
-        ctor = Or if head == "or" else And
-        out = parts[0]
-        for p in parts[1:]:  # n-ary input desugars left-associatively
-            out = ctor(out, p)
-        return out
+        # n-ary input desugars left-associatively
+        return reduce(_CLASS_OF_HEAD[head], [_formula_from_sexp(a) for a in args])
     if head in ("dia", "box"):
         if len(args) != 1:
             raise FormulaSyntaxError(f"({head} <f>) takes exactly one argument")
-        inner = _formula_from_sexp(args[0])
-        return Dia(inner) if head == "dia" else Box(inner)
+        return _CLASS_OF_HEAD[head](_formula_from_sexp(args[0]))
     raise FormulaSyntaxError(f"unknown operator {head!r}")
 
 
@@ -242,28 +279,12 @@ def format_formula(sys: MuSystem) -> str:
     """Render a system back to the s-expression format (round-trips through
     parse_formula)."""
 
-    def fmt(f: Formula) -> str:
-        if isinstance(f, TrueF):
-            return "true"
-        if isinstance(f, FalseF):
-            return "false"
-        if isinstance(f, Const):
-            return f"(p {f.index})"
-        if isinstance(f, NegConst):
-            return f"(not-p {f.index})"
-        if isinstance(f, Var):
-            return f"(var {f.name})"
-        if isinstance(f, Or):
-            return f"(or {fmt(f.left)} {fmt(f.right)})"
-        if isinstance(f, And):
-            return f"(and {fmt(f.left)} {fmt(f.right)})"
-        if isinstance(f, Dia):
-            return f"(dia {fmt(f.inner)})"
-        if isinstance(f, Box):
-            return f"(box {fmt(f.inner)})"
-        raise TypeError(f"not a formula: {f!r}")
+    def fmt(f: Formula, kids: list[str]) -> str:
+        # a leaf's words after its head are its fields: (p 3), (var X), true
+        words = kids or [str(v) for v in vars(f).values()]
+        return f"({_head(f)} {' '.join(words)})" if words else _head(f)
 
-    entries = "\n  ".join(f"({x} {fmt(b)})" for x, b in zip(sys.vars, sys.bodies))
+    entries = "\n  ".join(f"({x} {b})" for x, b in zip(sys.vars, _fold(sys.bodies, fmt)))
     return f"(mu (\n  {entries}\n))\n"
 
 
@@ -379,6 +400,7 @@ def lfp_iterations(sys: MuSystem, g: Digraph) -> tuple[dict[str, frozenset[str]]
 # compiled kernel
 
 _OR, _AND, _DIA, _BOX = range(4)
+_OPS = {"or": _OR, "and": _AND, "dia": _DIA, "box": _BOX}
 
 
 @dataclass(frozen=True)
@@ -414,7 +436,6 @@ def _compile(sys: MuSystem) -> _Plan:
     keys: dict[tuple, int] = {}
     nodes: list[tuple] = []
     var_masks: list[int] = []  # variable positions each slot mentions, as a bitmask
-    slot_of: dict[int, int] = {}  # id of a subformula of sys -> its slot
 
     def intern(key: tuple, mask: int) -> int:
         if key not in keys:
@@ -423,40 +444,19 @@ def _compile(sys: MuSystem) -> _Plan:
             var_masks.append(mask)
         return keys[key]
 
-    def intern_tree(root: Formula) -> int:
-        stack = [root]
-        while stack:
-            f = stack[-1]
-            if id(f) in slot_of:
-                stack.pop()
-                continue
-            kids = (f.left, f.right) if isinstance(f, (Or, And)) else (
-                (f.inner,) if isinstance(f, (Dia, Box)) else ())
-            todo = [k for k in kids if id(k) not in slot_of]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            args = [slot_of[id(k)] for k in kids]
-            if isinstance(f, (Or, And)):
-                a, b = sorted(args)
-                slot = a if a == b else intern((_OR if isinstance(f, Or) else _AND, a, b),
-                                               var_masks[a] | var_masks[b])
-            elif isinstance(f, (Dia, Box)):
-                slot = intern((_DIA if isinstance(f, Dia) else _BOX, args[0]), var_masks[args[0]])
-            elif isinstance(f, Var):
-                slot = intern(("var", position[f.name]), 1 << position[f.name])
-            elif isinstance(f, (Const, NegConst)):
-                slot = intern(("p" if isinstance(f, Const) else "not-p", f.index), 0)
-            elif isinstance(f, (TrueF, FalseF)):
-                slot = intern(("true" if isinstance(f, TrueF) else "false", 0), 0)
-            else:
-                raise TypeError(f"not a formula: {f!r}")
-            slot_of[id(f)] = slot
-        return slot_of[id(root)]
+    def node_slot(f: Formula, args: list[int]) -> int:
+        head = _head(f)
+        if head in _OPS:
+            args.sort()  # or/and are keyed with sorted children
+            if len(args) == 2 and args[0] == args[1]:
+                return args[0]
+            return intern((_OPS[head], *args), var_masks[args[0]] | var_masks[args[-1]])
+        if head == "var":
+            return intern(("var", position[f.name]), 1 << position[f.name])
+        return intern((head, f.index if head in ("p", "not-p") else 0), 0)
 
     n = len(sys.vars)
-    bodies = [intern_tree(b) for b in sys.bodies]
+    bodies = _fold(sys.bodies, node_slot)
     var_slots = tuple(intern(("var", i), 1 << i) for i in range(n))
 
     # transitive dependencies (Warshall over bitmasks); a component is the set

@@ -220,7 +220,8 @@ class TimingSampler:
         self.starvation_bound = starvation_bound
         self.lossless = lossless
         self._rng = random.Random(seed)
-        self._idle: dict[object, int] = {x: 0 for x in itertools.chain(g.nodes, g.edges)}
+        self._edges = sorted(g.edges)  # edges draw in this order, not in hash order
+        self._idle: dict[object, int] = {x: 0 for x in itertools.chain(g.nodes, self._edges)}
 
     def __iter__(self) -> Iterator[Activation]:
         while True:
@@ -233,7 +234,7 @@ class TimingSampler:
 
     def next_step(self) -> Activation:
         nodes = {v: self._draw(v) for v in self.g.nodes}
-        edges = {e: self._draw(e) for e in self.g.edges}
+        edges = {e: self._draw(e) for e in self._edges}
         if self.lossless:
             for (u, v), on in edges.items():
                 if on:

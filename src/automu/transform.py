@@ -28,6 +28,7 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
@@ -55,6 +56,10 @@ from .logic import (
     Or,
     TrueF,
     Var,
+    _children,
+    _fold,
+    _head,
+    _rebuild,
 )
 
 
@@ -100,18 +105,27 @@ def flatten(sys: MuSystem) -> MuSystem:
     names: list[str] = []
     bodies: list[Formula] = []
 
-    def rewrite(f: Formula) -> Formula:
-        if isinstance(f, Or):
-            return Or(rewrite(f.left), rewrite(f.right))
-        if isinstance(f, And):
-            return And(rewrite(f.left), rewrite(f.right))
-        if isinstance(f, (Dia, Box)):
-            if isinstance(f.inner, Var):
-                return f
-            y = fresh()
-            queue.append((y, f.inner))
-            return Dia(Var(y)) if isinstance(f, Dia) else Box(Var(y))
-        return f
+    def rewrite(body: Formula) -> Formula:
+        # top-down and left to right, so fresh names follow the order in which
+        # the modal arguments appear; the stack holds (node, -1) to visit a
+        # node and (node, k) to rebuild it from the last k results
+        done: list[Formula] = []
+        stack: list[tuple[Formula, int]] = [(body, -1)]
+        while stack:
+            f, k = stack.pop()
+            kids = _children(f)
+            if k >= 0:
+                done[len(done) - k:] = [_rebuild(f, done[len(done) - k:])]
+            elif _head(f) not in ("dia", "box"):
+                stack.append((f, len(kids)))
+                stack.extend((kid, -1) for kid in reversed(kids))
+            elif _head(kids[0]) == "var":
+                done.append(f)
+            else:
+                y = fresh()
+                queue.append((y, kids[0]))
+                done.append(_rebuild(f, (Var(y),)))
+        return done[0]
 
     while queue:
         name, body = queue.popleft()
@@ -161,28 +175,30 @@ def _shallow_guard(f: Formula, q: frozenset[str], dia: Mapping[str, Guard],
     from ``q`` fold to constants, ``Dia X`` and ``Box X`` become ``dia[X]``
     (not a subset of the states lacking X) and ``box[X]`` (a subset of the
     states containing X).  Returns True or False when no guard is needed."""
-    if isinstance(f, (TrueF, FalseF)):
-        return isinstance(f, TrueF)
-    if isinstance(f, (Const, NegConst)):
-        return (f"p{f.index}" in q) == isinstance(f, Const)
-    if isinstance(f, Var):
-        return f.name in q
-    if isinstance(f, (Dia, Box)):
-        return (dia if isinstance(f, Dia) else box)[f.inner.name]
-    if not isinstance(f, (Or, And)):
-        raise TypeError(f"not a formula: {f!r}")
-    unit = isinstance(f, And)  # True is neutral for And, False for Or
-    kind = AndGuard if unit else OrGuard
-    parts: list[Guard] = []
-    for side in (f.left, f.right):
-        g = _shallow_guard(side, q, dia, box)
-        if g is (not unit):
-            return g
-        if g is not unit:
-            parts.extend(g.parts if isinstance(g, kind) else (g,))
-    if len(parts) < 2:
-        return parts[0] if parts else unit
-    return kind(tuple(parts))
+
+    def node(g: Formula, kids: list[bool | Guard]) -> bool | Guard:
+        head = _head(g)
+        if head in ("true", "false"):
+            return head == "true"
+        if head in ("p", "not-p"):
+            return (f"p{g.index}" in q) == (head == "p")
+        if head == "var":
+            return g.name in q
+        if head in ("dia", "box"):
+            return (dia if head == "dia" else box)[_children(g)[0].name]
+        unit = head == "and"  # True is neutral for And, False for Or
+        kind = AndGuard if unit else OrGuard
+        parts: list[Guard] = []
+        for kid in kids:
+            if kid is (not unit):
+                return kid
+            if kid is not unit:
+                parts.extend(kid.parts if isinstance(kid, kind) else (kid,))
+        if len(parts) < 2:
+            return parts[0] if parts else unit
+        return kind(tuple(parts))
+
+    return _fold([f], node)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +237,13 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
                 renames[x] = f"V{i}"
                 taken.add(f"V{i}")
 
-        def rn(f: Formula) -> Formula:
-            if isinstance(f, Var):
-                return Var(renames.get(f.name, f.name))
-            if isinstance(f, Or):
-                return Or(rn(f.left), rn(f.right))
-            if isinstance(f, And):
-                return And(rn(f.left), rn(f.right))
-            if isinstance(f, Dia):
-                return Dia(rn(f.inner))
-            if isinstance(f, Box):
-                return Box(rn(f.inner))
-            return f
+        def rn(f: Formula, kids: list[Formula]) -> Formula:
+            return Var(renames.get(f.name, f.name)) if _head(f) == "var" else _rebuild(f, kids)
 
         flat = MuSystem(
             bits=flat.bits,
             vars=tuple(renames.get(x, x) for x in flat.vars),
-            bodies=tuple(rn(b) for b in flat.bodies),
+            bodies=tuple(_fold(flat.bodies, rn)),
         )
 
     consts = [f"p{i}" for i in range(flat.bits)]
@@ -562,21 +568,11 @@ def _prune_family(family: list[frozenset[Trace]]) -> list[frozenset[Trace]]:
 
 
 def _or_all(parts: list[Formula]) -> Formula:
-    if not parts:
-        return FalseF()
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, parts) if parts else FalseF()
 
 
 def _and_all(parts: list[Formula]) -> Formula:
-    if not parts:
-        return TrueF()
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts) if parts else TrueF()
 
 
 def _trace_var_names(traces: list[Trace]) -> dict[Trace, str]:

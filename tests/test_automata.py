@@ -10,8 +10,11 @@ from automu.automata import (
     Automaton,
     AutomatonFormatError,
     AutomatonTooLarge,
+    NotGuard,
     NotQuasiAcyclic,
+    OrGuard,
     SubsetEq,
+    SupsetEq,
     TransitionRule,
     automaton_to_json,
     parse_automaton,
@@ -71,6 +74,17 @@ class TestConstructionAndParsing:
                 TransitionRule(SubsetEq(frozenset({"zz"})), "q"),
                 TransitionRule(ELSE, "q"),
             )})
+
+    def test_undeclared_state_nested_in_guard(self):
+        guard = OrGuard((SubsetEq(frozenset()), NotGuard(SupsetEq(frozenset({"zz"})))))
+        with pytest.raises(AutomatonFormatError, match=r"undeclared states \['zz'\]"):
+            tiny(rules={"q": (TransitionRule(guard, "q"), TransitionRule(ELSE, "q"))})
+
+    @given(automata(max_states=5))
+    @settings(max_examples=50)
+    def test_random_automata_round_trip(self, a):
+        # every guard kind goes through the JSON writer and reader
+        assert parse_automaton(automaton_to_json(a)) == a
 
     def test_init_not_total(self):
         with pytest.raises(AutomatonFormatError, match="init"):

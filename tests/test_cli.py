@@ -2,7 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,8 @@ from automu.zoo import (
     two_cycle_graph,
 )
 from test_transform import SIX_VARIABLES
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -214,6 +219,41 @@ class TestParseBoundary:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_wide_n_ary_formula(self, files, tmp_path, capsys):
+        # 1,200 arguments desugar to a left-associated chain 1,200 deep while
+        # the document nests only four levels
+        wide = tmp_path / "wide.sexp"
+        wide.write_text("(mu ((X (or " + "(p 0) " * 1200 + "))))")
+        accepted = True
+        try:
+            parse_formula(wide.read_text())
+        except ValueError:
+            accepted = False
+        codes = {}
+        for argv in (["eval", "--formula", str(wide), "--graph", files["chain.json"]],
+                     ["compile-up", "--formula", str(wide), "-o", str(tmp_path / "up.json")]):
+            codes[argv[0]] = main(argv)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert codes[argv[0]] == 0 or (codes[argv[0]] == 2 and err.startswith("error:"))
+        if accepted:
+            assert codes["eval"] == 0
+
+
+def test_fuzz_does_not_depend_on_the_hash_seed():
+    argv = [sys.executable, "-m", "automu.cli", "fuzz", "--automaton",
+            str(REPO / "samples" / "sync_probe.json"), "--max-nodes", "3", "--graphs", "10",
+            "--samples", "10"]
+    outputs = []
+    for hash_seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["graphs_checked"] == 2
 
 
 # exit-code fuzzer: mutate the sample documents and feed them to the CLI

@@ -87,6 +87,13 @@ class TestParsing:
     def test_format_round_trip_random(self, sys):
         assert parse_formula(format_formula(sys), bits=sys.bits) == sys
 
+    def test_wide_formula_walks_without_recursion(self):
+        # 3,000 arguments desugar to a chain 3,000 deep, past the recursion limit
+        sys = parse_formula("(mu ((X (or " + "(dia (var X)) (p 2) " * 1500 + "))))")
+        assert sys.bits == 3
+        assert format_formula(sys).count("(or ") == 2999
+        assert lfp(sys, g(3, ["u", "v"], {"u": "001", "v": "000"}, [("u", "v")]))["X"] == {"u", "v"}
+
 
 class TestEvalModal:
     def test_box_vacuous_at_in_degree_zero(self):

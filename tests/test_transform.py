@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,8 @@ from automu.automata import (
     AutomatonTooLarge,
     NotQuasiAcyclic,
     TransitionRule,
+    automaton_to_json,
+    parse_automaton,
     trace_pushlast,
 )
 from automu.graphs import enumerate_digraphs
@@ -46,7 +49,7 @@ from automu.zoo import (
     sync_probe_automaton,
 )
 from strategies import make_automaton, seeds, systems
-from test_kernel import BENCHMARK_FORMULAS
+from test_kernel import BENCHMARK_FORMULAS, SAMPLES
 
 SIX_VARIABLES = ("(mu ((X (or (dia (and (var Y) (var Z))) (box (or (var Y) (p 0))))) "
                  "(Y (or (p 0) (dia (var Z)))) (Z (or (not-p 0) (box (dia (var X)))))))")
@@ -254,6 +257,45 @@ class TestPinnedClosure:
         down = automaton_to_formula(a)
         assert len(down.vars) == 23 and len(format_formula(down)) == 29893
         assert equiv_exhaustive(down, safe_one_formula(), 2).equivalent
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of compile-up output (automaton JSON) for the benchmark formulas at
+# the bit widths the benchmark compiles them at, and for SIX_VARIABLES
+UP_DIGESTS = {
+    ("safe_one", 1): "7bd49db7553420307e1eba614f8e3282bfa064364fb345d9b664dee77536d506",
+    ("reach_one", 1): "dbef18db77e63bf18252674203c329f2eb4cd6bfb94557b94bb8d99de6c589a2",
+    ("boxed_one", 1): "c89c968fd4c561cc887d4019f47551147454034f8c33f3ede07f40830f22a0c8",
+    ("two_and", 2): "adcd056ec5adace7dfd6f1b198ae3fccf12b1376c9d3da163c2f7b628d3abebb",
+    ("two_box", 2): "f51a57f93977af7b7f6c32a066c4c817d967fd04bb27abd58f78108f1bcf5521",
+}
+
+
+class TestPinnedOutputs:
+    """Translation outputs pinned byte for byte."""
+
+    @pytest.mark.parametrize("name, bits", sorted(UP_DIGESTS))
+    def test_compile_up(self, name, bits):
+        a = formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name], bits=bits))
+        assert _sha256(automaton_to_json(a)) == UP_DIGESTS[name, bits]
+
+    def test_compile_up_six_variables(self):
+        a = formula_to_automaton(parse_formula(SIX_VARIABLES, bits=1))
+        assert _sha256(automaton_to_json(a)) == (
+            "34f9c852e7692432c2ccf6c92a5cd8b0e885d7862cc78362012165a4bfa1b656")
+
+    def test_compile_down_flagship(self):
+        a = parse_automaton((SAMPLES / "safe_one.json").read_text())
+        assert _sha256(format_formula(automaton_to_formula(a))) == (
+            "dc02b4c7e5ba8c5e2777e59112aa212a19569f6d4bdbc8a59ee1fd05e2ca5943")
+
+    def test_up_down_flagship(self):
+        down = automaton_to_formula(formula_to_automaton(safe_one_formula()))
+        assert _sha256(format_formula(down)) == (
+            "f700da7679326e65941cc581de2ad8a1ed1d36fddad1b40b01142728dcb7636d")
 
 
 def _is_base_pair(a, h, t):
