@@ -7,15 +7,20 @@ finitely as an ordered list of guarded rules per state, with first-match
 semantics and a mandatory unconditional ``else`` rule at the end.
 
 Also here: the trace algebra (first / last / pushlast / popfirst) used by the
-asynchronous run semantics, trace-set computation, and the quasi-acyclicity
-check (no cycles in the state diagram other than self-loops).
+asynchronous run semantics, and the state diagram behind quasi-acyclicity (no
+cycles other than self-loops) and the trace set.  The diagram is derived rule
+by rule, never by enumerating the 2^|Q| neighborhoods; that scan survives
+only in ``is_quasi_acyclic``, as the reference.
 """
 
 from __future__ import annotations
 
+import functools
+import graphlib
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 
 class AutomatonFormatError(ValueError):
@@ -32,7 +37,8 @@ class NotQuasiAcyclic(ValueError):
     whose state diagram has a non-trivial cycle."""
 
 
-# how many states we are willing to enumerate subsets of
+# how many states the reference scan enumerates subsets of, and the log2 of
+# the neighborhood regions ``state_diagram`` may split one state's rules into
 SUBSET_ENUMERATION_GUARD = 20
 
 
@@ -118,6 +124,48 @@ def _guard_parts(guard: Guard) -> list[Guard]:
         elif attr == "parts":
             out.extend(g.parts)
     return out
+
+
+def _decide(guard: Guard, inn: int, free: int, mask: Callable[[frozenset[str]], int]
+            ) -> tuple[bool | None, int]:
+    """``guard`` on the region of neighborhoods that hold the states in
+    ``inn``, may hold those in ``free`` and hold no other (``mask`` turns a
+    set of states into such a bitmask): True or False when it is so on all
+    of the region, else None with the undecided states it depends on."""
+    kind = _GUARD_SYNTAX[type(guard)][0]
+    if kind == "subseteq":
+        outside = ~mask(guard.states)
+        depends = free & outside
+        return (False, 0) if inn & outside else (not depends or None, depends)
+    if kind == "supseteq":
+        depends = mask(guard.states) & ~inn
+        return (False, 0) if depends & ~free else (not depends or None, depends)
+    if kind == "not":
+        holds, depends = _decide(guard.inner, inn, free, mask)
+        return (None if holds is None else not holds), depends
+    if kind == "else":
+        return True, 0
+    decisive = kind == "or"  # a part with this value settles the whole
+    undecided = 0
+    for part in guard.parts:
+        holds, depends = _decide(part, inn, free, mask)
+        if holds is decisive:
+            return decisive, 0
+        if holds is None and not undecided:
+            undecided = depends
+    return (None, undecided) if undecided else (not decisive, 0)
+
+
+def _longest_path(diagram: dict[str, frozenset[str]]) -> int | None:
+    """The number of states on the longest path of a self-loop-free state
+    diagram, or None when it has a cycle: one topological pass answers both."""
+    depth: dict[str, int] = {}
+    try:  # successors come out before their predecessors
+        for q in graphlib.TopologicalSorter(diagram).static_order():
+            depth[q] = 1 + max((depth[q2] for q2 in diagram[q]), default=0)
+    except graphlib.CycleError:
+        return None
+    return max(depth.values())
 
 
 # ---------------------------------------------------------------------------
@@ -226,130 +274,95 @@ class Automaton:
         bad = ns - set(self.states)
         if bad:
             raise KeyError(f"unknown state ids in neighborhood: {sorted(bad)!r}")
-        for rule in self.rules[q]:
-            if eval_guard(rule.guard, ns):
-                memo[(q, ns)] = rule.target
-                return rule.target
-        raise AssertionError("unreachable: rule lists always end with else")
+        memo[(q, ns)] = next(r.target for r in self.rules[q] if eval_guard(r.guard, ns))  # else ends it
+        return memo[(q, ns)]
 
-    def state_diagram(self) -> dict[str, frozenset[str]]:
-        """Successor map { q -> { delta(q, S) != q : S subset of Q } }, i.e.
-        the state diagram without self-loops.  Enumerates all 2^|Q| subsets;
-        guarded to |Q| <= 20."""
-        if "diagram" in self._cache:
-            return self._cache["diagram"]
+    def state_diagram(self, within: Iterable[str] | None = None) -> dict[str, frozenset[str]]:
+        """Successor map { q -> { delta(q, N) != q : N subset of ``within`` } }
+        (``within`` defaults to all states): the state diagram without
+        self-loops.  Each state's neighborhoods are split one state at a time
+        into regions (DPLL style) on which ``_decide`` settles every guard.  A
+        region records its first rule's target when that rule holds on all of
+        it and no earlier one can, and is split no further once every rule
+        that may fire on it has a target already found.  More than
+        2^SUBSET_ENUMERATION_GUARD regions for one state raise
+        ``AutomatonTooLarge``."""
+        key = None if within is None else frozenset(within)
+        memo = self._cache.setdefault("diagram", {})
+        if key not in memo:
+            bit = {s: 1 << i for i, s in enumerate(self.states)}
+            mask = functools.cache(lambda states: sum(bit[s] for s in states))
+            universe = mask(frozenset(self.states) if key is None else key)
+            memo[key] = {q: self._successors(q, universe, mask) for q in self.states}
+        return memo[key]
+
+    def _successors(self, q: str, universe: int, mask: Callable[[frozenset[str]], int]) -> frozenset[str]:
+        found = {q}  # a self-loop is not recorded
+        regions = [(0, universe)]  # (states in N, states not yet decided)
+        for count in itertools.count(1):
+            if not regions:
+                return frozenset(found - {q})
+            if count > 1 << SUBSET_ENUMERATION_GUARD:
+                raise AutomatonTooLarge(f"state diagram: the rules of state {q!r} split into more than "
+                                        f"2^{SUBSET_ENUMERATION_GUARD} neighborhood regions")
+            inn, free = regions.pop()
+            split, new = 0, False
+            for rule in self.rules[q]:
+                holds, depends = _decide(rule.guard, inn, free, mask)
+                if holds is False:
+                    continue
+                if holds and not split:  # the first rule that can fire fires on all of it
+                    found.add(rule.target)
+                    break
+                split = split or depends & -depends
+                new = new or rule.target not in found
+                if holds:
+                    break
+            if new:
+                regions += [(inn, free & ~split), (inn | split, free & ~split)]
+
+    def trace_length_bound(self) -> int | None:
+        """The number of states in the longest trace, or None when the trace
+        set is infinite (the automaton is not quasi-acyclic)."""
+        if "bound" not in self._cache:
+            self._cache["bound"] = _longest_path(self.state_diagram())
+        return self._cache["bound"]
+
+    def is_quasi_acyclic(self) -> bool:
+        """True iff the state diagram has no directed cycles except self-loops
+        (equivalently: the trace set is finite).  The reference: it scans all
+        2^|Q| neighborhoods with ``delta``, independently of
+        ``state_diagram``, and is guarded to |Q| <= SUBSET_ENUMERATION_GUARD."""
         n = len(self.states)
         if n > SUBSET_ENUMERATION_GUARD:
-            raise AutomatonTooLarge(
-                f"state diagram needs 2^{n} subset evaluations; guard is |Q| <= {SUBSET_ENUMERATION_GUARD}"
-            )
+            raise AutomatonTooLarge(f"the reference scan needs 2^{n} subset evaluations; "
+                                    f"guard is |Q| <= {SUBSET_ENUMERATION_GUARD}")
         diagram: dict[str, set[str]] = {q: set() for q in self.states}
         for mask in range(1 << n):
             subset = frozenset(s for i, s in enumerate(self.states) if mask >> i & 1)
             for q in self.states:
-                q2 = self.delta(q, subset)
-                if q2 != q:
-                    diagram[q].add(q2)
-        out = {q: frozenset(s) for q, s in diagram.items()}
-        self._cache["diagram"] = out
-        return out
-
-    def is_quasi_acyclic(self) -> bool:
-        """True iff the state diagram has no directed cycles except self-loops
-        (equivalently: the trace set is finite)."""
-        if "qa" in self._cache:
-            return self._cache["qa"]
-        diagram = self.state_diagram()
-        color: dict[str, int] = {}  # 1 = on stack, 2 = done
-        acyclic = True
-        for root in self.states:
-            if root in color:
-                continue
-            stack: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(diagram[root])))]
-            color[root] = 1
-            while stack:
-                node, it = stack[-1]
-                nxt = next(it, None)
-                if nxt is None:
-                    color[node] = 2
-                    stack.pop()
-                elif color.get(nxt) == 1:
-                    acyclic = False
-                    stack.clear()
-                    break
-                elif nxt not in color:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(sorted(diagram[nxt]))))
-            if not acyclic:
-                break
-        self._cache["qa"] = acyclic
-        return acyclic
-
-    def trace_length_bound(self) -> int | None:
-        """An upper bound on the number of states in a trace, or None when
-        the trace set is infinite (the automaton is not quasi-acyclic).
-
-        The state diagram is a subgraph of the graph of all rule targets, so
-        when that graph has no cycle but self-loops its longest path is the
-        bound and no 2^|Q| scan is needed; otherwise the traces decide, which
-        needs ``state_diagram``."""
-        if "bound" not in self._cache:
-            succ = {q: {r.target for r in self.rules[q]} - {q} for q in self.states}
-            indegree = dict.fromkeys(self.states, 0)
-            for targets in succ.values():
-                for q in targets:
-                    indegree[q] += 1
-            order = [q for q in self.states if indegree[q] == 0]  # topological
-            for q in order:
-                for q2 in succ[q]:
-                    indegree[q2] -= 1
-                    if indegree[q2] == 0:
-                        order.append(q2)
-            if len(order) == len(self.states):
-                depth: dict[str, int] = {}
-                for q in reversed(order):
-                    depth[q] = 1 + max((depth[q2] for q2 in succ[q]), default=0)
-                bound = max(depth.values())
-            elif self.is_quasi_acyclic():
-                bound = max(map(len, self.traces()))
-            else:
-                bound = None
-            self._cache["bound"] = bound
-        return self._cache["bound"]
+                diagram[q].add(self.delta(q, subset))
+        return _longest_path({q: frozenset(s - {q}) for q, s in diagram.items()}) is not None
 
     def traces(self) -> frozenset[Trace]:
         """All traces: paths in the self-loop-free state diagram, from every
         state, including every length-1 trace.  Requires quasi-acyclicity."""
-        if "traces" in self._cache:
-            return self._cache["traces"]
-        if not self.is_quasi_acyclic():
-            raise NotQuasiAcyclic("trace set is infinite: state diagram has a non-trivial cycle")
-        diagram = self.state_diagram()
-        memo: dict[str, frozenset[Trace]] = {}
-
-        def paths(q: str) -> frozenset[Trace]:
-            if q not in memo:
-                acc = {(q,)}
-                for q2 in sorted(diagram[q]):
-                    acc.update((q,) + p for p in paths(q2))
-                memo[q] = frozenset(acc)
-            return memo[q]
-
-        out = frozenset().union(*(paths(q) for q in self.states))
-        self._cache["traces"] = out
-        return out
+        if "traces" not in self._cache:
+            if self.trace_length_bound() is None:
+                raise NotQuasiAcyclic("trace set is infinite: state diagram has a non-trivial cycle")
+            diagram = self.state_diagram()
+            paths: dict[str, set[Trace]] = {}  # per state: the traces starting there
+            for q in graphlib.TopologicalSorter(diagram).static_order():
+                paths[q] = {(q,)}.union(*({(q,) + p for p in paths[q2]} for q2 in diagram[q]))
+            self._cache["traces"] = frozenset().union(*paths.values())
+        return self._cache["traces"]
 
     def is_trace(self, t: Trace) -> bool:
         """Check the trace invariants against this automaton: nonempty, no two
         consecutive states equal, every step witnessed by some neighborhood."""
-        if not t or any(s not in set(self.states) for s in t):
+        if not t or not set(t) <= set(self.states):
             return False
-        if any(a == b for a, b in zip(t, t[1:])):
-            return False
-        if len(t) == 1:
-            return True
-        diagram = self.state_diagram()
-        return all(b in diagram[a] for a, b in zip(t, t[1:]))
+        return all(b in self.state_diagram()[a] for a, b in zip(t, t[1:]))  # no self-loops in it
 
 
 # ---------------------------------------------------------------------------

@@ -88,13 +88,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.point is not None:
         if args.point not in graph.nodes:
             raise CliError(f"point {args.point!r} is not a node of the graph")
-        verdict = args.point in fixpoint[system.vars[0]]
         out["point"] = args.point
-        out["satisfied"] = verdict
-        print(json.dumps(out, indent=2))
-        return 0 if verdict else 1
+        out["satisfied"] = args.point in fixpoint[system.vars[0]]
     print(json.dumps(out, indent=2))
-    return 0
+    return 0 if out.get("satisfied", True) else 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:

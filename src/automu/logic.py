@@ -14,6 +14,7 @@ node iff the node lands in the first component.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -358,41 +359,41 @@ def apply_once(sys: MuSystem, g: Digraph, valuation: Valuation) -> dict[str, fro
     return {x: ev.to_set(ev.eval(b, masks)) for x, b in zip(sys.vars, sys.bodies)}
 
 
+def _jacobi(sys: MuSystem, g: Digraph) -> Iterator[tuple[_Evaluator, dict[str, int]]]:
+    """The approximant chain as masks, from the all-empty valuation up to and
+    including the least fixpoint, by simultaneous (Jacobi) iteration.  The
+    k-th valuation follows the k-th operator application, which never
+    exceeds (number of variables) * |V| + 1."""
+    if sys.bits != g.bits:
+        raise BitWidthMismatch(f"system is {sys.bits}-bit, graph is {g.bits}-bit")
+    ev = _Evaluator(g)
+    bound = len(sys.vars) * len(g.nodes) + 1
+    val = {x: 0 for x in sys.vars}
+    for applications in itertools.count(1):
+        yield ev, val
+        new = {x: ev.eval(b, val) for x, b in zip(sys.vars, sys.bodies)}
+        if new == val:
+            return
+        if applications > bound:
+            raise AssertionError("fixpoint iteration exceeded its theoretical bound")
+        val = new
+
+
 def approximants(sys: MuSystem, g: Digraph) -> Iterator[dict[str, frozenset[str]]]:
     """Yield the approximant chain from the all-empty valuation up to and
     including the least fixpoint (the first repeated valuation is not
     re-yielded)."""
-    if sys.bits != g.bits:
-        raise BitWidthMismatch(f"system is {sys.bits}-bit, graph is {g.bits}-bit")
-    ev = _Evaluator(g)
-    val = {x: 0 for x in sys.vars}
-    yield {x: ev.to_set(0) for x in sys.vars}
-    while True:
-        new = {x: ev.eval(b, val) for x, b in zip(sys.vars, sys.bodies)}
-        if new == val:
-            return
-        val = new
+    for ev, val in _jacobi(sys, g):
         yield {x: ev.to_set(m) for x, m in val.items()}
 
 
 def lfp_iterations(sys: MuSystem, g: Digraph) -> tuple[dict[str, frozenset[str]], int]:
     """Least fixpoint by simultaneous (Jacobi) iteration from the all-empty
     valuation.  Returns the fixpoint and the number of operator applications,
-    which never exceeds (number of variables) * |V| + 1."""
-    if sys.bits != g.bits:
-        raise BitWidthMismatch(f"system is {sys.bits}-bit, graph is {g.bits}-bit")
-    ev = _Evaluator(g)
-    bound = len(sys.vars) * len(g.nodes) + 1
-    val = {x: 0 for x in sys.vars}
+    one per approximant, which never exceeds (number of variables) * |V| + 1."""
     applications = 0
-    while True:
-        new = {x: ev.eval(b, val) for x, b in zip(sys.vars, sys.bodies)}
+    for ev, val in _jacobi(sys, g):
         applications += 1
-        if new == val:
-            break
-        val = new
-        if applications > bound:
-            raise AssertionError("fixpoint iteration exceeded its theoretical bound")
     return {x: ev.to_set(m) for x, m in val.items()}, applications
 
 

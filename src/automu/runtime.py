@@ -352,10 +352,9 @@ def _run(
     g: Digraph,
     activations: Iterable[Activation],
     extend_until_quiescent: bool,
-) -> tuple[RunReport, int]:
+) -> RunReport:
     """Drive a run along ``activations``; optionally keep stepping with the
-    fully-active (round-robin-fair) policy until quiescent.  Returns the
-    report and the number of supplied activations consumed."""
+    fully-active (round-robin-fair) policy until quiescent."""
     config = initial_configuration(a, g)
     visited: dict[str, int | None] = {
         v: 0 if config.node_state[v] in a.accepting else None for v in g.nodes
@@ -363,22 +362,12 @@ def _run(
     traces: dict[str, Trace] = {v: (config.node_state[v],) for v in g.nodes}
     stabilized: int | None = 0 if is_quiescent(a, g, config) else None
     step = 0
-    consumed = 0
 
-    if stabilized is None:
-        for act in activations:
-            consumed += 1
-            step += 1
-            config = async_step(a, g, config, act)
-            for v in g.nodes:
-                traces[v] = trace_pushlast(traces[v], config.node_state[v])
-                if visited[v] is None and config.node_state[v] in a.accepting:
-                    visited[v] = step
-            if is_quiescent(a, g, config):
-                stabilized = step
-                break
-
-    if extend_until_quiescent and stabilized is None:
+    def schedule() -> Iterator[Activation]:
+        """The supplied activations, then the fully-active extension."""
+        yield from activations
+        if not extend_until_quiescent:
+            return
         # termination bound for the fully-active policy: every node moves at
         # most (longest trace - 1) times in total, buffers never exceed the
         # longest trace in length, and a move-free stretch of longest+2 steps
@@ -388,11 +377,13 @@ def _run(
             raise NotQuasiAcyclic(
                 "cannot extend to quiescence: buffers of a non-quasi-acyclic automaton may grow forever"
             )
-        budget = (len(g.nodes) * (longest + 1) + 2) * (longest + 2) + sum(
-            len(b) for b in config.buffers.values()
-        )
-        act = synchronous_activation(g)
-        for _ in range(budget):
+        budget = (len(g.nodes) * (longest + 1) + 2) * (longest + 2)
+        budget += sum(len(b) for b in config.buffers.values())
+        yield from itertools.repeat(synchronous_activation(g), budget)
+        raise AssertionError("quiescence not reached within its theoretical bound")
+
+    if stabilized is None:
+        for act in schedule():
             step += 1
             config = async_step(a, g, config, act)
             for v in g.nodes:
@@ -402,23 +393,16 @@ def _run(
             if is_quiescent(a, g, config):
                 stabilized = step
                 break
-        else:
-            raise AssertionError("quiescence not reached within its theoretical bound")
 
-    def verdict(v: str) -> str:
-        if visited[v] is not None:
-            return "yes"
-        return "no" if stabilized is not None else "unknown"
-
-    report = RunReport(
-        accepted={v: verdict(v) for v in g.nodes},
+    unvisited = "no" if stabilized is not None else "unknown"
+    return RunReport(
+        accepted={v: "yes" if visited[v] is not None else unvisited for v in g.nodes},
         visited_accepting_at=dict(visited),
         stabilized_at=stabilized,
         trace_of=dict(traces),
         steps_taken=step,
         final=config,
     )
-    return report, consumed
 
 
 def async_run(
@@ -434,8 +418,7 @@ def async_run(
     the configuration is quiescent, at which point every verdict is a
     definitive yes/no.  Otherwise verdicts are yes/unknown at prefix end.
     """
-    report, _ = _run(a, g, timing.steps, extend_until_quiescent)
-    return report
+    return _run(a, g, timing.steps, extend_until_quiescent)
 
 
 def sync_accepting_nodes(a: Automaton, g: Digraph) -> frozenset[str]:
@@ -516,7 +499,7 @@ def check_consistency(
                 consumed_steps.append(act)
                 yield act
 
-        report, _ = _run(a, g, tee(), extend_until_quiescent=quasi)
+        report = _run(a, g, tee(), extend_until_quiescent=quasi)
         return report, TimingPrefix(tuple(consumed_steps), lossless=lossless, starvation_bound=k)
 
     base_report, base_prefix = run_prefix(iter(synchronous_prefix(g, budget).steps), True, 1)

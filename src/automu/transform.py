@@ -29,7 +29,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
     ELSE,
@@ -75,12 +75,6 @@ MAX_ENABLES_TRACES = 12   # full closure guard: trace count
 class NotFlattened(ValueError):
     """shallow evaluation was asked of a formula whose modal arguments are not
     plain variables."""
-
-
-def _subsets(xs: Sequence[str]) -> Iterator[frozenset[str]]:
-    """Every subset of ``xs``, in bitmask order."""
-    for mask in range(1 << len(xs)):
-        yield frozenset(x for i, x in enumerate(xs) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,25 +163,17 @@ def shallow_sat(f: Formula, q: Iterable[str], s: Iterable[Iterable[str]]) -> boo
     return sat(f)
 
 
-def _shallow_guard(f: Formula, q: frozenset[str], dia: Mapping[str, Guard],
-                   box: Mapping[str, Guard]) -> bool | Guard:
-    """``shallow_sat(f, q, .)`` as a guard over the neighborhood: atoms read
-    from ``q`` fold to constants, ``Dia X`` and ``Box X`` become ``dia[X]``
-    (not a subset of the states lacking X) and ``box[X]`` (a subset of the
-    states containing X).  Returns True or False when no guard is needed."""
+def _shallow_guard(f: Formula, dia: Mapping[str, Guard], box: Mapping[str, Guard]
+                   ) -> Callable[[frozenset[str]], bool | Guard]:
+    """``shallow_sat(f, q, .)`` as a guard over the neighborhood, per state
+    q: atoms read from q fold to constants, ``Dia X`` and ``Box X`` become
+    ``dia[X]`` (not a subset of the states lacking X) and ``box[X]`` (a subset
+    of the states containing X), giving True or False when no guard is
+    needed.  ``f`` is walked once, into a post-order program of the nodes
+    that read q; every other node is folded once."""
 
-    def node(g: Formula, kids: list[bool | Guard]) -> bool | Guard:
-        head = _head(g)
-        if head in ("true", "false"):
-            return head == "true"
-        if head in ("p", "not-p"):
-            return (f"p{g.index}" in q) == (head == "p")
-        if head == "var":
-            return g.name in q
-        if head in ("dia", "box"):
-            return (dia if head == "dia" else box)[_children(g)[0].name]
-        unit = head == "and"  # True is neutral for And, False for Or
-        kind = AndGuard if unit else OrGuard
+    def join(unit: bool, kids: Sequence[bool | Guard]) -> bool | Guard:
+        kind = AndGuard if unit else OrGuard  # True is neutral for And, False for Or
         parts: list[Guard] = []
         for kid in kids:
             if kid is (not unit):
@@ -198,7 +184,34 @@ def _shallow_guard(f: Formula, q: frozenset[str], dia: Mapping[str, Guard],
             return parts[0] if parts else unit
         return kind(tuple(parts))
 
-    return _fold([f], node)[0]
+    program: list[Callable[[frozenset[str], list], bool | Guard]] = []
+
+    def node(g: Formula, kids: list) -> object:
+        # a constant, or [i]: the value of program step i
+        head = _head(g)
+        if head in ("true", "false"):
+            return head == "true"
+        if head in ("dia", "box"):
+            return (dia if head == "dia" else box)[_children(g)[0].name]
+        if head in ("p", "not-p", "var"):
+            atom, want = g.name if head == "var" else f"p{g.index}", head != "not-p"
+            program.append(lambda q, vals: (atom in q) == want)
+        elif any(isinstance(k, list) for k in kids):
+            program.append(lambda q, vals: join(head == "and", [vals[k[0]] if isinstance(k, list) else k
+                                                               for k in kids]))
+        else:
+            return join(head == "and", kids)
+        return [len(program) - 1]
+
+    root = _fold([f], node)[0]
+
+    def at(q: frozenset[str]) -> bool | Guard:
+        vals: list[bool | Guard] = []
+        for step in program:
+            vals.append(step(q, vals))
+        return vals[root[0]]
+
+    return at if isinstance(root, list) else lambda q: root
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +240,8 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
     if any(_P_TOKEN.match(x) for x in flat.vars):
         # variable names of the form p<digits> would collide with constant
         # atoms inside states; rename them (names carry no meaning)
-        taken = set(flat.vars)
-        renames: dict[str, str] = {}
-        for x in flat.vars:
-            if _P_TOKEN.match(x):
-                i = 0
-                while f"V{i}" in taken:
-                    i += 1
-                renames[x] = f"V{i}"
-                taken.add(f"V{i}")
+        fresh = (f"V{i}" for i in itertools.count() if f"V{i}" not in flat.vars)
+        renames = {x: next(fresh) for x in flat.vars if _P_TOKEN.match(x)}
 
         def rn(f: Formula, kids: list[Formula]) -> Formula:
             return Var(renames.get(f.name, f.name)) if _head(f) == "var" else _rebuild(f, kids)
@@ -257,19 +263,20 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
     def state_id(subset: frozenset[str]) -> str:
         return "{" + ",".join(sorted(subset, key=order.__getitem__)) + "}"
 
-    subsets = list(_subsets(atoms))
+    subsets = [frozenset(x for i, x in enumerate(atoms) if mask >> i & 1) for mask in range(1 << len(atoms))]
     ids = [state_id(q) for q in subsets]
     box = {y: SubsetEq(frozenset(i for i, q in zip(ids, subsets) if y in q)) for y in flat.vars}
     dia = {y: NotGuard(SubsetEq(frozenset(i for i, q in zip(ids, subsets) if y not in q)))
            for y in flat.vars}
 
     # per state: what every transition adds, and the guards of the open variables
+    guards = [_shallow_guard(body, dia, box) for body in flat.bodies]
     plan: list[tuple[frozenset[str], list[tuple[str, Guard]]]] = []
     for q in subsets:
         always, open_vars = set(q), []
-        for x, body in zip(flat.vars, flat.bodies):
+        for x, guard_at in zip(flat.vars, guards):
             if x not in q:
-                g = _shallow_guard(body, q, dia, box)
+                g = guard_at(q)
                 if g is True:
                     always.add(x)
                 elif g is not False:
@@ -501,9 +508,8 @@ def _reachable_traces(a: Automaton) -> set[Trace]:
     neighborhoods drawn from the last states of what is reachable so far."""
     reach: set[Trace] = {(q,) for q in a.init.values()}
     while True:
-        lasts = sorted({t[-1] for t in reach})
-        nexts = {q: {a.delta(q, n) for n in _subsets(lasts)} for q in lasts}
-        grown = reach | {t + (q2,) for t in reach for q2 in nexts[t[-1]] if q2 != t[-1]}
+        diagram = a.state_diagram(within={t[-1] for t in reach})
+        grown = reach | {t + (q2,) for t in reach for q2 in diagram[t[-1]]}
         if grown == reach:
             return reach
         reach = grown

@@ -1,0 +1,122 @@
+"""The rule-by-rule state diagram (``Automaton.state_diagram``) against the
+scan of every neighborhood it replaced, kept here as the reference, and the
+commands it opens to automata too large for that scan."""
+
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from automu import automata
+from automu.automata import Automaton, AutomatonTooLarge, parse_automaton
+from automu.cli import main
+from automu.logic import parse_formula
+from automu.transform import _reachable_traces, formula_to_automaton
+from strategies import automata as random_automata
+from strategies import seeds
+from test_kernel import BENCHMARK_FORMULAS
+from test_transform import SIX_VARIABLES
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def scan_diagram(a: Automaton, within) -> dict[str, frozenset[str]]:
+    """The reference: ``delta`` of every state on every subset of ``within``."""
+    within = sorted(within)
+    out: dict[str, set[str]] = {q: set() for q in a.states}
+    for mask in range(1 << len(within)):
+        n = frozenset(s for i, s in enumerate(within) if mask >> i & 1)
+        for q in a.states:
+            out[q].add(a.delta(q, n))
+    return {q: frozenset(s - {q}) for q, s in out.items()}
+
+
+def reference_reachable_traces(a: Automaton) -> set:
+    """Compile-down's reachable traces by the subset loop it used to run."""
+    reach = {(q,) for q in a.init.values()}
+    while True:
+        nexts = scan_diagram(a, {t[-1] for t in reach})
+        grown = reach | {t + (q2,) for t in reach for q2 in nexts[t[-1]]}
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+def assert_agrees_with_the_scan(a: Automaton, rng: random.Random, samples: int = 3) -> None:
+    assert a.state_diagram() == scan_diagram(a, a.states)
+    for _ in range(samples):
+        within = [s for s in a.states if rng.random() < 0.5]
+        assert a.state_diagram(within) == scan_diagram(a, within)
+
+
+def sample(name: str) -> Automaton:
+    return parse_automaton((SAMPLES / name).read_text())
+
+
+def six_variables() -> Automaton:
+    return formula_to_automaton(parse_formula(SIX_VARIABLES, bits=1))
+
+
+@pytest.mark.parametrize("name", ["safe_one.json", "sync_probe.json"])
+def test_samples(name):
+    a = sample(name)
+    assert_agrees_with_the_scan(a, random.Random(0))
+    assert _reachable_traces(a) == reference_reachable_traces(a)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_FORMULAS))
+def test_compile_up_outputs(name):
+    a = formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name]))
+    assert_agrees_with_the_scan(a, random.Random(1))
+    assert _reachable_traces(a) == reference_reachable_traces(a)
+
+
+@settings(max_examples=60)
+@given(random_automata(max_states=10), seeds)
+def test_random_automata(a, seed):
+    assert_agrees_with_the_scan(a, random.Random(seed))
+    assert (a.trace_length_bound() is not None) == a.is_quasi_acyclic()
+
+
+@settings(max_examples=30)
+@given(random_automata(max_states=10, quasi_acyclic=True), seeds)
+def test_random_quasi_acyclic_automata(a, seed):
+    assert_agrees_with_the_scan(a, random.Random(seed))
+    assert a.trace_length_bound() == max(map(len, a.traces()))
+
+
+def test_128_states_without_the_scan():
+    a = six_variables()
+    assert len(a.states) == 128
+    assert len(a.traces()) == 1906 and a.trace_length_bound() == 6
+    assert len(_reachable_traces(a)) == 184
+    with pytest.raises(AutomatonTooLarge):
+        a.is_quasi_acyclic()  # the reference stays guarded
+
+
+def test_region_budget_names_the_state(monkeypatch):
+    monkeypatch.setattr(automata, "SUBSET_ENUMERATION_GUARD", 3)
+    with pytest.raises(AutomatonTooLarge, match=r"rules of state '\{[^']*\}' split into more than 2\^3"):
+        six_variables().state_diagram()
+
+
+class TestCommandsOn128States:
+    @pytest.fixture
+    def up(self, tmp_path):
+        (tmp_path / "six.sexp").write_text(SIX_VARIABLES)
+        path = str(tmp_path / "six.json")
+        assert main(["compile-up", "--formula", str(tmp_path / "six.sexp"), "--bits", "1", "-o", path]) == 0
+        return path
+
+    def test_check(self, up, capsys):
+        assert main(["check", "--automaton", up]) == 0
+        out = capsys.readouterr().out
+        assert "quasi-acyclic: true" in out and "traces: 1906" in out
+
+    def test_compile_down_is_refused_by_the_closure_guard(self, up, tmp_path, capsys):
+        assert main(["compile-down", "--automaton", up, "-o", str(tmp_path / "down.sexp")]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "2^128-entry delta table" in errors[0]
+        assert "Traceback" not in err
