@@ -8,9 +8,12 @@ semantics and a mandatory unconditional ``else`` rule at the end.
 
 Also here: the trace algebra (first / last / pushlast / popfirst) used by the
 asynchronous run semantics, and the state diagram behind quasi-acyclicity (no
-cycles other than self-loops) and the trace set.  The diagram is derived rule
-by rule, never by enumerating the 2^|Q| neighborhoods; that scan survives
-only in ``is_quasi_acyclic``, as the reference.
+cycles other than self-loops) and the trace sets.  Each state's successors
+are derived rule by rule, never by enumerating the 2^|Q| neighborhoods, and
+memoized per set of neighbor states; that scan survives only in
+``is_quasi_acyclic``, as the reference.  One extension loop, ``traces``,
+answers every trace question: from every state it gives all paths of the
+diagram, from the initialization states the traces compile-down drives.
 """
 
 from __future__ import annotations
@@ -280,28 +283,29 @@ class Automaton:
     def state_diagram(self, within: Iterable[str] | None = None) -> dict[str, frozenset[str]]:
         """Successor map { q -> { delta(q, N) != q : N subset of ``within`` } }
         (``within`` defaults to all states): the state diagram without
-        self-loops.  Each state's neighborhoods are split one state at a time
-        into regions (DPLL style) on which ``_decide`` settles every guard.  A
+        self-loops, assembled from the per-state successors."""
+        key = frozenset(self.states if within is None else within)
+        return {q: self._successors(q, key) for q in self.states}
+
+    def _successors(self, q: str, within: frozenset[str]) -> frozenset[str]:
+        """{ delta(q, N) != q : N subset of ``within`` }, memoized per (q,
+        ``within``).  The neighborhoods are split one state at a time into
+        regions (DPLL style) on which ``_decide`` settles every guard.  A
         region records its first rule's target when that rule holds on all of
         it and no earlier one can, and is split no further once every rule
         that may fire on it has a target already found.  More than
-        2^SUBSET_ENUMERATION_GUARD regions for one state raise
-        ``AutomatonTooLarge``."""
-        key = None if within is None else frozenset(within)
-        memo = self._cache.setdefault("diagram", {})
-        if key not in memo:
-            bit = {s: 1 << i for i, s in enumerate(self.states)}
-            mask = functools.cache(lambda states: sum(bit[s] for s in states))
-            universe = mask(frozenset(self.states) if key is None else key)
-            memo[key] = {q: self._successors(q, universe, mask) for q in self.states}
-        return memo[key]
-
-    def _successors(self, q: str, universe: int, mask: Callable[[frozenset[str]], int]) -> frozenset[str]:
+        2^SUBSET_ENUMERATION_GUARD regions raise ``AutomatonTooLarge``."""
+        memo = self._cache.setdefault("successors", {})
+        if (q, within) in memo:
+            return memo[q, within]
+        bit = {s: 1 << i for i, s in enumerate(self.states)}
+        mask = functools.cache(lambda states: sum(bit[s] for s in states))
         found = {q}  # a self-loop is not recorded
-        regions = [(0, universe)]  # (states in N, states not yet decided)
+        regions = [(0, mask(within))]  # (states in N, states not yet decided)
         for count in itertools.count(1):
             if not regions:
-                return frozenset(found - {q})
+                memo[q, within] = frozenset(found - {q})
+                return memo[q, within]
             if count > 1 << SUBSET_ENUMERATION_GUARD:
                 raise AutomatonTooLarge(f"state diagram: the rules of state {q!r} split into more than "
                                         f"2^{SUBSET_ENUMERATION_GUARD} neighborhood regions")
@@ -344,25 +348,38 @@ class Automaton:
                 diagram[q].add(self.delta(q, subset))
         return _longest_path({q: frozenset(s - {q}) for q, s in diagram.items()}) is not None
 
-    def traces(self) -> frozenset[Trace]:
-        """All traces: paths in the self-loop-free state diagram, from every
-        state, including every length-1 trace.  Requires quasi-acyclicity."""
-        if "traces" not in self._cache:
-            if self.trace_length_bound() is None:
-                raise NotQuasiAcyclic("trace set is infinite: state diagram has a non-trivial cycle")
-            diagram = self.state_diagram()
-            paths: dict[str, set[Trace]] = {}  # per state: the traces starting there
-            for q in graphlib.TopologicalSorter(diagram).static_order():
-                paths[q] = {(q,)}.union(*({(q,) + p for p in paths[q2]} for q2 in diagram[q]))
-            self._cache["traces"] = frozenset().union(*paths.values())
-        return self._cache["traces"]
+    def traces(self, start: Iterable[str] | None = None) -> frozenset[Trace]:
+        """The traces that begin in a state of ``start`` (default: every
+        state), each extended by the successors of its last state with
+        neighborhoods drawn from the last states found so far.  From every
+        state these are all paths of the state diagram, every length-1 trace
+        included; from the initialization states, the traces a node can
+        traverse in a run started there.  A trace that would revisit a state
+        raises ``NotQuasiAcyclic``: the set is then infinite."""
+        key = None if start is None else frozenset(start)
+        memo = self._cache.setdefault("traces", {})
+        if key not in memo:
+            reach: set[Trace] = set()
+            frontier = {(q,) for q in (self.states if key is None else key)}
+            within: frozenset[str] = frozenset()
+            while frontier:
+                reach |= frontier
+                lasts = within.union(t[-1] for t in frontier)
+                if lasts != within:  # more neighborhoods: the older traces may extend further too
+                    frontier, within = reach, lasts
+                frontier = {t + (q2,) for t in frontier for q2 in self._successors(t[-1], within)} - reach
+                if any(t[-1] in t[:-1] for t in frontier):
+                    raise NotQuasiAcyclic("trace set is infinite: state diagram has a non-trivial cycle")
+            memo[key] = frozenset(reach)
+        return memo[key]
 
     def is_trace(self, t: Trace) -> bool:
         """Check the trace invariants against this automaton: nonempty, no two
         consecutive states equal, every step witnessed by some neighborhood."""
         if not t or not set(t) <= set(self.states):
             return False
-        return all(b in self.state_diagram()[a] for a, b in zip(t, t[1:]))  # no self-loops in it
+        diagram = self.state_diagram()
+        return all(b in diagram[a] for a, b in zip(t, t[1:]))  # no self-loops in it
 
 
 # ---------------------------------------------------------------------------

@@ -163,13 +163,13 @@ def count_digraphs(max_nodes: int, bits: int) -> int:
     return sum(2 ** (m * m) * 2 ** (bits * m) for m in range(1, max_nodes + 1))
 
 
-def random_digraph(rng: random.Random, max_nodes: int, bits: int, edge_prob: float = 0.5) -> PointedDigraph:
+def random_digraph(rng: random.Random, max_nodes: int, bits: int) -> PointedDigraph:
     """Sample a random pointed digraph: node count uniform in 1..max_nodes,
-    each of the m^2 directed edges present independently with ``edge_prob``,
+    each of the m^2 directed edges present independently with probability 1/2,
     labels uniform, point uniform."""
     m = rng.randint(1, max_nodes)
     nodes = tuple(f"n{i}" for i in range(m))
-    edges = frozenset((u, v) for u in nodes for v in nodes if rng.random() < edge_prob)
+    edges = frozenset((u, v) for u in nodes for v in nodes if rng.random() < 0.5)
     labels = {v: "".join(rng.choice("01") for _ in range(bits)) for v in nodes}
     g = Digraph(bits=bits, nodes=nodes, labels=labels, edges=edges)
     return PointedDigraph(g, rng.choice(nodes))

@@ -182,9 +182,6 @@ class MuSystem:
                     f"constant index {top} out of range for {self.bits}-bit labels (body of {x!r})"
                 )
 
-    def body_of(self, name: str) -> Formula:
-        return self.bodies[self.vars.index(name)]
-
 
 Valuation = Mapping[str, AbstractSet[str]]
 

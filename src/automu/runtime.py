@@ -476,8 +476,6 @@ def check_consistency(
     lossless_only: bool = False,
     seed: int = 0,
     budget: int | None = None,
-    p_active: float = DEFAULT_P_ACTIVE,
-    starvation_bound: int = DEFAULT_STARVATION_BOUND,
 ) -> ConsistencyVerdict:
     """Run ``samples`` sampled fair timings plus the synchronous timing and
     compare definitive per-node verdicts.  A graph whose initial
@@ -488,7 +486,7 @@ def check_consistency(
     actually executed, hence replayable) and the node as witness.
     """
     if budget is None:
-        budget = 10 * starvation_bound * len(g.nodes)
+        budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
     quasi = a.trace_length_bound() is not None
 
     def run_prefix(activations: Iterable[Activation], lossless: bool, k: int) -> tuple[RunReport, TimingPrefix]:
@@ -514,11 +512,8 @@ def check_consistency(
     runs = 1
     for i in range(samples):
         lossless = True if lossless_only else (i % 2 == 0)
-        sampler = TimingSampler(
-            g, p_active=p_active, starvation_bound=starvation_bound,
-            lossless=lossless, seed=rng.randrange(2**32),
-        )
-        report, prefix = run_prefix(iter(sampler), lossless, starvation_bound)
+        sampler = TimingSampler(g, lossless=lossless, seed=rng.randrange(2**32))
+        report, prefix = run_prefix(iter(sampler), lossless, DEFAULT_STARVATION_BOUND)
         runs += 1
         for v in g.nodes:
             got = report.accepted[v]
@@ -559,13 +554,11 @@ def _fuzz_slice(
     specs: list[tuple[int, int]],
     timings_per_graph: int,
     lossless_only: bool,
-    budget: int | None,
 ) -> tuple[FuzzWitness | None, int]:
     for offset, (graph_seed, timing_seed) in enumerate(specs):
         g = random_digraph(random.Random(graph_seed), max_nodes, a.bits).graph
         verdict = check_consistency(
-            a, g, samples=timings_per_graph, lossless_only=lossless_only,
-            seed=timing_seed, budget=budget,
+            a, g, samples=timings_per_graph, lossless_only=lossless_only, seed=timing_seed,
         )
         if not verdict.consistent:
             return FuzzWitness(graph=g, witness=verdict.witness), offset + 1
@@ -579,7 +572,6 @@ def fuzz_consistency(
     timings_per_graph: int,
     lossless_only: bool = False,
     seed: int = 0,
-    budget: int | None = None,
     jobs: int = 1,
 ) -> FuzzVerdict:
     """check_consistency over ``graphs`` random digraphs.  Every graph runs
@@ -589,7 +581,7 @@ def fuzz_consistency(
     rng = random.Random(seed)
     specs = [(rng.randrange(2**32), rng.randrange(2**32)) for _ in range(graphs)]
     witness, checked = first_hit(_fuzz_slice, [
-        (a, max_nodes, specs[start:stop], timings_per_graph, lossless_only, budget)
+        (a, max_nodes, specs[start:stop], timings_per_graph, lossless_only)
         for start, stop in split_range(graphs, jobs)
     ], jobs)
     return FuzzVerdict(consistent=witness is None, graphs_checked=checked, witness=witness)

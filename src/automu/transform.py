@@ -43,6 +43,7 @@ from .automata import (
     SubsetEq,
     Trace,
     TransitionRule,
+    trace_pushlast,
 )
 from .logic import (
     And,
@@ -328,9 +329,6 @@ class EnablesSet:
     pairs: frozenset[tuple[frozenset[Trace], Trace]]
     iterations_used: int
 
-    def enablers_of(self, t: Trace) -> frozenset[frozenset[Trace]]:
-        return frozenset(h for h, t2 in self.pairs if t2 == t)
-
 
 def _bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of ``mask``, lowest first."""
@@ -426,12 +424,14 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
     are breadth-first layers; round 0 is the seeds alone.
 
     Returns the pairs, how many were processed, and the trace index they are
-    written over: a pair is (mask of H over the index, index of t).  ``delta``
-    is read from a table over state indices and last-state masks, filled as
-    the pairs need it."""
+    written over: a pair is (mask of H over the index, index of t).  Per
+    trace, a dict maps each last-state mask it has met to the index of the
+    trace extended by ``delta`` on that neighborhood."""
     states = a.states
     n = len(states)
     if n > SUBSET_ENUMERATION_GUARD:
+        # the refusal stays for the products of ``_extension_choices``,
+        # which outgrow memory on larger compile-up outputs
         raise AutomatonTooLarge(
             f"trace closure needs a 2^{n}-entry delta table per state; "
             f"guard is |Q| <= {SUBSET_ENUMERATION_GUARD}"
@@ -441,29 +441,13 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
     index = {t: i for i, t in enumerate(traces)}
     last = [state_index[t[-1]] for t in traces]
     subs = _extension_subsets(traces, last)
-
-    table: list[list[int | None] | None] = [None] * n  # delta[q][lasts], rows made on first use
-    # per trace: its index extended by each state, itself for its own last state
-    kids: list[list[int | None]] = [[None] * n for _ in traces]
-    for t, q in enumerate(last):
-        kids[t][q] = t
-
-    def row_of(q: int) -> list[int | None]:
-        if table[q] is None:
-            table[q] = [None] * (1 << n)
-        return table[q]
+    extended: list[dict[int, int]] = [{} for _ in traces]
 
     def step(t: int, lasts: int) -> int:
-        """Trace ``t`` extended by delta(its last state, ``lasts``), filling
-        ``table`` and ``kids`` on the way."""
-        q = last[t]
-        row = row_of(q)
-        if row[lasts] is None:
-            row[lasts] = state_index[a.delta(states[q], [states[j] for j in _bits(lasts)])]
-        q2 = row[lasts]
-        if kids[t][q2] is None:
-            kids[t][q2] = index[traces[t] + (states[q2],)]
-        return kids[t][q2]
+        """Trace ``t`` extended by delta(its last state, ``lasts``)."""
+        q2 = a.delta(traces[t][-1], [states[j] for j in _bits(lasts)])
+        extended[t][lasts] = index[trace_pushlast(traces[t], q2)]
+        return extended[t][lasts]
 
     seed_ids = [state_index[q] for q in seeds]
     frontier: list[tuple[int, int]] = []
@@ -484,11 +468,9 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
             choices = choice_memo.get(h)
             if choices is None:
                 choices = choice_memo[h] = _extension_choices(subs, h)
-            row = row_of(last[t])
-            kid = kids[t]
+            ext = extended[t]
             for h2, lasts in choices.items():
-                q2 = row[lasts]
-                t2 = None if q2 is None else kid[q2]
+                t2 = ext.get(lasts)
                 if t2 is None:
                     t2 = step(t, lasts)
                 pair = (h2, t2)
@@ -502,17 +484,9 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
 # ---------------------------------------------------------------------------
 # automaton -> formula
 
-def _reachable_traces(a: Automaton) -> set[Trace]:
-    """Traces a node can traverse in a run started from initialization: the
-    initialization states, closed under extension by delta with
-    neighborhoods drawn from the last states of what is reachable so far."""
-    reach: set[Trace] = {(q,) for q in a.init.values()}
-    while True:
-        diagram = a.state_diagram(within={t[-1] for t in reach})
-        grown = reach | {t + (q2,) for t in reach for q2 in diagram[t[-1]]}
-        if grown == reach:
-            return reach
-        reach = grown
+def _reachable_traces(a: Automaton) -> frozenset[Trace]:
+    """Traces a node can traverse in a run started from initialization."""
+    return a.traces(start=a.init.values())
 
 
 def _driver_closure(a: Automaton) -> dict[Trace, list[frozenset[Trace]]]:

@@ -209,13 +209,14 @@ class TestQuasiAcyclicity:
 
 
 class TestTraceLengthBound:
-    """The rule-target graph's longest path, against the 2^|Q| scan."""
+    """The longest path of the derived state diagram, against the 2^|Q|
+    scan and the longest trace."""
 
     def assert_agrees_with_the_scan(self, a):
         bound = a.trace_length_bound()
         assert (bound is not None) == a.is_quasi_acyclic()
         if bound is not None:
-            assert max(len(t) for t in a.traces()) <= bound <= len(a.states)
+            assert max(len(t) for t in a.traces()) == bound <= len(a.states)
 
     @pytest.mark.parametrize("name", ["safe_one.json", "sync_probe.json"])
     def test_samples(self, name):
@@ -234,8 +235,8 @@ class TestTraceLengthBound:
         assert a.trace_length_bound() is None
 
     def test_cycle_through_a_rule_that_never_fires(self):
-        # q2 -> q1 is a rule target but no neighborhood takes it: the traces
-        # decide
+        # q2 -> q1 is a rule target but no neighborhood takes it, so it is no
+        # edge of the state diagram
         a = Automaton(
             bits=0, states=("q1", "q2"), init={"": "q1"}, accepting=frozenset(),
             rules={

@@ -1,7 +1,9 @@
-"""The rule-by-rule state diagram (``Automaton.state_diagram``) against the
-scan of every neighborhood it replaced, kept here as the reference, and the
-commands it opens to automata too large for that scan."""
+"""The rule-by-rule state diagram (``Automaton.state_diagram``) and the trace
+sets read off it (``Automaton.traces``) against the scan of every
+neighborhood they replaced, kept here as the reference, and the commands they
+open to automata too large for that scan."""
 
+import pickle
 import random
 from pathlib import Path
 
@@ -9,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 
 from automu import automata
-from automu.automata import Automaton, AutomatonTooLarge, parse_automaton
+from automu.automata import Automaton, AutomatonTooLarge, NotQuasiAcyclic, parse_automaton
 from automu.cli import main
 from automu.logic import parse_formula
-from automu.transform import _reachable_traces, formula_to_automaton
+from automu.transform import _driver_closure, _reachable_traces, formula_to_automaton
 from strategies import automata as random_automata
 from strategies import seeds
 from test_kernel import BENCHMARK_FORMULAS
@@ -30,6 +32,19 @@ def scan_diagram(a: Automaton, within) -> dict[str, frozenset[str]]:
         for q in a.states:
             out[q].add(a.delta(q, n))
     return {q: frozenset(s - {q}) for q, s in out.items()}
+
+
+def scan_paths(a: Automaton) -> set:
+    """Every path of the scanned state diagram, from every state."""
+    diagram = scan_diagram(a, a.states)
+    paths = {(q,) for q in a.states}
+    todo = list(paths)
+    while todo:
+        t = todo.pop()
+        for q2 in diagram[t[-1]]:
+            paths.add(t + (q2,))
+            todo.append(t + (q2,))
+    return paths
 
 
 def reference_reachable_traces(a: Automaton) -> set:
@@ -62,6 +77,7 @@ def six_variables() -> Automaton:
 def test_samples(name):
     a = sample(name)
     assert_agrees_with_the_scan(a, random.Random(0))
+    assert a.traces() == scan_paths(a)
     assert _reachable_traces(a) == reference_reachable_traces(a)
 
 
@@ -69,6 +85,7 @@ def test_samples(name):
 def test_compile_up_outputs(name):
     a = formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name]))
     assert_agrees_with_the_scan(a, random.Random(1))
+    assert a.traces() == scan_paths(a)
     assert _reachable_traces(a) == reference_reachable_traces(a)
 
 
@@ -77,13 +94,18 @@ def test_compile_up_outputs(name):
 def test_random_automata(a, seed):
     assert_agrees_with_the_scan(a, random.Random(seed))
     assert (a.trace_length_bound() is not None) == a.is_quasi_acyclic()
+    if not a.is_quasi_acyclic():
+        with pytest.raises(NotQuasiAcyclic):
+            a.traces()
 
 
 @settings(max_examples=30)
 @given(random_automata(max_states=10, quasi_acyclic=True), seeds)
 def test_random_quasi_acyclic_automata(a, seed):
     assert_agrees_with_the_scan(a, random.Random(seed))
+    assert a.traces() == scan_paths(a)
     assert a.trace_length_bound() == max(map(len, a.traces()))
+    assert a.traces(start=a.init.values()) == reference_reachable_traces(a)
 
 
 def test_128_states_without_the_scan():
@@ -93,6 +115,28 @@ def test_128_states_without_the_scan():
     assert len(_reachable_traces(a)) == 184
     with pytest.raises(AutomatonTooLarge):
         a.is_quasi_acyclic()  # the reference stays guarded
+
+
+def test_reachable_pass_derives_only_the_last_states_it_reaches():
+    a = six_variables()
+    reach = a.traces(start=a.init.values())
+    derived = {q for q, _ in a._cache["successors"]}
+    assert derived == {t[-1] for t in reach} and len(derived) == 26
+
+
+def test_warm_caches_survive_pickling():
+    # ``--jobs`` hands automata to its workers by pickling them
+    a = sample("safe_one.json")
+    within = a.states[:3]
+
+    def answers(a):
+        return (a.traces(), a.traces(start=a.init.values()), a.state_diagram(within),
+                a.delta(a.states[0], within), _driver_closure(a))
+
+    warm = answers(a)
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and b._cache.keys() == a._cache.keys()
+    assert answers(b) == warm
 
 
 def test_region_budget_names_the_state(monkeypatch):
