@@ -19,6 +19,7 @@ from .automata import (
 from .graphs import (
     BitWidthMismatch,
     Digraph,
+    Domain,
     GraphFormatError,
     PointedDigraph,
     backward_bisimilar,
@@ -26,6 +27,7 @@ from .graphs import (
     count_digraphs,
     digraph_to_json,
     enumerate_digraphs,
+    indexed_digraph,
     parse_digraph,
     random_digraph,
 )
@@ -47,6 +49,7 @@ from .logic import (
     approximants,
     eval_modal,
     format_formula,
+    holds_on,
     lfp,
     lfp_iterations,
     parse_formula,
@@ -68,6 +71,7 @@ from .runtime import (
     is_quiescent,
     parse_timing,
     sample_timing,
+    sync_accepting_mask,
     sync_accepting_nodes,
     sync_accepts,
     sync_step,

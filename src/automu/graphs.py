@@ -3,18 +3,19 @@
 A digraph here is a finite nonempty set of nodes, a set of directed edges
 (self-loops allowed, no multi-edges), and a fixed-width bit label on every
 node.  This module owns parsing and validation of the JSON graph format,
-exhaustive enumeration of all small digraphs, backward bisimulation checking,
-and backward unraveling (a generator of bisimilar witnesses).
+exhaustive enumeration of all small digraphs, the bitsliced domains the
+device kernels evaluate on, backward bisimulation checking, and backward
+unraveling (a generator of bisimilar witnesses).
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 
 class GraphFormatError(ValueError):
@@ -138,29 +139,139 @@ def digraph_to_json(g: Digraph) -> str:
     return json.dumps(digraph_to_dict(g), indent=2)
 
 
+def labeling(m: int, bits: int, index: int) -> tuple[str, ...]:
+    """The labels of nodes n0..n_{m-1} in labeling ``index`` of the
+    enumeration order: the index written in binary with bits*m digits, node 0
+    most significant, character i of a label its bit i.  Labelings are thus
+    lexicographic in the nodes' labels."""
+    digits = format(index | 1 << bits * m, "b")[1:]  # a leading 1 keeps bits*m digits, even 0
+    return tuple(digits[v * bits:(v + 1) * bits] for v in range(m))
+
+
+def edge_pairs(m: int, mask: int) -> list[tuple[int, int]]:
+    """The edges (u, v) of node indices that edge mask ``mask`` holds at m
+    nodes: bit u*m + v stands for the edge u -> v (row-major pair order)."""
+    return [(i // m, i % m) for i in range(m * m) if mask >> i & 1]
+
+
+def indexed_digraph(m: int, bits: int, mask: int, index: int) -> Digraph:
+    """The digraph on nodes n0..n_{m-1} with edge mask ``mask`` and labeling
+    ``index`` (see ``labeling`` and ``edge_pairs``)."""
+    nodes = tuple(f"n{i}" for i in range(m))
+    return Digraph(
+        bits=bits,
+        nodes=nodes,
+        labels=dict(zip(nodes, labeling(m, bits, index))),
+        edges=frozenset((nodes[u], nodes[v]) for u, v in edge_pairs(m, mask)),
+    )
+
+
 def enumerate_digraphs(max_nodes: int, bits: int) -> Iterator[Digraph]:
     """Yield every digraph on node sets {n0..n_{m-1}} for 1 <= m <= max_nodes.
 
-    For each node count m, all 2^(m*m) edge subsets are enumerated in
-    ascending bitmask order (row-major pair order), and for each edge set all
-    2^(bits*m) labelings in lexicographic order.  No isomorphism reduction is
+    For each node count m, all 2^(m*m) edge masks are enumerated in
+    ascending order, and for each edge mask all 2^(bits*m) labelings in
+    index order, which is lexicographic in the nodes' labels
+    (``indexed_digraph`` defines both).  No isomorphism reduction is
     attempted, so the total count is sum over m of 2^(m*m) * 2^(bits*m).
     """
     if max_nodes < 1:
         raise ValueError("max_nodes must be >= 1")
-    label_pool = ["".join(t) for t in itertools.product("01", repeat=bits)]
     for m in range(1, max_nodes + 1):
-        nodes = tuple(f"n{i}" for i in range(m))
-        pairs = [(u, v) for u in nodes for v in nodes]
         for mask in range(1 << (m * m)):
-            edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-            for assignment in itertools.product(label_pool, repeat=m):
-                yield Digraph(bits=bits, nodes=nodes, labels=dict(zip(nodes, assignment)), edges=edges)
+            for index in range(1 << (bits * m)):
+                yield indexed_digraph(m, bits, mask, index)
 
 
 def count_digraphs(max_nodes: int, bits: int) -> int:
     """Closed form for the number of digraphs enumerate_digraphs yields."""
     return sum(2 ** (m * m) * 2 ** (bits * m) for m in range(1, max_nodes + 1))
+
+
+class Domain:
+    """The node sets of several digraphs on the same m nodes and edges, held
+    in one int each.  Node v owns the slice of bits [v*W, (v+1)*W), one bit
+    per digraph; the digraphs may differ in their labels only.
+
+    A single digraph is the W = 1 domain (``of_digraph``).  An edge mask is
+    the domain of its 2^(bits*m) labelings, bit L of each slice standing for
+    labeling L, or of one block of them when there are too many
+    (``of_edge_mask``).  ``dia`` is memoized per domain."""
+
+    __slots__ = ("width", "full", "words", "leaves", "_sources", "_slot", "_image")
+
+    def __init__(self, width: int, spread: list[int], words: Mapping[str, int], bits: int):
+        self.width = width
+        self.full = (1 << len(spread) * width) - 1
+        self.words = words  # label -> the nodes that carry it
+        # bit b -> the nodes whose label has bit b set (the words are disjoint)
+        self.leaves = tuple(sum(s for w, s in words.items() if w[b] == "1") for b in range(bits))
+        # (u * W, u's out-neighbours in every slice) for each node u with out-edges
+        self._sources = tuple((u * width, s) for u, s in enumerate(spread) if s)
+        self._slot = (1 << width) - 1
+        self._image: dict[int, int] = {}
+
+    @classmethod
+    def of_digraph(cls, g: Digraph) -> "Domain":
+        """g alone; node v of the domain is g.nodes[v]."""
+        index = {v: i for i, v in enumerate(g.nodes)}
+        words: dict[str, int] = {}
+        for v, i in index.items():
+            words[g.labels[v]] = words.get(g.labels[v], 0) | 1 << i
+        spread = [0] * len(index)
+        for u, v in g.edges:
+            spread[index[u]] |= 1 << index[v]
+        return cls(1, spread, words, g.bits)
+
+    @classmethod
+    def of_edge_mask(cls, m: int, bits: int, mask: int, block: int = 0) -> "Domain":
+        """``indexed_digraph(m, bits, mask, L)`` for the labelings L of block
+        ``block``, bit j of every slice standing for labeling
+        block * W + j, where W = ``slice_width(m, bits)``."""
+        width = slice_width(m, bits)
+        spread = [0] * m
+        for u, v in edge_pairs(m, mask):
+            spread[u] |= 1 << v * width
+        return cls(width, spread, _slice_words(m, bits, width, block), bits)
+
+    def dia(self, s: int) -> int:
+        """The nodes with an incoming neighbour in s: OR over edges (u, v) of
+        u's slice moved to v's, one multiplication per source node."""
+        out = self._image.get(s)
+        if out is None:
+            out = 0
+            for shift, spread in self._sources:
+                out |= (s >> shift & self._slot) * spread
+            self._image[s] = out
+        return out
+
+
+# the log2 of the most labelings one domain holds, which keeps a node set of
+# m nodes within m * 2^MAX_SLICE_BITS bits
+MAX_SLICE_BITS = 12
+
+
+def slice_width(m: int, bits: int) -> int:
+    """How many labelings of m nodes one edge-mask domain holds: all
+    2^(bits*m), or 2^MAX_SLICE_BITS per block when there are more."""
+    return 1 << min(bits * m, MAX_SLICE_BITS)
+
+
+@functools.lru_cache(maxsize=64)
+def _slice_words(m: int, bits: int, width: int, block: int) -> dict[str, int]:
+    """Label -> the nodes that carry it, over labelings [block * width,
+    (block + 1) * width) of m nodes.  Every domain of the block shares the
+    dict, so it is never written after this."""
+    words: dict[str, int] = {}
+    for j in range(width):
+        for v, w in enumerate(labeling(m, bits, block * width + j)):
+            words[w] = words.get(w, 0) | 1 << (v * width + j)
+    return words
+
+
+def node_set(g: Digraph, mask: int) -> frozenset[str]:
+    """The nodes of g that a W = 1 mask over g.nodes holds."""
+    return frozenset(v for i, v in enumerate(g.nodes) if mask >> i & 1)
 
 
 def random_digraph(rng: random.Random, max_nodes: int, bits: int) -> PointedDigraph:

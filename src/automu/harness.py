@@ -9,32 +9,40 @@ sampling; disagreements are returned as replayable counterexamples.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Union
 
 from .automata import Automaton
-from .graphs import (
+from .graphs import (  # enumerate_digraphs and random_digraph are looked up here by perfbench
     BitWidthMismatch,
     Digraph,
+    Domain,
     PointedDigraph,
     backward_bisimilar,
     backward_unravel,
-    count_digraphs,
     digraph_to_dict,
     enumerate_digraphs,
+    indexed_digraph,
     random_digraph,
+    slice_width,
 )
-from .logic import MuSystem, lfp
-from .runtime import check_budget, first_hit, split_range, sync_accepting_nodes, sync_accepts
+from .logic import MuSystem, holds_on, lfp
+from .runtime import (
+    check_budget,
+    first_hit,
+    split_range,
+    sync_accepting_mask,
+    sync_accepting_nodes,
+    sync_accepts,
+)
 
 Device = Union[Automaton, MuSystem]
 
 
 def accepted_nodes(d: Device, g: Digraph) -> frozenset[str]:
-    """Nodes of g at which the device's property holds; the single dispatch
-    point shared by every checker and the command line."""
+    """Nodes of g at which the device's property holds; the dispatch on one
+    digraph shared by every checker and the command line."""
     if isinstance(d, Automaton):
         return sync_accepting_nodes(d, g)
     if isinstance(d, MuSystem):
@@ -80,30 +88,69 @@ def _require_same_bits(d1: Device, d2: Device) -> None:
         raise BitWidthMismatch(f"devices disagree on label width: {d1.bits} vs {d2.bits}")
 
 
+def _accepting_mask(d: Device, domain: Domain) -> int:
+    """The domain nodes at which the device's property holds: the sliced
+    counterpart of ``accepted_nodes``."""
+    if isinstance(d, Automaton):
+        return sync_accepting_mask(d, domain)
+    if isinstance(d, MuSystem):
+        return holds_on(d, domain)
+    raise TypeError(f"not a device: {d!r}")
+
+
+def _units(max_nodes: int, bits: int) -> list[tuple[int, int]]:
+    """(m, the units at m nodes) for m = 1..max_nodes.  A unit is one edge
+    mask with one block of W = ``slice_width(m, bits)`` of its labelings,
+    which is all of them unless 2^(bits*m) > 2^MAX_SLICE_BITS.  Units come in
+    enumeration order: m ascending, then edge mask, then block."""
+    return [(m, (1 << m * m) * ((1 << bits * m) // slice_width(m, bits))) for m in range(1, max_nodes + 1)]
+
+
 def _exhaustive_slice(
     d1: Device, d2: Device, max_nodes: int, start: int, stop: int
 ) -> tuple[Counterexample | None, int]:
-    """Scan graphs [start, stop) of the enumeration; return the first
-    disagreement (or None) and the points checked up to it."""
-    checked = 0
-    for g in itertools.islice(enumerate_digraphs(max_nodes, d1.bits), start, stop):
-        s1 = accepted_nodes(d1, g)
-        s2 = accepted_nodes(d2, g)
-        checked += len(g.nodes)
-        if s1 != s2:
-            point = next(v for v in g.nodes if (v in s1) != (v in s2))
-            return Counterexample(g, point, point in s1, point in s2), checked
+    """Scan units [start, stop) of the enumeration, both devices evaluating
+    all labelings of a unit at once; return the first disagreement (or None)
+    and the points checked up to it.  A unit that agrees everywhere counts m
+    points per labeling.  In the first that does not, the disagreement is at
+    its lowest labeling, then lowest node, and the count stops after that
+    labeling: both are what a scan graph by graph finds."""
+    bits = d1.bits
+    checked = offset = 0
+    for m, count in _units(max_nodes, bits):
+        blocks = count >> m * m
+        for unit in range(max(start - offset, 0), min(stop - offset, count)):
+            mask, block = divmod(unit, blocks)
+            domain = Domain.of_edge_mask(m, bits, mask, block)
+            s1 = _accepting_mask(d1, domain)
+            s2 = _accepting_mask(d2, domain)
+            width = domain.width
+            if s1 == s2:
+                checked += m * width
+                continue
+            diff, slot = s1 ^ s2, (1 << width) - 1
+            labelings = 0  # those on which some node disagrees
+            for v in range(m):
+                labelings |= diff >> v * width & slot
+            j = (labelings & -labelings).bit_length() - 1
+            v = next(v for v in range(m) if diff >> v * width + j & 1)
+            g = indexed_digraph(m, bits, mask, block * width + j)
+            at = v * width + j
+            return Counterexample(g, g.nodes[v], bool(s1 >> at & 1), bool(s2 >> at & 1)), checked + m * (j + 1)
+        offset += count
     return None, checked
 
 
 def equiv_exhaustive(d1: Device, d2: Device, max_nodes: int, jobs: int = 1) -> EquivVerdict:
     """Compare the devices on every digraph with up to ``max_nodes`` nodes and
-    every point, in enumeration order.  The first disagreement and ``checked``
-    are the same at any job count: parallel workers scan disjoint slices and
-    the earliest disagreeing slice wins."""
+    every point, in enumeration order, all labelings of an edge mask at once
+    (bitsliced, see ``Domain``).  The first disagreement and ``checked`` are
+    those of a scan graph by graph, and the same at any job count: parallel
+    workers scan disjoint ranges of edge masks and the earliest disagreeing
+    range wins."""
     check_budget(max_nodes, jobs)
     _require_same_bits(d1, d2)
-    total = count_digraphs(max_nodes, d1.bits)
+    total = sum(count for _, count in _units(max_nodes, d1.bits))
     cex, checked = first_hit(_exhaustive_slice, [
         (d1, d2, max_nodes, start, stop) for start, stop in split_range(total, jobs)
     ], jobs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .graphs import BitWidthMismatch, Digraph, PointedDigraph
+from .graphs import BitWidthMismatch, Digraph, Domain, PointedDigraph, node_set
 
 
 class FormulaSyntaxError(ValueError):
@@ -502,33 +502,18 @@ def _compile(sys: MuSystem) -> _Plan:
     )
 
 
-def _solve(plan: _Plan, g: Digraph) -> list[int]:
-    """Slot values of the least fixpoint on g, as node bitmasks."""
-    index = {v: i for i, v in enumerate(g.nodes)}
-    full = (1 << len(g.nodes)) - 1
-    succ = [0] * len(g.nodes)
-    for u, v in g.edges:
-        succ[index[u]] |= 1 << index[v]
-    image: dict[int, int] = {}  # node set -> nodes with an incoming neighbor in it
-
-    def dia(s: int) -> int:
-        out = image.get(s)
-        if out is None:
-            out, rest = 0, s
-            while rest:
-                low = rest & -rest
-                out |= succ[low.bit_length() - 1]
-                rest ^= low
-            image[s] = out
-        return out
-
+def _solve(plan: _Plan, domain: Domain) -> list[int]:
+    """Slot values of the least fixpoint on every digraph of the domain at
+    once, as domain node sets."""
+    full, dia = domain.full, domain.dia
     vals = [0] * plan.size
     for slot, kind, bit in plan.leaves:
         if kind == "true":
             vals[slot] = full
-        elif kind in ("p", "not-p"):
-            mask = sum(1 << i for i, v in enumerate(g.nodes) if g.labels[v][bit] == "1")
-            vals[slot] = mask if kind == "p" else full ^ mask
+        elif kind == "p":
+            vals[slot] = domain.leaves[bit]
+        elif kind == "not-p":
+            vals[slot] = full ^ domain.leaves[bit]
 
     def run(ops: tuple[tuple[int, int, int, int], ...]) -> None:
         for code, dst, a, b in ops:
@@ -558,23 +543,35 @@ def _solve(plan: _Plan, g: Digraph) -> list[int]:
     return vals
 
 
-def lfp(sys: MuSystem, g: Digraph) -> dict[str, frozenset[str]]:
-    """Least fixpoint valuation of the system on g.
-
-    Runs the system's compiled plan (built on first use and kept on the
-    system): shared subterms are evaluated once per round, non-recursive
-    components once, and recursive components are iterated until stable.
-    ``lfp_iterations`` computes the same fixpoint by Jacobi iteration."""
-    if sys.bits != g.bits:
-        raise BitWidthMismatch(f"system is {sys.bits}-bit, graph is {g.bits}-bit")
+def _plan(sys: MuSystem) -> _Plan:
+    """The system's compiled plan, built on first use and kept on it."""
     plan = sys._cache.get("plan")
     if plan is None:
         plan = sys._cache["plan"] = _compile(sys)
-    vals = _solve(plan, g)
-    return {
-        x: frozenset(v for i, v in enumerate(g.nodes) if vals[slot] >> i & 1)
-        for x, slot in zip(sys.vars, plan.var_slots)
-    }
+    return plan
+
+
+def holds_on(sys: MuSystem, domain: Domain) -> int:
+    """The domain nodes in the system's first fixpoint component."""
+    plan = _plan(sys)
+    return _solve(plan, domain)[plan.var_slots[0]]
+
+
+def lfp(sys: MuSystem, g: Digraph) -> dict[str, frozenset[str]]:
+    """Least fixpoint valuation of the system on g.
+
+    Runs the system's compiled plan on g's W = 1 domain: shared subterms
+    are evaluated once per round, non-recursive components once, and
+    recursive components are iterated until stable.  ``lfp_iterations``
+    computes the same fixpoint by Jacobi iteration."""
+    if sys.bits != g.bits:
+        raise BitWidthMismatch(f"system is {sys.bits}-bit, graph is {g.bits}-bit")
+    plan = _plan(sys)
+    vals = _solve(plan, Domain.of_digraph(g))
+    sets = {vals[slot]: None for slot in plan.var_slots}  # variables often share a value
+    for mask in sets:
+        sets[mask] = node_set(g, mask)
+    return {x: sets[vals[slot]] for x, slot in zip(sys.vars, plan.var_slots)}
 
 
 def satisfies(sys: MuSystem, p: PointedDigraph) -> bool:

@@ -29,8 +29,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .automata import Automaton, NotQuasiAcyclic, Trace, trace_popfirst, trace_pushlast
-from .graphs import BitWidthMismatch, Digraph, Edge, PointedDigraph, random_digraph
+from .automata import (
+    _GUARD_SYNTAX,
+    Automaton,
+    Guard,
+    NotQuasiAcyclic,
+    Trace,
+    _guard_parts,
+    trace_popfirst,
+    trace_pushlast,
+)
+from .graphs import BitWidthMismatch, Digraph, Domain, Edge, PointedDigraph, node_set, random_digraph
 
 
 class RuntimeFormatError(ValueError):
@@ -421,25 +430,155 @@ def async_run(
     return _run(a, g, timing.steps, extend_until_quiescent)
 
 
-def sync_accepting_nodes(a: Automaton, g: Digraph) -> frozenset[str]:
-    """Nodes that visit an accepting state in the synchronous run.
+_ANY, _ALL, _NOT, _AND, _OR, _TRUE = range(6)
 
-    The synchronous run is deterministic over a finite configuration space
-    (buffers mirror node states), so it is simulated until the global state
-    map repeats; acceptance is decided exactly.
-    """
+
+@dataclass(frozen=True)
+class _Kernel:
+    """An automaton's rules compiled once into bitwise ops over has[q], the
+    domain nodes with an incoming neighbour in state q.  Guard slot i is op
+    ``(i, code, args)``: args is a mask of states for _ANY/_ALL and a tuple
+    of earlier slots otherwise.  ``rules[q]`` are q's rules as (slot, target
+    state), first match wins, and ``ops[q]`` the ops they read, in slot
+    order."""
+
+    init: dict[str, int]  # label -> initial state
+    accepting: int  # a mask of states
+    slots: int
+    ops: tuple[tuple[tuple[int, int, int | tuple[int, ...]], ...], ...]
+    rules: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _compile_kernel(a: Automaton) -> _Kernel:
+    index = {q: i for i, q in enumerate(a.states)}
+    keys: dict[tuple, int] = {}
+    ops: list[tuple[int, int, int | tuple[int, ...]]] = []
+    reads: list[int] = []  # slot -> the slots it is computed from, itself included, as a mask
+
+    def intern(code: int, args: int | tuple[int, ...]) -> int:
+        if (code, args) not in keys:
+            mask = 1 << len(ops)
+            for x in args if isinstance(args, tuple) else ():
+                mask |= reads[x]
+            keys[code, args] = len(ops)
+            ops.append((len(ops), code, args))
+            reads.append(mask)
+        return keys[code, args]
+
+    def states(qs: Iterable[str]) -> int:
+        return sum(1 << index[q] for q in set(qs))
+
+    def guard_slot(guard: Guard) -> int:
+        """subseteq(A) is "no neighbour outside A", supseteq(B) "a neighbour
+        in every state of B"; the combinators fold their parts' slots."""
+        slot: dict[int, int] = {}
+        for g in reversed(_guard_parts(guard)):  # every part before its whole
+            kind = _GUARD_SYNTAX[type(g)][0]
+            if kind == "subseteq":
+                slot[id(g)] = intern(_NOT, (intern(_ANY, (1 << len(index)) - 1 ^ states(g.states)),))
+            elif kind == "supseteq":
+                slot[id(g)] = intern(_ALL, states(g.states))
+            elif kind == "not":
+                slot[id(g)] = intern(_NOT, (slot[id(g.inner)],))
+            elif kind == "else":
+                slot[id(g)] = intern(_TRUE, ())
+            else:
+                parts = tuple(sorted({slot[id(p)] for p in g.parts}))
+                slot[id(g)] = intern(_AND if kind == "and" else _OR, parts)
+        return slot[id(guard)]
+
+    rules = tuple(tuple((guard_slot(r.guard), index[r.target]) for r in a.rules[q]) for q in a.states)
+    per_state = []
+    for lst in rules:
+        mask = 0
+        for slot, _ in lst:
+            mask |= reads[slot]
+        per_state.append(tuple(op for op in ops if mask >> op[0] & 1))
+    return _Kernel(
+        init={w: index[q] for w, q in a.init.items()},
+        accepting=states(a.accepting),
+        slots=len(ops),
+        ops=tuple(per_state),
+        rules=rules,
+    )
+
+
+def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
+    """The domain nodes that visit an accepting state in the synchronous
+    run, on every digraph of the domain at once.  Each occupied state q
+    holds the mask of the nodes in q; a step computes the guards its rules
+    read once for all nodes from has[q], and moves q's nodes by a
+    first-match fold over them.  The run is deterministic over finitely
+    many configurations, so it is simulated until the whole configuration
+    repeats: every digraph's own run has then repeated too, and acceptance
+    is decided exactly."""
+    kernel = a._cache.get("kernel")
+    if kernel is None:
+        kernel = a._cache["kernel"] = _compile_kernel(a)
+    full, dia, accepting = domain.full, domain.dia, kernel.accepting
+    states: dict[int, int] = {}  # occupied state -> its nodes
+    for w, nodes in domain.words.items():
+        q = kernel.init[w]
+        states[q] = states.get(q, 0) | nodes
+    visited = 0
+    seen: set[frozenset[tuple[int, int]]] = set()
+    vals = [0] * kernel.slots
+    while True:
+        for q, nodes in states.items():
+            if accepting >> q & 1:
+                visited |= nodes
+        key = frozenset(states.items())
+        if key in seen:
+            return visited
+        seen.add(key)
+        has = [(1 << q, dia(nodes)) for q, nodes in states.items()]
+        occupied = sum(q for q, _ in has)
+        fresh = [False] * kernel.slots  # computed in this step
+        new: dict[int, int] = {}
+        for q, rest in states.items():
+            for i, code, args in kernel.ops[q]:
+                if fresh[i]:
+                    continue
+                fresh[i] = True
+                if code == _ANY:
+                    v = 0
+                    for x, h in has:
+                        if args & x:
+                            v |= h
+                elif code == _ALL:
+                    v = 0 if args & ~occupied else full
+                    for x, h in has if v else ():
+                        if args & x:
+                            v &= h
+                elif code == _NOT:
+                    v = full ^ vals[args[0]]
+                elif code == _AND:
+                    v = full
+                    for x in args:
+                        v &= vals[x]
+                elif code == _OR:
+                    v = 0
+                    for x in args:
+                        v |= vals[x]
+                else:
+                    v = full
+                vals[i] = v
+            for slot, target in kernel.rules[q]:
+                fire = rest & vals[slot]
+                if fire:
+                    new[target] = new.get(target, 0) | fire
+                    rest ^= fire
+                    if not rest:
+                        break
+        states = new
+
+
+def sync_accepting_nodes(a: Automaton, g: Digraph) -> frozenset[str]:
+    """Nodes that visit an accepting state in the synchronous run: the W = 1
+    call of ``sync_accepting_mask``.  ``sync_step`` is the reference step."""
     if a.bits != g.bits:
         raise BitWidthMismatch(f"automaton is {a.bits}-bit, graph is {g.bits}-bit")
-    config = initial_configuration(a, g)
-    visited = {v for v in g.nodes if config.node_state[v] in a.accepting}
-    seen: set[tuple[str, ...]] = set()
-    while True:
-        key = tuple(config.node_state[v] for v in g.nodes)
-        if key in seen:
-            return frozenset(visited)
-        seen.add(key)
-        config = sync_step(a, g, config)
-        visited.update(v for v in g.nodes if config.node_state[v] in a.accepting)
+    return node_set(g, sync_accepting_mask(a, Domain.of_digraph(g)))
 
 
 def sync_accepts(a: Automaton, p: PointedDigraph) -> bool:

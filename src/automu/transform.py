@@ -430,11 +430,11 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
     states = a.states
     n = len(states)
     if n > SUBSET_ENUMERATION_GUARD:
-        # the refusal stays for the products of ``_extension_choices``,
-        # which outgrow memory on larger compile-up outputs
+        # no guard on the closure's own size trips before the products are
+        # built, so the state count stands in for one
         raise AutomatonTooLarge(
-            f"trace closure needs a 2^{n}-entry delta table per state; "
-            f"guard is |Q| <= {SUBSET_ENUMERATION_GUARD}"
+            f"trace closure over {n} states refused: the _extension_choices products over its "
+            f"reachable traces outgrow memory; guard is |Q| <= {SUBSET_ENUMERATION_GUARD}"
         )
     state_index = {q: i for i, q in enumerate(states)}
     traces = sorted(universe)

@@ -66,6 +66,20 @@ def test_criterion_1_flagship_equivalence_exhaustive():
     )
 
 
+def test_flagship_equivalence_exhaustive_at_4_nodes():
+    # criterion 1 one node further, on the sliced scan: 65,536 edge masks
+    # of 16 labelings each
+    done = timed(15.0)
+    verdict = equiv_exhaustive(safe_one_automaton(), safe_one_formula(), 4)
+    elapsed = done()
+    expected_points = 4 * 1 + 64 * 2 + 4096 * 3 + 65536 * 16 * 4
+    report(
+        "flagship at 4 nodes: hand-built machine == its formula on ALL 1-bit digraphs <= 4 nodes",
+        verdict.equivalent and verdict.checked == expected_points == 4206724,
+        f"{verdict.checked} pointed instances, {elapsed:.1f}s",
+    )
+
+
 def test_criterion_2_upward_round_trip():
     done = timed(120.0)
     seeds = [safe_one_formula(), reach_one_formula(), boxed_one_formula()]

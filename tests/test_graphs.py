@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from automu.graphs import (
     BitWidthMismatch,
     Digraph,
+    Domain,
     GraphFormatError,
     PointedDigraph,
     backward_bisimilar,
@@ -16,8 +18,10 @@ from automu.graphs import (
     digraph_to_dict,
     digraph_to_json,
     enumerate_digraphs,
+    indexed_digraph,
     parse_digraph,
     random_digraph,
+    slice_width,
 )
 from strategies import pointed_digraphs, seeds
 
@@ -118,6 +122,58 @@ class TestEnumeration:
     def test_bad_max_nodes(self):
         with pytest.raises(ValueError):
             list(enumerate_digraphs(0, 1))
+
+    @pytest.mark.parametrize("bits", [0, 1, 2])
+    def test_indexed_digraph_reproduces_the_enumeration(self, bits):
+        indexed = [
+            indexed_digraph(m, bits, mask, index)
+            for m in range(1, 4) for mask in range(2 ** (m * m)) for index in range(2 ** (bits * m))
+        ]
+        assert indexed == list(product_enumeration(3, bits)) == list(enumerate_digraphs(3, bits))
+
+
+def product_enumeration(max_nodes, bits):
+    """The enumeration order spelled out independently: edge subsets in
+    ascending bitmask order over row-major pairs, then labelings as
+    ``itertools.product`` of the label strings."""
+    label_pool = ["".join(t) for t in itertools.product("01", repeat=bits)]
+    for m in range(1, max_nodes + 1):
+        nodes = tuple(f"n{i}" for i in range(m))
+        pairs = [(u, v) for u in nodes for v in nodes]
+        for mask in range(1 << (m * m)):
+            edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+            for assignment in itertools.product(label_pool, repeat=m):
+                yield Digraph(bits=bits, nodes=nodes, labels=dict(zip(nodes, assignment)), edges=edges)
+
+
+class TestDomain:
+    @pytest.mark.parametrize("bits", [0, 1, 2])
+    def test_edge_mask_domain_holds_every_labeling(self, bits):
+        # slice bit L of node v: its label in labeling L, and its incoming
+        # neighbours in that digraph
+        for m in range(1, 4):
+            width = slice_width(m, bits)
+            for mask in range(0, 2 ** (m * m), 7):
+                d = Domain.of_edge_mask(m, bits, mask)
+                for index in range(2 ** (bits * m)):
+                    g = indexed_digraph(m, bits, mask, index)
+                    for i, v in enumerate(g.nodes):
+                        at = i * width + index
+                        assert d.words[g.labels[v]] >> at & 1
+                        assert [d.leaves[b] >> at & 1 for b in range(bits)] == [int(c) for c in g.labels[v]]
+                        for s in range(2**m):
+                            inner = {g.nodes[j] for j in range(m) if s >> j & 1}
+                            sliced = sum(1 << j * width + index for j in range(m) if s >> j & 1)
+                            assert bool(d.dia(sliced) >> at & 1) == bool(g.incoming(v) & inner)
+
+    def test_digraph_domain(self):
+        g = Digraph(bits=2, nodes=("a", "b", "c"), labels={"a": "10", "b": "11", "c": "10"},
+                    edges=frozenset({("a", "b"), ("b", "b"), ("c", "a")}))
+        d = Domain.of_digraph(g)
+        assert (d.width, d.full) == (1, 0b111)
+        assert d.words == {"10": 0b101, "11": 0b010}
+        assert d.leaves == (0b111, 0b010)
+        assert d.dia(0b001) == 0b010 and d.dia(0b110) == 0b011 and d.dia(0) == 0
 
 
 class TestBisimulation:

@@ -1,10 +1,30 @@
+import functools
+import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from automu.graphs import BitWidthMismatch, Digraph, PointedDigraph, backward_bisimilar
+from automu import graphs
+from automu.automata import parse_automaton
+from automu.graphs import (
+    BitWidthMismatch,
+    Digraph,
+    Domain,
+    PointedDigraph,
+    backward_bisimilar,
+    enumerate_digraphs,
+    indexed_digraph,
+    slice_width,
+)
 from automu.harness import (
+    Counterexample,
+    EquivVerdict,
+    _accepting_mask,
+    _exhaustive_slice,
     accepted_nodes,
     bisim_invariance_check,
     device_accepts,
@@ -12,8 +32,77 @@ from automu.harness import (
     equiv_sampled,
 )
 from automu.logic import parse_formula
+from automu.transform import automaton_to_formula, formula_to_automaton
 from automu.zoo import chain_graph, safe_one_automaton, safe_one_formula, single_node
-from strategies import make_pointed
+from strategies import automata, make_pointed, systems
+from test_kernel import BENCHMARK_FORMULAS
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def reference_scan(d1, d2, digraphs):
+    """The scan graph by graph that the sliced scan replaced: one evaluation
+    per device and digraph; the first disagreement (or None) and the points
+    checked up to it."""
+    checked = 0
+    for g in digraphs:
+        s1 = accepted_nodes(d1, g)
+        s2 = accepted_nodes(d2, g)
+        checked += len(g.nodes)
+        if s1 != s2:
+            point = next(v for v in g.nodes if (v in s1) != (v in s2))
+            return Counterexample(g, point, point in s1, point in s2), checked
+    return None, checked
+
+
+def reference_verdict(d1, d2, max_nodes: int) -> EquivVerdict:
+    cex, checked = reference_scan(d1, d2, enumerate_digraphs(max_nodes, d1.bits))
+    return EquivVerdict(equivalent=cex is None, checked=checked, counterexample=cex)
+
+
+def all_points(max_nodes: int, bits: int) -> int:
+    """``checked`` of a scan that finds no disagreement."""
+    return sum(m * 2 ** (m * m) * 2 ** (bits * m) for m in range(1, max_nodes + 1))
+
+
+def assert_slices_match_graphs(d, units) -> None:
+    """On every labeling of every (m, edge mask) in ``units``, the device's
+    sliced acceptance agrees with ``accepted_nodes`` on that one digraph."""
+    for m, mask in units:
+        width = slice_width(m, d.bits)
+        for block in range(2 ** (d.bits * m) // width):
+            got = _accepting_mask(d, Domain.of_edge_mask(m, d.bits, mask, block))
+            for j in range(width):
+                g = indexed_digraph(m, d.bits, mask, block * width + j)
+                sliced = {v for i, v in enumerate(g.nodes) if got >> i * width + j & 1}
+                assert sliced == accepted_nodes(d, g), g
+
+
+def all_units(max_nodes: int) -> list[tuple[int, int]]:
+    return [(m, mask) for m in range(1, max_nodes + 1) for mask in range(2 ** (m * m))]
+
+
+# the devices of the round-trip benchmark and the samples: the five
+# benchmark formulas, their compile-ups, the sample automata and the
+# compile-down of the flagship automaton
+DEVICE_NAMES = (
+    [f"formula:{name}" for name in BENCHMARK_FORMULAS]
+    + [f"up:{name}" for name in BENCHMARK_FORMULAS]
+    + [f"sample:{p.name}" for p in sorted(SAMPLES.glob("*.json")) if '"states"' in p.read_text()]
+    + ["down:safe_one.json"]
+)
+
+
+@functools.cache
+def device(name: str):
+    kind, _, arg = name.partition(":")
+    if kind == "formula":
+        return parse_formula(BENCHMARK_FORMULAS[arg])
+    if kind == "up":
+        return formula_to_automaton(device(f"formula:{arg}"))
+    if kind == "sample":
+        return parse_automaton((SAMPLES / arg).read_text())
+    return automaton_to_formula(device(f"sample:{arg}"))
 
 
 class TestExhaustive:
@@ -64,6 +153,92 @@ class TestExhaustive:
         seq = equiv_exhaustive(t, f, 2)
         par = equiv_exhaustive(t, f, 2, jobs=2)
         assert seq.counterexample == par.counterexample
+
+    def test_parallel_matches_sequential_on_a_late_disagreement(self):
+        # the point is labeled 11 and has in-neighbours labeled 10 and 01,
+        # and each of the three has an in-neighbour with its own label: on at
+        # most 3 nodes the labels are unique, so every node has a self-loop
+        # and the first witness is edge mask 309 of the 512 at 3 nodes, in
+        # the second of two or three slices
+        three_loops = parse_formula(
+            "(mu ((X (and (and (and (p 0) (p 1)) (dia (and (p 0) (p 1))))"
+            "             (and (dia (and (and (p 0) (not-p 1)) (dia (and (p 0) (not-p 1)))))"
+            "                  (dia (and (and (not-p 0) (p 1)) (dia (and (not-p 0) (p 1))))))))))"
+        )
+        nothing = parse_formula("(mu ((X false)))", bits=2)
+        verdicts = [equiv_exhaustive(three_loops, nothing, 3, jobs=jobs) for jobs in (1, 2, 3)]
+        assert verdicts[0] == verdicts[1] == verdicts[2] == reference_verdict(three_loops, nothing, 3)
+        cex = verdicts[0].counterexample
+        assert cex.graph == indexed_digraph(3, 2, 309, 27) and cex.point == "n2"
+        # 1- and 2-node graphs, 309 edge masks of 64 labelings, 28 labelings
+        assert verdicts[0].checked == 8 + 512 + 309 * 64 * 3 + 28 * 3 == 59932
+
+
+class TestSlicedScan:
+    """The sliced scan against the scan graph by graph it replaced.  Each
+    device's sliced acceptance is checked on every digraph of at most 3
+    nodes, so the two scans see the same disagreements; the scans are then
+    compared on every pair of devices: verdict, ``checked``, graph and point."""
+
+    @pytest.mark.parametrize("name", DEVICE_NAMES)
+    def test_device_exhaustive(self, name):
+        assert_slices_match_graphs(device(name), all_units(3))
+
+    @pytest.mark.parametrize("name", DEVICE_NAMES)
+    def test_device_on_sampled_4_node_edge_masks(self, name):
+        rng = random.Random(name)
+        assert_slices_match_graphs(device(name), [(4, rng.randrange(2**16)) for _ in range(12)])
+
+    @pytest.mark.parametrize("name", DEVICE_NAMES)
+    def test_scans_agree_with_every_later_device(self, name):
+        d1 = device(name)
+        for other in DEVICE_NAMES[DEVICE_NAMES.index(name) + 1:]:
+            d2 = device(other)
+            if d2.bits != d1.bits:
+                continue
+            got = equiv_exhaustive(d1, d2, 3)
+            if got.equivalent:  # the device tests give the reference this verdict
+                assert got.checked == all_points(3, d1.bits), other
+            else:
+                assert got == reference_verdict(d1, d2, 3), other
+
+    def test_scans_agree_on_sampled_4_node_edge_masks(self):
+        # one unit of the scan against the 16 digraphs enumerate_digraphs
+        # yields for it (indexed_digraph reproduces them, see test_graphs)
+        dead_end_one = parse_formula("(mu ((X0 (and (p 0) (box false)))))")
+        rng = random.Random(4)
+        for mask in sorted(rng.sample(range(2**16), 6)):
+            unit = 2 + 16 + 512 + mask
+            graphs_of_unit = [indexed_digraph(4, 1, mask, index) for index in range(16)]
+            for d2 in (safe_one_formula(), dead_end_one):
+                got = _exhaustive_slice(safe_one_automaton(), d2, 4, unit, unit + 1)
+                assert got == reference_scan(safe_one_automaton(), d2, graphs_of_unit), mask
+
+    @settings(max_examples=25)
+    @given(st.integers(min_value=0, max_value=2).flatmap(
+        lambda bits: st.tuples(systems(bits=bits, max_vars=3), automata(max_states=4, bits=bits))))
+    def test_random_devices(self, case):
+        # automata with non-trivial cycles included: the run stops when the
+        # whole sliced configuration repeats
+        system, automaton = case
+        nodes = 3 if system.bits < 2 else 2
+        for d in case:
+            assert_slices_match_graphs(d, all_units(nodes))
+        assert equiv_exhaustive(system, automaton, nodes) == reference_verdict(system, automaton, nodes)
+
+    def test_blocks_of_labelings(self, monkeypatch):
+        # with at most 4 labelings a domain, 3 nodes at 2 bits take 16 blocks
+        # an edge mask, and the scan must not notice
+        small = parse_formula("(mu ((X (and (p 1) (dia (and (p 0) (not-p 1)))))))")
+        nothing = parse_formula("(mu ((X false)))", bits=2)
+        whole = equiv_exhaustive(small, nothing, 3)
+        monkeypatch.setattr(graphs, "MAX_SLICE_BITS", 2)
+        assert slice_width(3, 2) == 4
+        assert equiv_exhaustive(small, nothing, 3) == whole == reference_verdict(small, nothing, 3)
+        assert_slices_match_graphs(device("formula:two_and"), all_units(3))
+        up = device("up:two_and")
+        assert_slices_match_graphs(up, [(3, mask) for mask in range(0, 512, 37)])
+        assert equiv_exhaustive(up, device("formula:two_and"), 3).checked == all_points(3, 2)
 
 
 class TestSampled:

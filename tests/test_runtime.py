@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from automu.automata import ELSE, Automaton, NotQuasiAcyclic, TransitionRule
 from automu.graphs import Digraph, PointedDigraph
@@ -18,6 +19,7 @@ from automu.runtime import (
     is_quiescent,
     parse_timing,
     sample_timing,
+    sync_accepting_nodes,
     sync_accepts,
     sync_step,
     synchronous_activation,
@@ -93,6 +95,29 @@ class TestSyncAcceptance:
             rules={"q": (TransitionRule(ELSE, "q"),)},
         )
         assert sync_accepts(a, single_node(""))
+
+    @settings(max_examples=200)
+    @given(st.integers(min_value=0, max_value=2).flatmap(
+        lambda bits: st.tuples(automata(max_states=5, bits=bits), graphs(max_nodes=5, bits=bits))))
+    def test_kernel_matches_the_sync_step_run(self, case):
+        # automata with non-trivial cycles included
+        a, g = case
+        assert sync_accepting_nodes(a, g) == sync_step_accepting_nodes(a, g)
+
+
+def sync_step_accepting_nodes(a, g):
+    """The reference for the compiled kernel: ``sync_step`` until the state
+    map repeats, collecting the nodes that were ever in an accepting state."""
+    config = initial_configuration(a, g)
+    visited = {v for v in g.nodes if config.node_state[v] in a.accepting}
+    seen = set()
+    while True:
+        key = tuple(config.node_state[v] for v in g.nodes)
+        if key in seen:
+            return frozenset(visited)
+        seen.add(key)
+        config = sync_step(a, g, config)
+        visited.update(v for v in g.nodes if config.node_state[v] in a.accepting)
 
 
 class TestAsyncStep:
