@@ -71,6 +71,20 @@ class Digraph:
             inc[v].add(u)
         return {v: frozenset(s) for v, s in inc.items()}
 
+    @cached_property
+    def sorted_edges(self) -> tuple[Edge, ...]:
+        """The edges in sorted order, the order timings index them in (not
+        the hash order of the frozenset)."""
+        return tuple(sorted(self.edges))
+
+    @cached_property
+    def edge_endpoints(self) -> tuple[tuple[int, int], ...]:
+        """Each of ``sorted_edges`` as (source, target) indices into ``nodes``."""
+        node = {v: i for i, v in enumerate(self.nodes)}
+        # from a list, not a generator: in CPython, tuple(<generator>) leaves the
+        # collector's allocation count raised, and fuzz builds one per graph
+        return tuple([(node[u], node[v]) for u, v in self.sorted_edges])
+
     def incoming(self, v: str) -> frozenset[str]:
         """Set of incoming neighbors of ``v``: all u with an edge u -> v."""
         if v not in self.incoming_map:

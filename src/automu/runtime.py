@@ -18,6 +18,13 @@ prefixes plus quiescence detection.  A configuration is quiescent when a
 fully-active step changes nothing and every buffer holds exactly its writer's
 state; quiescence is absorbing under any timing, so verdicts at quiescence
 are definitive.
+
+``async_run`` and ``check_consistency`` run on one engine, ``_run``, over an
+automaton and a graph compiled once into indices (``_Net``): states, buffers
+of state indices, activation bits and a memoized ``delta``.  ``async_step``,
+``is_quiescent``, ``sync_step`` and ``initial_configuration`` are the
+single-step API on named configurations and the reference the engine is
+tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .automata import (
     _GUARD_SYNTAX,
@@ -76,21 +83,21 @@ def check_budget(max_nodes: int, jobs: int, **counts: int) -> None:
 def first_hit(scan: Callable[..., tuple], slices: list[tuple], jobs: int) -> tuple:
     """Run ``scan(*args)`` over contiguous slices given in index order, in
     ``jobs`` worker processes when more than one.  Each call returns its first
-    hit (or None) and how many items it checked up to and including it.  The
-    result is the hit of the earliest slice that has one, with the full counts
-    of the slices before it plus its own partial count, so both are the same
-    at any job count."""
+    hit (or None) and its counts up to and including it, the first being how
+    many items it checked.  The result is the hit of the earliest slice that
+    has one, with each count summed over the slices before it plus its own
+    partial count, so all are the same at any job count."""
     if jobs > 1 and len(slices) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(scan, *zip(*slices)))
     else:
         results = (scan(*args) for args in slices)
-    checked = 0
-    for hit, count in results:
-        checked += count
+    totals = None
+    for hit, *counts in results:
+        totals = counts if totals is None else [t + c for t, c in zip(totals, counts)]
         if hit is not None:
-            return hit, checked
-    return None, checked
+            break
+    return (hit, *totals)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +217,11 @@ class TimingSampler:
     active (the finite surrogate of fairness).  With ``lossless``, after
     sampling a step, every node with an active incoming edge is forced active
     as well; edge activations are never removed.
+
+    The entities are indexed: the nodes in ``g.nodes`` order, then the edges
+    in sorted order, which is also the order of the random draws.
+    ``next_bits`` gives a step as one bit per entity, the view the run
+    engine reads; ``next_step`` wraps the same step into an ``Activation``.
     """
 
     def __init__(
@@ -229,30 +241,29 @@ class TimingSampler:
         self.starvation_bound = starvation_bound
         self.lossless = lossless
         self._rng = random.Random(seed)
-        self._edges = sorted(g.edges)  # edges draw in this order, not in hash order
-        self._idle: dict[object, int] = {x: 0 for x in itertools.chain(g.nodes, self._edges)}
+        n = len(g.nodes)
+        self._idle = [0] * (n + len(g.edges))
+        # (edge entity, its target's entity): an active edge activates its target
+        self._deliver = [(n + j, v) for j, (_, v) in enumerate(g.edge_endpoints)] if lossless else []
 
     def __iter__(self) -> Iterator[Activation]:
         while True:
             yield self.next_step()
 
-    def _draw(self, key: object) -> int:
-        if self._idle[key] >= self.starvation_bound - 1:
-            return 1
-        return 1 if self._rng.random() < self.p_active else 0
+    def next_bits(self) -> tuple[int, ...]:
+        """The next step, one bit per entity in index order."""
+        draw, p, starved = self._rng.random, self.p_active, self.starvation_bound - 1
+        on = [1 if idle >= starved or draw() < p else 0 for idle in self._idle]
+        for e, v in self._deliver:
+            if on[e]:
+                on[v] = 1
+        self._idle = [0 if b else idle + 1 for b, idle in zip(on, self._idle)]
+        return tuple(on)
 
     def next_step(self) -> Activation:
-        nodes = {v: self._draw(v) for v in self.g.nodes}
-        edges = {e: self._draw(e) for e in self._edges}
-        if self.lossless:
-            for (u, v), on in edges.items():
-                if on:
-                    nodes[v] = 1
-        for v, on in nodes.items():
-            self._idle[v] = 0 if on else self._idle[v] + 1
-        for e, on in edges.items():
-            self._idle[e] = 0 if on else self._idle[e] + 1
-        return Activation(nodes=nodes, edges=edges)
+        on = self.next_bits()
+        nodes = self.g.nodes
+        return Activation(nodes=dict(zip(nodes, on)), edges=dict(zip(self.g.sorted_edges, on[len(nodes):])))
 
 
 def sample_timing(
@@ -356,62 +367,171 @@ class RunReport:
         }
 
 
-def _run(
-    a: Automaton,
-    g: Digraph,
-    activations: Iterable[Activation],
-    extend_until_quiescent: bool,
-) -> RunReport:
-    """Drive a run along ``activations``; optionally keep stepping with the
-    fully-active (round-robin-fair) policy until quiescent."""
-    config = initial_configuration(a, g)
-    visited: dict[str, int | None] = {
-        v: 0 if config.node_state[v] in a.accepting else None for v in g.nodes
-    }
-    traces: dict[str, Trace] = {v: (config.node_state[v],) for v in g.nodes}
-    stabilized: int | None = 0 if is_quiescent(a, g, config) else None
-    step = 0
+class _Net:
+    """An automaton and a graph compiled once for the run engine.  Nodes are
+    indices in ``g.nodes`` order, edges indices in ``g.sorted_edges`` order
+    (the sampler's), states indices into ``a.states``; a step's activation
+    is one bit per node, then one per edge.  ``delta`` reads a memo kept on
+    the automaton, one dict per state from the mask of the front states to
+    the target; a miss is filled from ``Automaton.delta``, so the rule list
+    stays the one definition of the transition function."""
 
-    def schedule() -> Iterator[Activation]:
-        """The supplied activations, then the fully-active extension."""
-        yield from activations
-        if not extend_until_quiescent:
-            return
+    def __init__(self, a: Automaton, g: Digraph):
+        if a.bits != g.bits:
+            raise BitWidthMismatch(f"automaton is {a.bits}-bit, graph is {g.bits}-bit")
+        if "fronts" not in a._cache:
+            a._cache["fronts"] = (
+                {q: i for i, q in enumerate(a.states)},
+                sum(1 << i for i, q in enumerate(a.states) if q in a.accepting),
+                [{} for _ in a.states],
+            )
+        self.index, self.accepting, self.memo = a._cache["fronts"]
+        self.a, self.g = a, g
+        n, ends = len(g.nodes), g.edge_endpoints
+        self.writers = [(n + j, u) for j, (u, _) in enumerate(ends)]  # (edge bit, writer)
+        self.incoming = [[j for j, (_, w) in enumerate(ends) if w == v] for v in range(n)]
+        self.init = [self.index[a.init[g.labels[v]]] for v in g.nodes]
+        self.ones = (1,) * (n + len(ends))
+        # whether the initial configuration is quiescent, where every run stops at step 0
+        self.quiet = self.fixed(self.init, [(self.init[u],) for _, u in self.writers])
+
+    def delta(self, q: int, fronts: int) -> int:
+        """Fill the memo for state ``q`` and the front states ``fronts``."""
+        a = self.a
+        hood = frozenset(s for i, s in enumerate(a.states) if fronts >> i & 1)
+        target = self.memo[q][fronts] = self.index[a.delta(a.states[q], hood)]
+        return target
+
+    def fixed(self, state: list[int], bufs: list[tuple[int, ...]]) -> bool:
+        """Every node's transition is a self-loop on its buffers' fronts:
+        with every buffer a singleton, the configuration is quiescent."""
+        memo = self.memo
+        for v, incoming in enumerate(self.incoming):
+            q = state[v]
+            fronts = 0
+            for j in incoming:
+                fronts |= 1 << bufs[j][0]
+            target = memo[q].get(fronts)
+            if (self.delta(q, fronts) if target is None else target) != q:
+                return False
+        return True
+
+    def extension(self, bufs: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        """The fully-active steps that follow a run's supplied ones, until
+        the theoretical bound; ``bufs`` are read when the first is drawn."""
         # termination bound for the fully-active policy: every node moves at
         # most (longest trace - 1) times in total, buffers never exceed the
         # longest trace in length, and a move-free stretch of longest+2 steps
         # drains every buffer and forces the quiescence check to succeed
-        longest = a.trace_length_bound()
+        longest = self.a.trace_length_bound()
         if longest is None:
             raise NotQuasiAcyclic(
                 "cannot extend to quiescence: buffers of a non-quasi-acyclic automaton may grow forever"
             )
-        budget = (len(g.nodes) * (longest + 1) + 2) * (longest + 2)
-        budget += sum(len(b) for b in config.buffers.values())
-        yield from itertools.repeat(synchronous_activation(g), budget)
+        budget = (len(self.init) * (longest + 1) + 2) * (longest + 2) + sum(map(len, bufs))
+        yield from itertools.repeat(self.ones, budget)
         raise AssertionError("quiescence not reached within its theoretical bound")
 
+    def timing_bits(self, timing: TimingPrefix) -> list[tuple[int, ...]]:
+        """A timing's steps as activation bits, each step checked against
+        the graph: it names exactly its nodes and edges, every value is the
+        integer 0 or 1, and a lossless timing activates no edge whose target
+        node is inactive."""
+        g = self.g
+        nodes, edges = set(g.nodes), set(g.edges)
+        out = []
+        for i, act in enumerate(timing.steps):
+            missing = (nodes - set(act.nodes)) | (edges - set(act.edges))
+            if missing:
+                raise RuntimeFormatError(f"step #{i}: activation map incomplete: "
+                                         f"missing {sorted(map(str, missing))!r}")
+            extra = (set(act.nodes) - nodes) | (set(act.edges) - edges)
+            if extra:
+                raise RuntimeFormatError(f"step #{i}: {sorted(map(str, extra))!r} not in the graph")
+            on = tuple(act.nodes[v] for v in g.nodes) + tuple(act.edges[e] for e in g.sorted_edges)
+            bad = next((x for x in on if type(x) is not int or x not in (0, 1)), None)
+            if bad is not None:
+                raise RuntimeFormatError(f"step #{i}: activation {bad!r} is not 0 or 1")
+            if timing.lossless:
+                for (u, v) in g.sorted_edges:
+                    if act.edges[u, v] and not act.nodes[v]:
+                        raise RuntimeFormatError(f"step #{i}: lossless timing activates edge "
+                                                 f"{_edge_key((u, v))} while {v!r} is inactive")
+            out.append(on)
+        return out
+
+
+class _Outcome(NamedTuple):
+    """A run in the engine's indices: per node the step it first visited an
+    accepting state (or None), the quiescence step (or None), the steps
+    applied, and the final states, buffers and node traces."""
+
+    visited: list[int | None]
+    stabilized: int | None
+    steps: int
+    state: list[int]
+    bufs: list[tuple[int, ...]]
+    traces: list[tuple[int, ...]]
+
+    def verdicts(self) -> list[str]:
+        unvisited = "no" if self.stabilized is not None else "unknown"
+        return ["yes" if at is not None else unvisited for at in self.visited]
+
+
+def _run(net: _Net, steps: Iterable[tuple[int, ...]], extend_until_quiescent: bool) -> _Outcome:
+    """The run engine: drive a run along the activation bits ``steps``;
+    optionally keep stepping with the fully-active (round-robin-fair) policy
+    until quiescent.  A buffer is a tuple of state indices whose last entry
+    is always its writer's state, so every buffer mirrors its writer exactly
+    when all are singletons; a step that changes nothing cannot make the
+    configuration quiescent, so quiescence is only tested after a change."""
+    accepting, memo, delta, writers = net.accepting, net.memo, net.delta, net.writers
+    state = list(net.init)
+    bufs = [(state[u],) for _, u in writers]
+    traces = [(q,) for q in state]
+    visited: list[int | None] = [0 if accepting >> q & 1 else None for q in state]
+    stabilized = 0 if net.quiet else None
+    step = 0
+    longer = 0  # buffers holding more than one state
     if stabilized is None:
-        for act in schedule():
+        if extend_until_quiescent:
+            steps = itertools.chain(steps, net.extension(bufs))
+        for on in steps:
             step += 1
-            config = async_step(a, g, config, act)
-            for v in g.nodes:
-                traces[v] = trace_pushlast(traces[v], config.node_state[v])
-                if visited[v] is None and config.node_state[v] in a.accepting:
-                    visited[v] = step
-            if is_quiescent(a, g, config):
+            moved = False
+            for v, incoming in enumerate(net.incoming):
+                if on[v]:
+                    q = state[v]
+                    fronts = 0
+                    for j in incoming:
+                        fronts |= 1 << bufs[j][0]
+                    target = memo[q].get(fronts)
+                    if target is None:
+                        target = delta(q, fronts)
+                    if target != q:
+                        moved = True
+                        state[v] = target
+                        traces[v] += (target,)
+                        if visited[v] is None and accepting >> target & 1:
+                            visited[v] = step
+            if not (moved or longer):
+                continue  # nothing changed, so the configuration is still not quiescent
+            longer = 0
+            for j, (bit, u) in enumerate(writers):
+                b = bufs[j]
+                if b[-1] != state[u]:  # pushlast the writer's new state
+                    b += (state[u],)
+                elif len(b) == 1:
+                    continue
+                if on[bit]:  # popfirst
+                    b = b[1:]
+                if len(b) > 1:
+                    longer += 1
+                bufs[j] = b
+            if not longer and net.fixed(state, bufs):
                 stabilized = step
                 break
-
-    unvisited = "no" if stabilized is not None else "unknown"
-    return RunReport(
-        accepted={v: "yes" if visited[v] is not None else unvisited for v in g.nodes},
-        visited_accepting_at=dict(visited),
-        stabilized_at=stabilized,
-        trace_of=dict(traces),
-        steps_taken=step,
-        final=config,
-    )
+    return _Outcome(visited, stabilized, step, state, bufs, traces)
 
 
 def async_run(
@@ -426,8 +546,22 @@ def async_run(
     the run continues past the prefix under the fully-active fair policy until
     the configuration is quiescent, at which point every verdict is a
     definitive yes/no.  Otherwise verdicts are yes/unknown at prefix end.
+    A timing that does not match the graph raises ``RuntimeFormatError``.
     """
-    return _run(a, g, timing.steps, extend_until_quiescent)
+    net = _Net(a, g)
+    out = _run(net, net.timing_bits(timing), extend_until_quiescent)
+    names = a.states
+    return RunReport(
+        accepted=dict(zip(g.nodes, out.verdicts())),
+        visited_accepting_at=dict(zip(g.nodes, out.visited)),
+        stabilized_at=out.stabilized,
+        trace_of={v: tuple(names[q] for q in t) for v, t in zip(g.nodes, out.traces)},
+        steps_taken=out.steps,
+        final=Configuration(
+            node_state={v: names[q] for v, q in zip(g.nodes, out.state)},
+            buffers={e: tuple(names[q] for q in b) for e, b in zip(g.sorted_edges, out.bufs)},
+        ),
+    )
 
 
 _ANY, _ALL, _NOT, _AND, _OR, _TRUE = range(6)
@@ -601,10 +735,14 @@ class ConsistencyWitness:
 @dataclass(frozen=True)
 class ConsistencyVerdict:
     """``consistent`` means no disagreement was found within the budget; it is
-    never a proof that the automaton is asynchronous."""
+    never a proof that the automaton is asynchronous.  ``comparisons`` counts
+    the definitive per-node verdicts compared with a definitive reference:
+    "consistent" on none compared nothing (a graph quiescent from the start
+    takes no comparison, since no timing can change its run)."""
 
     consistent: bool
     runs: int
+    comparisons: int
     witness: ConsistencyWitness | None = None
 
 
@@ -627,51 +765,49 @@ def check_consistency(
     if budget is None:
         budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
     quasi = a.trace_length_bound() is not None
+    net = _Net(a, g)
 
-    def run_prefix(activations: Iterable[Activation], lossless: bool, k: int) -> tuple[RunReport, TimingPrefix]:
-        consumed_steps: list[Activation] = []
+    def timing(seed: int | None, lossless: bool, steps: int) -> TimingPrefix:
+        """The prefix a run consumed, rebuilt for a witness: the synchronous
+        one (seed None) or the sampler's stream, drawn again from its seed."""
+        if seed is None:
+            return synchronous_prefix(g, steps)
+        return sample_timing(g, steps, lossless=lossless, seed=seed)
 
-        def tee() -> Iterator[Activation]:
-            for act in itertools.islice(activations, budget):
-                consumed_steps.append(act)
-                yield act
-
-        report = _run(a, g, tee(), extend_until_quiescent=quasi)
-        return report, TimingPrefix(tuple(consumed_steps), lossless=lossless, starvation_bound=k)
-
-    base_report, base_prefix = run_prefix(iter(synchronous_prefix(g, budget).steps), True, 1)
-    if base_report.stabilized_at == 0:
+    base = _run(net, itertools.repeat(net.ones, budget), quasi)
+    if base.stabilized == 0:
         # quiescent from the start: every timing gives this run's verdicts
-        return ConsistencyVerdict(consistent=True, runs=1)
-    verdicts: dict[str, tuple[str, TimingPrefix]] = {
-        v: (base_report.accepted[v], base_prefix) for v in g.nodes
-    }
+        return ConsistencyVerdict(consistent=True, runs=1, comparisons=0)
+    # per node: the reference verdict and the timing that gave it
+    refs = [(verdict, (None, True, min(base.steps, budget))) for verdict in base.verdicts()]
 
     rng = random.Random(seed)
-    runs = 1
+    comparisons = 0
     for i in range(samples):
         lossless = True if lossless_only else (i % 2 == 0)
-        sampler = TimingSampler(g, lossless=lossless, seed=rng.randrange(2**32))
-        report, prefix = run_prefix(iter(sampler), lossless, DEFAULT_STARVATION_BOUND)
-        runs += 1
-        for v in g.nodes:
-            got = report.accepted[v]
-            ref, ref_prefix = verdicts[v]
+        timing_seed = rng.randrange(2**32)
+        sampler = TimingSampler(g, lossless=lossless, seed=timing_seed)
+        out = _run(net, itertools.islice(iter(sampler.next_bits, None), budget), quasi)
+        prefix = (timing_seed, lossless, min(out.steps, budget))
+        for v, got in enumerate(out.verdicts()):
+            ref, ref_prefix = refs[v]
             if got == "unknown":
                 continue
             if ref == "unknown":  # first definitive verdict becomes the reference
-                verdicts[v] = (got, prefix)
+                refs[v] = (got, prefix)
                 continue
+            comparisons += 1
             if got != ref:
                 return ConsistencyVerdict(
                     consistent=False,
-                    runs=runs,
+                    runs=i + 2,
+                    comparisons=comparisons,
                     witness=ConsistencyWitness(
-                        node=v, timing_a=ref_prefix, verdict_a=ref,
-                        timing_b=prefix, verdict_b=got,
+                        node=g.nodes[v], timing_a=timing(*ref_prefix), verdict_a=ref,
+                        timing_b=timing(*prefix), verdict_b=got,
                     ),
                 )
-    return ConsistencyVerdict(consistent=True, runs=runs)
+    return ConsistencyVerdict(consistent=True, runs=samples + 1, comparisons=comparisons)
 
 
 @dataclass(frozen=True)
@@ -682,8 +818,11 @@ class FuzzWitness:
 
 @dataclass(frozen=True)
 class FuzzVerdict:
+    """``comparisons`` sums the graphs' ``ConsistencyVerdict.comparisons``."""
+
     consistent: bool
     graphs_checked: int
+    comparisons: int
     witness: FuzzWitness | None = None
 
 
@@ -693,15 +832,17 @@ def _fuzz_slice(
     specs: list[tuple[int, int]],
     timings_per_graph: int,
     lossless_only: bool,
-) -> tuple[FuzzWitness | None, int]:
+) -> tuple[FuzzWitness | None, int, int]:
+    comparisons = 0
     for offset, (graph_seed, timing_seed) in enumerate(specs):
         g = random_digraph(random.Random(graph_seed), max_nodes, a.bits).graph
         verdict = check_consistency(
             a, g, samples=timings_per_graph, lossless_only=lossless_only, seed=timing_seed,
         )
+        comparisons += verdict.comparisons
         if not verdict.consistent:
-            return FuzzWitness(graph=g, witness=verdict.witness), offset + 1
-    return None, len(specs)
+            return FuzzWitness(graph=g, witness=verdict.witness), offset + 1, comparisons
+    return None, len(specs), comparisons
 
 
 def fuzz_consistency(
@@ -714,13 +855,14 @@ def fuzz_consistency(
     jobs: int = 1,
 ) -> FuzzVerdict:
     """check_consistency over ``graphs`` random digraphs.  Every graph runs
-    off its own derived sub-seed, so the first inconsistent graph (by index)
-    and ``graphs_checked`` are the same at any job count."""
+    off its own derived sub-seed, so the first inconsistent graph (by index),
+    ``graphs_checked`` and ``comparisons`` are the same at any job count."""
     check_budget(max_nodes, jobs, graphs=graphs, timings_per_graph=timings_per_graph)
     rng = random.Random(seed)
     specs = [(rng.randrange(2**32), rng.randrange(2**32)) for _ in range(graphs)]
-    witness, checked = first_hit(_fuzz_slice, [
+    witness, checked, comparisons = first_hit(_fuzz_slice, [
         (a, max_nodes, specs[start:stop], timings_per_graph, lossless_only)
         for start, stop in split_range(graphs, jobs)
     ], jobs)
-    return FuzzVerdict(consistent=witness is None, graphs_checked=checked, witness=witness)
+    return FuzzVerdict(consistent=witness is None, graphs_checked=checked, comparisons=comparisons,
+                       witness=witness)

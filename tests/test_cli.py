@@ -220,6 +220,22 @@ class TestParseBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("lossless, nodes, edges", [
+        (False, {"u": 1, "v": 1, "ghost": 1}, {"u->v": 1}),  # a node the graph lacks
+        (False, {"u": 1, "v": 1}, {"u->v": 1, "x->y": 0}),  # an edge the graph lacks
+        (False, {"u": True, "v": 1}, {"u->v": 0}),  # JSON true is not 1
+        (True, {"u": 1, "v": 0}, {"u->v": 1}),  # lossless, yet delivers to an inactive node
+    ])
+    def test_timing_that_does_not_match_the_graph_exits_2(self, files, tmp_path, capsys,
+                                                          lossless, nodes, edges):
+        path = tmp_path / "timing.json"
+        step = {"nodes": nodes, "edges": edges}
+        path.write_text(json.dumps({"lossless": lossless, "K": 8, "steps": [step]}))
+        assert main(["run", "--automaton", files["safe_one.json"], "--graph", files["chain.json"],
+                     "--timing", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step #0:") and "Traceback" not in err
+
     def test_wide_n_ary_formula(self, files, tmp_path, capsys):
         # 1,200 arguments desugar to a left-associated chain 1,200 deep while
         # the document nests only four levels
@@ -254,6 +270,17 @@ def test_fuzz_does_not_depend_on_the_hash_seed():
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["graphs_checked"] == 2
+
+
+@pytest.mark.parametrize("automaton, seed", [("sync_probe.json", 0), ("sync_probe.json", 1),
+                                             ("sync_probe.json", 2), ("safe_one.json", 0)])
+def test_fuzz_output_is_pinned(automaton, seed, capsys):
+    # the expected documents were written by the dict-based run loop that
+    # preceded the int engine: its verdicts, graphs_checked and witnesses
+    code = main(["fuzz", "--automaton", str(REPO / "samples" / automaton), "--seed", str(seed)])
+    golden = REPO / "tests" / "golden" / f"fuzz_{automaton.removesuffix('.json')}_seed{seed}.txt"
+    assert capsys.readouterr().out == golden.read_text()
+    assert code == (0 if automaton == "safe_one.json" else 1)
 
 
 # exit-code fuzzer: mutate the sample documents and feed them to the CLI

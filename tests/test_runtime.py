@@ -1,15 +1,22 @@
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from automu.automata import ELSE, Automaton, NotQuasiAcyclic, TransitionRule
-from automu.graphs import Digraph, PointedDigraph
+from automu.automata import ELSE, Automaton, NotQuasiAcyclic, TransitionRule, parse_automaton, trace_pushlast
+from automu.graphs import Digraph, PointedDigraph, enumerate_digraphs
 from automu.runtime import (
+    DEFAULT_STARVATION_BOUND,
     Activation,
     Configuration,
+    ConsistencyVerdict,
+    ConsistencyWitness,
+    RunReport,
     RuntimeFormatError,
+    TimingPrefix,
     TimingSampler,
     async_run,
     async_step,
@@ -336,6 +343,7 @@ class TestConsistency:
         verdict = check_consistency(sync_probe_automaton(), two_cycle_graph(), samples=0)
         assert verdict.consistent
         assert verdict.runs == 1
+        assert verdict.comparisons == 0  # consistent, having compared nothing
 
     def test_non_quasi_acyclic_does_not_crash(self):
         cyclic = Automaton(
@@ -373,7 +381,7 @@ class TestQuiescentAtStart:
                     assert verdict.runs == 7
                     continue
                 quiet += 1
-                assert (verdict.consistent, verdict.runs) == (True, 1)
+                assert (verdict.consistent, verdict.runs, verdict.comparisons) == (True, 1, 0)
                 # no timing can move a configuration that is quiescent
                 sync = async_run(a, g, synchronous_prefix(g, 1)).accepted
                 for seed in range(4):
@@ -386,3 +394,203 @@ class TestQuiescentAtStart:
     def test_criterion_4_subjects_fuzz_as_before(self, subject):
         verdict = fuzz_consistency(criterion_4_subjects()[subject], 5, 20, 20, seed=0)
         assert (verdict.consistent, verdict.graphs_checked) == (True, 20)
+        assert verdict.comparisons > 0
+        assert verdict == fuzz_consistency(criterion_4_subjects()[subject], 5, 20, 20, seed=0, jobs=2)
+
+
+# ---------------------------------------------------------------------------
+# the run engine against the single-step reference
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def reference_run(a, g, activations, extend_until_quiescent):
+    """The run loop over ``async_step`` and ``is_quiescent`` on named
+    configurations: the supplied activations, then the fully-active
+    extension up to its theoretical bound."""
+    config = initial_configuration(a, g)
+    visited = {v: 0 if config.node_state[v] in a.accepting else None for v in g.nodes}
+    traces = {v: (config.node_state[v],) for v in g.nodes}
+    stabilized = 0 if is_quiescent(a, g, config) else None
+    step = 0
+
+    def schedule():
+        yield from activations
+        if not extend_until_quiescent:
+            return
+        longest = a.trace_length_bound()
+        if longest is None:
+            raise NotQuasiAcyclic("buffers may grow forever")
+        budget = (len(g.nodes) * (longest + 1) + 2) * (longest + 2)
+        budget += sum(len(b) for b in config.buffers.values())  # the buffers at the prefix's end
+        yield from itertools.repeat(synchronous_activation(g), budget)
+        raise AssertionError("quiescence not reached within its theoretical bound")
+
+    if stabilized is None:
+        for act in schedule():
+            step += 1
+            config = async_step(a, g, config, act)
+            for v in g.nodes:
+                traces[v] = trace_pushlast(traces[v], config.node_state[v])
+                if visited[v] is None and config.node_state[v] in a.accepting:
+                    visited[v] = step
+            if is_quiescent(a, g, config):
+                stabilized = step
+                break
+    unvisited = "no" if stabilized is not None else "unknown"
+    return RunReport(
+        accepted={v: "yes" if visited[v] is not None else unvisited for v in g.nodes},
+        visited_accepting_at=visited,
+        stabilized_at=stabilized,
+        trace_of=traces,
+        steps_taken=step,
+        final=config,
+    )
+
+
+def reference_consistency(a, g, samples, lossless_only=False, seed=0, budget=None):
+    """``check_consistency`` on ``reference_run``, fed by ``next_step`` and
+    recording the activations each run consumed."""
+    if budget is None:
+        budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
+    quasi = a.trace_length_bound() is not None
+
+    def run_prefix(activations, lossless, k):
+        consumed = []
+
+        def tee():
+            for act in itertools.islice(activations, budget):
+                consumed.append(act)
+                yield act
+
+        report = reference_run(a, g, tee(), quasi)
+        return report, TimingPrefix(tuple(consumed), lossless=lossless, starvation_bound=k)
+
+    base, base_prefix = run_prefix(iter(synchronous_prefix(g, budget).steps), True, 1)
+    if base.stabilized_at == 0:
+        return ConsistencyVerdict(consistent=True, runs=1, comparisons=0)
+    refs = {v: (base.accepted[v], base_prefix) for v in g.nodes}
+    rng = random.Random(seed)
+    comparisons = 0
+    for i in range(samples):
+        lossless = True if lossless_only else (i % 2 == 0)
+        sampler = TimingSampler(g, lossless=lossless, seed=rng.randrange(2**32))
+        report, prefix = run_prefix(iter(sampler), lossless, DEFAULT_STARVATION_BOUND)
+        for v in g.nodes:
+            got, (ref, ref_prefix) = report.accepted[v], refs[v]
+            if got == "unknown":
+                continue
+            if ref == "unknown":
+                refs[v] = (got, prefix)
+                continue
+            comparisons += 1
+            if got != ref:
+                witness = ConsistencyWitness(v, ref_prefix, ref, prefix, got)
+                return ConsistencyVerdict(False, i + 2, comparisons, witness)
+    return ConsistencyVerdict(True, samples + 1, comparisons)
+
+
+def engine_subjects():
+    return {
+        "safe_one.json": parse_automaton((SAMPLES / "safe_one.json").read_text()),
+        "sync_probe.json": parse_automaton((SAMPLES / "sync_probe.json").read_text()),
+        **{f"up({f.__name__[:-8]})": formula_to_automaton(f())
+           for f in (safe_one_formula, reach_one_formula, boxed_one_formula)},
+    }
+
+
+def engine_graphs(bits):
+    """Every digraph of at most 2 nodes, then 3- to 5-node samples."""
+    yield from enumerate_digraphs(2, bits)
+    rng = random.Random(bits)
+    for m in (3, 4, 5) * 4:
+        nodes = tuple(f"n{i}" for i in range(m))
+        yield Digraph(bits=bits, nodes=nodes,
+                      labels={v: "".join(rng.choice("01") for _ in range(bits)) for v in nodes},
+                      edges=frozenset((u, v) for u in nodes for v in nodes if rng.random() < 0.4))
+
+
+def engine_timings(g, seed):
+    """(timing, extend until quiescent): synchronous, sampled lossless and
+    lossy timings, and short prefixes that stop at their end."""
+    yield synchronous_prefix(g, 4), True
+    for lossless in (True, False):
+        yield sample_timing(g, 30, lossless=lossless, seed=seed), True
+        yield sample_timing(g, 3, lossless=lossless, seed=seed + 1), False
+    yield sample_timing(g, 12, p_active=0.2, starvation_bound=3, seed=seed), False
+
+
+class TestEngineAgainstReference:
+    @pytest.mark.parametrize("name", list(engine_subjects()))
+    def test_reports_match(self, name):
+        a = engine_subjects()[name]
+        for i, g in enumerate(engine_graphs(a.bits)):
+            for timing, extend in engine_timings(g, i):
+                want = reference_run(a, g, timing.steps, extend)
+                assert async_run(a, g, timing, extend) == want, (g, timing)
+
+    @given(automata(max_states=5), graphs(max_nodes=4), seeds)
+    @settings(max_examples=60)
+    def test_reports_match_on_any_automaton(self, a, g, seed):
+        # cyclic automata included: both sides raise alike when asked to extend them
+        for timing, extend in engine_timings(g, seed):
+            try:
+                want = reference_run(a, g, timing.steps, extend)
+            except NotQuasiAcyclic:
+                with pytest.raises(NotQuasiAcyclic):
+                    async_run(a, g, timing, extend)
+                continue
+            assert async_run(a, g, timing, extend) == want
+
+    @pytest.mark.parametrize("name", list(engine_subjects()))
+    def test_consistency_verdicts_match(self, name):
+        a = engine_subjects()[name]
+        rng = random.Random(7)
+        for i in range(12):
+            g = make_graph(rng, 5, a.bits)
+            # a budget of 2 steps leaves most runs to the fully-active extension
+            for lossless_only, budget in itertools.product((False, True), (None, 2)):
+                want = reference_consistency(a, g, 12, lossless_only, seed=i, budget=budget)
+                assert check_consistency(a, g, 12, lossless_only, seed=i, budget=budget) == want
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("delayed", [False, True])
+    def test_probe_witness_matches(self, delayed, budget):
+        a, g = sync_probe_automaton(), two_cycle_graph()
+        if delayed:  # one unconditional step first, so the synchronous run outlasts a budget of 1
+            a = Automaton(bits=1, states=("wait",) + a.states, init={"0": "wait", "1": "wait"},
+                          rules={"wait": (TransitionRule(ELSE, "qa"),), **a.rules}, accepting=a.accepting)
+        got = check_consistency(a, g, samples=40, seed=0, budget=budget)
+        assert not got.consistent
+        assert got == reference_consistency(a, g, 40, seed=0, budget=budget)
+
+
+class TestSamplerViews:
+    @staticmethod
+    def reference_steps(g, steps, p_active, starvation_bound, lossless, seed):
+        """The draw order: the nodes in order, then the edges sorted; a
+        starved entity is active without a draw."""
+        rng = random.Random(seed)
+        edges = sorted(g.edges)
+        idle = {x: 0 for x in itertools.chain(g.nodes, edges)}
+        for _ in range(steps):
+            on = {x: 1 if idle[x] >= starvation_bound - 1 or rng.random() < p_active else 0 for x in idle}
+            for (u, v) in edges if lossless else ():
+                if on[u, v]:
+                    on[v] = 1
+            idle = {x: 0 if on[x] else idle[x] + 1 for x in idle}
+            yield tuple(on.values())
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_and_next_step_are_one_stream(self, seed, lossless):
+        g = make_graph(random.Random(seed), 5, 1)
+        for p, k in ((0.5, DEFAULT_STARVATION_BOUND), (0.2, 3)):
+            bits = TimingSampler(g, p, k, lossless, seed)
+            acts = TimingSampler(g, p, k, lossless, seed)
+            want = self.reference_steps(g, 60, p, k, lossless, seed)
+            for on, ref in zip(iter(bits.next_bits, None), want):
+                act = acts.next_step()
+                assert on == ref
+                assert on == (tuple(act.nodes[v] for v in g.nodes)
+                              + tuple(act.edges[e] for e in sorted(g.edges)))
