@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -31,6 +32,7 @@ from automu.zoo import (
     sync_probe_automaton,
     two_cycle_graph,
 )
+from test_kernel import SAMPLES
 from test_transform import SIX_VARIABLES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -449,6 +451,14 @@ class TestRoundTrips:
                      "--max-rounds", "1", "-o", str(out)]) == 0
         assert out.read_text().splitlines()
         capsys.readouterr()
+
+    def test_enables_flagship_two_rounds_pinned(self, tmp_path, capsys):
+        out = tmp_path / "closure.jsonl"
+        assert main(["enables", "--automaton", str(SAMPLES / "safe_one.json"),
+                     "--max-rounds", "2", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == "pairs: 163952  iterations: 20480\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3ae2870d47145cec3bf22abdd4c694c2210d2ef24a42b88f2a3dcc12e7d57712")
 
     def test_equiv_sampled_mode(self, files, capsys):
         code = main(["equiv", "--a", files["safe_one.json"], "--b", files["safe_one.sexp"],

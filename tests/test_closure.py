@@ -150,12 +150,13 @@ def test_compile_up_outputs_restricted(name):
     assert_same_closure(a, *restricted(a))
 
 
+@pytest.mark.parametrize("max_rounds", [1, 2, None])
 @settings(max_examples=40)
-@given(automata(max_states=4, quasi_acyclic=True))
-def test_random_quasi_acyclic_automata(a):
-    assert_same_closure(a, *restricted(a))
+@given(a=automata(max_states=4, quasi_acyclic=True))
+def test_random_quasi_acyclic_automata(a, max_rounds):
+    assert_same_closure(a, *restricted(a), max_rounds)
     assume(len(a.traces()) <= 7)
-    assert_same_closure(a, a.states, a.traces())
+    assert_same_closure(a, a.states, a.traces(), max_rounds)
 
 
 def test_extension_choices_on_every_set_of_probe_traces():

@@ -273,6 +273,15 @@ UP_DIGESTS = {
     ("two_box", 2): "f51a57f93977af7b7f6c32a066c4c817d967fd04bb27abd58f78108f1bcf5521",
 }
 
+# SHA-256 of compile-down of compile-up output (formula text) for the other
+# benchmark formulas; safe_one's is test_up_down_flagship
+UP_DOWN_DIGESTS = {
+    "reach_one": "e06eab362c828424386e0877db89b8a22778d99e448307c92f42f6612d9689b1",
+    "boxed_one": "6e23c24a107f1e8b490229402ad5f31186a4ba4a49c2c180efd9c659ede868c7",
+    "two_and": "c3ab985ec60a3cfd07636a2b685af2b323706363ecc0da0f068e71a6b19d3e66",
+    "two_box": "efe7404505a6bb3ae71fc354e7ce3fdb0c1117e5a1937bb228b3feb3569f3549",
+}
+
 
 class TestPinnedOutputs:
     """Translation outputs pinned byte for byte."""
@@ -296,6 +305,11 @@ class TestPinnedOutputs:
         down = automaton_to_formula(formula_to_automaton(safe_one_formula()))
         assert _sha256(format_formula(down)) == (
             "f700da7679326e65941cc581de2ad8a1ed1d36fddad1b40b01142728dcb7636d")
+
+    @pytest.mark.parametrize("name", sorted(UP_DOWN_DIGESTS))
+    def test_up_down(self, name):
+        down = automaton_to_formula(formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name])))
+        assert _sha256(format_formula(down)) == UP_DOWN_DIGESTS[name]
 
 
 def _is_base_pair(a, h, t):
