@@ -186,10 +186,25 @@ def cmd_enables(args: argparse.Namespace) -> int:
     automaton = _load_automaton(args.automaton)
     closure = transform.compute_enables(automaton, max_rounds=args.max_rounds,
                                         max_traces=args.max_traces)
-    lines = []
-    for h, t in sorted(closure.pairs, key=lambda p: (len(p[1]), p[1], len(p[0]), sorted(p[0]))):
-        lines.append(json.dumps({"H": [list(x) for x in sorted(h)], "t": list(t)}))
-    _write(args.output, "\n".join(lines) + "\n")
+    # rows go by node trace (shorter first), then by neighbor set (smaller
+    # first, then by its sorted traces).  Ints stand in for both: a trace's
+    # rank, and a neighbor set's negated mask in which each trace weighs
+    # more than all later ones together, so of two sets of one size the one
+    # holding the first trace they differ in comes first.  Each trace and
+    # each distinct neighbor set is ranked and written as JSON once.
+    traces = sorted(automaton.traces())
+    weight = {x: 1 << (len(traces) - i) for i, x in enumerate(traces)}
+    node = {t: (i, json.dumps(list(t))) for i, t in enumerate(sorted(traces, key=lambda t: (len(t), t)))}
+    hoods: dict[frozenset, tuple[int, int, str]] = {}
+    rows = []
+    for h, t in closure.pairs:
+        if h not in hoods:
+            hoods[h] = (len(h), -sum(map(weight.__getitem__, h)), json.dumps([list(x) for x in sorted(h)]))
+        rank, t_json = node[t]
+        size, mask, h_json = hoods[h]
+        rows.append((rank, size, mask, f'{{"H": {h_json}, "t": {t_json}}}'))
+    rows.sort()  # the three ints differ between any two pairs, so no text is compared
+    _write(args.output, "\n".join(row[3] for row in rows) + "\n")
     print(f"pairs: {len(closure.pairs)}  iterations: {closure.iterations_used}", file=sys.stderr)
     return 0
 

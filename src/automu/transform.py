@@ -317,8 +317,14 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
 #
 # The closure runs over ints.  The trace universe is indexed: a set of
 # neighbor traces is a bitmask over that index, a set of states a |Q|-bit mask
-# over ``a.states`` and a node trace an index.  Masks become frozensets of
-# traces only where results leave the closure, each distinct mask once.
+# over ``a.states`` and a node trace an index.  The sets one step from a
+# neighbor set are built once per distinct set, by one product from those of
+# the set without its highest member.  Each round works per node trace: the
+# sets one step from all of its neighbor sets are unioned into one set, and
+# each member is extended by its last-state mask, decoded once per distinct
+# set over the whole closure.
+# Masks become frozensets of traces only where results leave the closure,
+# each distinct mask once.
 
 @dataclass(frozen=True)
 class EnablesSet:
@@ -338,41 +344,52 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _extension_choices(subs: Sequence[Sequence[tuple[int, int]]], h: int) -> dict[int, int]:
-    """All sets obtainable by replacing every trace in ``h`` with a nonempty
-    set of its one-step extensions (keeping the trace counts as extending by
-    its own last state).  Distinct neighbor nodes sharing a trace may diverge,
-    hence set-of-extensions rather than one extension per trace.
+def _extension_choices(subs: Sequence[Sequence[int]], memo: dict[int, tuple[int, ...]],
+                       h: int) -> tuple[int, ...]:
+    """The distinct sets obtainable by replacing every trace in ``h`` with a
+    nonempty set of its one-step extensions (keeping the trace counts as
+    extending by its own last state).  Distinct neighbor nodes sharing a
+    trace may diverge, hence set-of-extensions rather than one extension per
+    trace.
 
     ``h`` is a trace mask and ``subs[i]`` lists the nonempty subsets of trace
-    i's extensions, each as (trace mask, mask of their last states).  The
-    product is built one member of ``h`` at a time and drops duplicates at
-    every step, since a set holding both t and an extension of t reaches the
-    same result by many choices.  Returns each distinct result with the mask
-    of its last states; the empty set extends only to itself."""
-    acc = {0: 0}
-    for i in _bits(h):
-        acc = {x | s: x_lasts | s_lasts for x, x_lasts in acc.items() for s, s_lasts in subs[i]}
-    return acc
+    i's extensions as trace masks.  ``memo`` holds the result of every mask
+    built so far and starts as ``{0: (0,)}``: the empty set extends only to
+    itself.  The result for ``h`` is the product of the result for ``h``
+    without its highest member with that member's subsets.  Highest members
+    are dropped until a memoized mask is left, and the masks between it and
+    ``h`` are built and memoized on the way back, so each distinct mask costs
+    one product.  Duplicates are dropped as a product is built, since a set
+    holding both t and an extension of t reaches the same result by many
+    choices."""
+    tops = []
+    while h not in memo:
+        top = h.bit_length() - 1
+        tops.append(top)
+        h ^= 1 << top
+    got = memo[h]
+    for top in reversed(tops):
+        h |= 1 << top
+        acc: set[int] = set()
+        for s in subs[top]:
+            acc.update(map(s.__or__, got))
+        got = memo[h] = tuple(acc)
+    return got
 
 
-def _extension_subsets(traces: Sequence[Trace], last: Sequence[int]) -> list[list[tuple[int, int]]]:
+def _extension_subsets(traces: Sequence[Trace]) -> list[list[int]]:
     """Per trace of a prefix-closed list: every nonempty subset of the trace
-    and its one-step extensions in the list, as (trace mask, mask of their
-    last states); ``last[i]`` is the state index trace i ends in."""
+    and its one-step extensions in the list, as a trace mask."""
     index = {t: i for i, t in enumerate(traces)}
     ext = [1 << i for i in range(len(traces))]
     for i, t in enumerate(traces):
         if len(t) > 1:
             ext[index[t[:-1]]] |= 1 << i
-    subs: list[list[tuple[int, int]]] = []
+    subs: list[list[int]] = []
     for m in ext:
         row, s = [], m
         while s:
-            lasts = 0
-            for i in _bits(s):
-                lasts |= 1 << last[i]
-            row.append((s, lasts))
+            row.append(s)
             s = (s - 1) & m
         subs.append(row)
     return subs
@@ -424,9 +441,15 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
     are breadth-first layers; round 0 is the seeds alone.
 
     Returns the pairs, how many were processed, and the trace index they are
-    written over: a pair is (mask of H over the index, index of t).  Per
-    trace, a dict maps each last-state mask it has met to the index of the
-    trace extended by ``delta`` on that neighborhood."""
+    written over: a pair is (mask of H over the index, index of t).
+
+    Each round groups its frontier by node trace t.  The sets one step from
+    all of t's neighbor sets are unioned into one set, so each distinct set is
+    extended once per trace and round: its last-state mask (decoded once per
+    set over the whole closure) is looked up in t's dict from last-state mask
+    to the index of the trace extended by ``delta`` on that neighborhood.
+    The next frontier is still every pair one step from the frontier that is
+    not yet seen, so the rounds are those of a pair-by-pair search."""
     states = a.states
     n = len(states)
     if n > SUBSET_ENUMERATION_GUARD:
@@ -439,8 +462,8 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
     state_index = {q: i for i, q in enumerate(states)}
     traces = sorted(universe)
     index = {t: i for i, t in enumerate(traces)}
-    last = [state_index[t[-1]] for t in traces]
-    subs = _extension_subsets(traces, last)
+    last = [1 << state_index[t[-1]] for t in traces]
+    subs = _extension_subsets(traces)
     extended: list[dict[int, int]] = [{} for _ in traces]
 
     def step(t: int, lasts: int) -> int:
@@ -450,33 +473,43 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
         return extended[t][lasts]
 
     seed_ids = [state_index[q] for q in seeds]
-    frontier: list[tuple[int, int]] = []
+    frontier: dict[int, set[int]] = {}  # node trace -> neighbor sets
+    seen: set[tuple[int, int]] = set()
     for chosen in range(1 << len(seed_ids)):
         lasts = h = 0
         for i in _bits(chosen):
             lasts |= 1 << seed_ids[i]
             h |= 1 << index[(seeds[i],)]
-        frontier.extend((h, step(index[(q,)], lasts)) for q in seeds)
-    seen = set(frontier)
+        for q in seeds:
+            t = step(index[(q,)], lasts)
+            frontier.setdefault(t, set()).add(h)
+            seen.add((h, t))
     iterations = rounds = 0
-    choice_memo: dict[int, dict[int, int]] = {}
+    memo: dict[int, tuple[int, ...]] = {0: (0,)}
+    lasts_of: dict[int, int] = {}
     while frontier and (max_rounds is None or rounds < max_rounds):
         rounds += 1
-        iterations += len(frontier)
-        next_frontier = []
-        for h, t in frontier:
-            choices = choice_memo.get(h)
-            if choices is None:
-                choices = choice_memo[h] = _extension_choices(subs, h)
+        next_frontier: dict[int, set[int]] = {}
+        for t, hs in frontier.items():
+            iterations += len(hs)
+            xs: set[int] = set()
+            for h in hs:
+                xs.update(memo[h] if h in memo else _extension_choices(subs, memo, h))
             ext = extended[t]
-            for h2, lasts in choices.items():
+            for x in xs:
+                lasts = lasts_of.get(x)
+                if lasts is None:
+                    lasts = 0
+                    for i in _bits(x):
+                        lasts |= last[i]
+                    lasts_of[x] = lasts
                 t2 = ext.get(lasts)
                 if t2 is None:
                     t2 = step(t, lasts)
-                pair = (h2, t2)
+                pair = (x, t2)
                 if pair not in seen:
                     seen.add(pair)
-                    next_frontier.append(pair)
+                    next_frontier.setdefault(t2, set()).add(x)
         frontier = next_frontier
     return seen, iterations, traces
 

@@ -150,10 +150,18 @@ def test_compile_up_outputs_restricted(name):
     assert_same_closure(a, *restricted(a))
 
 
-@pytest.mark.parametrize("max_rounds", [1, 2, None])
+@settings(max_examples=40)
+@given(automata(max_states=4, quasi_acyclic=True))
+def test_random_quasi_acyclic_automata(a):
+    assert_same_closure(a, *restricted(a))
+    assume(len(a.traces()) <= 7)
+    assert_same_closure(a, a.states, a.traces())
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2])
 @settings(max_examples=40)
 @given(a=automata(max_states=4, quasi_acyclic=True))
-def test_random_quasi_acyclic_automata(a, max_rounds):
+def test_random_quasi_acyclic_automata_bounded_rounds(a, max_rounds):
     assert_same_closure(a, *restricted(a), max_rounds)
     assume(len(a.traces()) <= 7)
     assert_same_closure(a, a.states, a.traces(), max_rounds)
@@ -162,16 +170,18 @@ def test_random_quasi_acyclic_automata(a, max_rounds):
 def test_extension_choices_on_every_set_of_probe_traces():
     a = sample("sync_probe.json")
     traces = sorted(a.traces())
-    state = {q: i for i, q in enumerate(a.states)}
-    subs = transform._extension_subsets(traces, [state[t[-1]] for t in traces])
+    subs = transform._extension_subsets(traces)
     ext = reference_ext(traces)
+    memo = {0: (0,)}
     for r in range(len(traces) + 1):
         for h in itertools.combinations(range(len(traces)), r):
-            got = transform._extension_choices(subs, sum(1 << i for i in h))
-            decoded = {frozenset(traces[i] for i in transform._bits(x)):
-                       frozenset(a.states[j] for j in transform._bits(lasts))
-                       for x, lasts in got.items()}
-            assert decoded == dict(reference_extension_choices(ext, frozenset(traces[i] for i in h)))
+            mask = sum(1 << i for i in h)
+            got = transform._extension_choices(subs, memo, mask)  # one product on a memoized part
+            assert len(set(got)) == len(got)
+            assert set(transform._extension_choices(subs, {0: (0,)}, mask)) == set(got)  # built from nothing
+            decoded = {frozenset(traces[i] for i in transform._bits(x)) for x in got}
+            assert {x: frozenset(t[-1] for t in x) for x in decoded} == dict(
+                reference_extension_choices(ext, frozenset(traces[i] for i in h)))
 
 
 @pytest.mark.parametrize("name", ["sync_probe.json", "safe_one.json", "safe_one", "reach_one", "boxed_one"])
