@@ -6,6 +6,12 @@ the transition function has type Q x P(Q) -> Q.  That function is encoded
 finitely as an ordered list of guarded rules per state, with first-match
 semantics and a mandatory unconditional ``else`` rule at the end.
 
+An automaton owns its state encoding: bit i of a state mask stands for
+``states[i]``.  ``step`` is the transition function on that encoding, one
+memo per state from the neighborhood mask to the target, filled from the
+rule list; ``delta`` is the same function on state names, and the run
+engine, the synchronous kernel and the trace closure all read the encoding.
+
 Also here: the trace algebra (first / last / pushlast / popfirst) used by the
 asynchronous run semantics, and the state diagram behind quasi-acyclicity (no
 cycles other than self-loops) and the trace sets.  Each state's successors
@@ -23,7 +29,7 @@ import graphlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 
 class AutomatonFormatError(ValueError):
@@ -159,7 +165,15 @@ def _decide(guard: Guard, inn: int, free: int, mask: Callable[[frozenset[str]], 
     return (None, undecided) if undecided else (not decisive, 0)
 
 
-def _longest_path(diagram: dict[str, frozenset[str]]) -> int | None:
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _longest_path(diagram: dict) -> int | None:
     """The number of states on the longest path of a self-loop-free state
     diagram, or None when it has a cycle: one topological pass answers both."""
     depth: dict[str, int] = {}
@@ -222,6 +236,10 @@ class Automaton:
     rules: dict[str, tuple[TransitionRule, ...]]
     accepting: frozenset[str]
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the state encoding: state name -> i, bit i of a state mask
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # step's memo: per state index, neighborhood mask -> target index
+    step_memo: list[dict[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bits < 0:
@@ -231,7 +249,8 @@ class Automaton:
         if len(set(self.states)) != len(self.states):
             dup = next(s for s in self.states if self.states.count(s) > 1)
             raise AutomatonFormatError(f"duplicate state id {dup!r}")
-        declared = set(self.states)
+        object.__setattr__(self, "index", {q: i for i, q in enumerate(self.states)})
+        declared = self.index.keys()
         words_ok = all(len(w) == self.bits and set(w) <= {"0", "1"} for w in self.init)
         # 2^bits distinct bit strings of length ``bits`` are all of them; a
         # nonempty init bounds ``bits`` by a key's length before 1 << bits is formed
@@ -263,22 +282,37 @@ class Automaton:
                 bad = set().union(*named) - declared
                 if bad:
                     raise AutomatonFormatError(f"state {q!r}: guard references undeclared states {sorted(bad)!r}")
+        object.__setattr__(self, "step_memo", [{} for _ in self.states])
+
+    def mask(self, states: Iterable[str]) -> int:
+        """The state mask of a set of state names."""
+        out = 0
+        for s in states:
+            out |= 1 << self.index[s]
+        return out
+
+    def step(self, q: int, fronts: int) -> int:
+        """The transition function on the state encoding: the target of state
+        ``q`` on the neighborhood whose states are the bits of ``fronts``.  A
+        miss of ``step_memo[q]`` is filled from the rule list: the first rule
+        of q whose guard holds of the neighborhood wins."""
+        target = self.step_memo[q].get(fronts)
+        if target is None:
+            hood = frozenset(self.states[i] for i in _bits(fronts))
+            rule = next(r for r in self.rules[self.states[q]] if eval_guard(r.guard, hood))  # else ends it
+            target = self.step_memo[q][fronts] = self.index[rule.target]
+        return target
 
     def delta(self, q: str, neighbors: Iterable[str]) -> str:
-        """Evaluate the transition function: first rule of q whose guard holds
-        of the neighborhood set wins."""
+        """Evaluate the transition function on state names: ``step`` on
+        their encoding."""
         ns = frozenset(neighbors)
-        memo = self._cache.setdefault("delta", {})
-        hit = memo.get((q, ns))
-        if hit is not None:
-            return hit
-        if q not in self.rules:
+        if q not in self.index:
             raise KeyError(f"unknown state id {q!r}")
-        bad = ns - set(self.states)
+        bad = ns - self.index.keys()
         if bad:
             raise KeyError(f"unknown state ids in neighborhood: {sorted(bad)!r}")
-        memo[(q, ns)] = next(r.target for r in self.rules[q] if eval_guard(r.guard, ns))  # else ends it
-        return memo[(q, ns)]
+        return self.states[self.step(self.index[q], self.mask(ns))]
 
     def state_diagram(self, within: Iterable[str] | None = None) -> dict[str, frozenset[str]]:
         """Successor map { q -> { delta(q, N) != q : N subset of ``within`` } }
@@ -298,8 +332,7 @@ class Automaton:
         memo = self._cache.setdefault("successors", {})
         if (q, within) in memo:
             return memo[q, within]
-        bit = {s: 1 << i for i, s in enumerate(self.states)}
-        mask = functools.cache(lambda states: sum(bit[s] for s in states))
+        mask = functools.cache(self.mask)
         found = {q}  # a self-loop is not recorded
         regions = [(0, mask(within))]  # (states in N, states not yet decided)
         for count in itertools.count(1):
@@ -335,18 +368,17 @@ class Automaton:
     def is_quasi_acyclic(self) -> bool:
         """True iff the state diagram has no directed cycles except self-loops
         (equivalently: the trace set is finite).  The reference: it scans all
-        2^|Q| neighborhoods with ``delta``, independently of
+        2^|Q| neighborhood masks with ``step``, independently of
         ``state_diagram``, and is guarded to |Q| <= SUBSET_ENUMERATION_GUARD."""
         n = len(self.states)
         if n > SUBSET_ENUMERATION_GUARD:
             raise AutomatonTooLarge(f"the reference scan needs 2^{n} subset evaluations; "
                                     f"guard is |Q| <= {SUBSET_ENUMERATION_GUARD}")
-        diagram: dict[str, set[str]] = {q: set() for q in self.states}
-        for mask in range(1 << n):
-            subset = frozenset(s for i, s in enumerate(self.states) if mask >> i & 1)
-            for q in self.states:
-                diagram[q].add(self.delta(q, subset))
-        return _longest_path({q: frozenset(s - {q}) for q, s in diagram.items()}) is not None
+        diagram: list[set[int]] = [set() for _ in range(n)]
+        for fronts in range(1 << n):
+            for q, found in enumerate(diagram):
+                found.add(self.step(q, fronts))
+        return _longest_path({q: frozenset(found - {q}) for q, found in enumerate(diagram)}) is not None
 
     def traces(self, start: Iterable[str] | None = None) -> frozenset[Trace]:
         """The traces that begin in a state of ``start`` (default: every
@@ -436,7 +468,7 @@ def automaton_from_dict(doc: object) -> Automaton:
     for key in ("bits", "states", "init", "rules", "accepting"):
         if key not in doc:
             raise AutomatonFormatError(f"missing key {key!r}")
-    if not isinstance(doc["bits"], int):
+    if type(doc["bits"]) is not int:  # a JSON true or false is an int subclass, not an integer
         raise AutomatonFormatError("'bits' must be an integer")
     init = doc["init"]
     if not isinstance(init, dict) or not all(isinstance(q, str) for q in init.values()):

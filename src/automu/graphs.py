@@ -124,7 +124,7 @@ def digraph_from_dict(doc: object) -> Digraph:
         if key not in doc:
             raise GraphFormatError(f"missing key {key!r}")
     bits, nodes, labels, edges = doc["bits"], doc["nodes"], doc["labels"], doc["edges"]
-    if not isinstance(bits, int):
+    if type(bits) is not int:  # a JSON true or false is an int subclass, not an integer
         raise GraphFormatError("'bits' must be an integer")
     if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
         raise GraphFormatError("'nodes' must be a list of strings")

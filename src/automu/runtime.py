@@ -20,11 +20,11 @@ state; quiescence is absorbing under any timing, so verdicts at quiescence
 are definitive.
 
 ``async_run`` and ``check_consistency`` run on one engine, ``_run``, over an
-automaton and a graph compiled once into indices (``_Net``): states, buffers
-of state indices, activation bits and a memoized ``delta``.  ``async_step``,
-``is_quiescent``, ``sync_step`` and ``initial_configuration`` are the
-single-step API on named configurations and the reference the engine is
-tested against.
+automaton and a graph compiled once into indices (``_Net``): the automaton's
+state encoding, buffers of state indices, activation bits and the memoized
+``Automaton.step``.  ``async_step``, ``is_quiescent``, ``sync_step`` and
+``initial_configuration`` are the single-step API on named configurations
+and the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -314,7 +314,7 @@ def parse_timing(text: str) -> TimingPrefix:
         raise RuntimeFormatError("timing document needs 'lossless', 'K' and 'steps'")
     if not isinstance(doc["lossless"], bool):
         raise RuntimeFormatError("'lossless' must be true or false")
-    if not isinstance(doc["K"], int) or doc["K"] < 1:
+    if type(doc["K"]) is not int or doc["K"] < 1:  # a JSON true is an int subclass, not an integer
         raise RuntimeFormatError("'K' must be an integer >= 1")
     if not isinstance(doc["steps"], list):
         raise RuntimeFormatError("'steps' must be a list")
@@ -370,49 +370,34 @@ class RunReport:
 class _Net:
     """An automaton and a graph compiled once for the run engine.  Nodes are
     indices in ``g.nodes`` order, edges indices in ``g.sorted_edges`` order
-    (the sampler's), states indices into ``a.states``; a step's activation
-    is one bit per node, then one per edge.  ``delta`` reads a memo kept on
-    the automaton, one dict per state from the mask of the front states to
-    the target; a miss is filled from ``Automaton.delta``, so the rule list
-    stays the one definition of the transition function."""
+    (the sampler's), states the automaton's own encoding; a step's
+    activation is one bit per node, then one per edge.  The engine reads
+    ``Automaton.step``'s memo rows inline and calls ``step`` on a miss."""
 
     def __init__(self, a: Automaton, g: Digraph):
         if a.bits != g.bits:
             raise BitWidthMismatch(f"automaton is {a.bits}-bit, graph is {g.bits}-bit")
-        if "fronts" not in a._cache:
-            a._cache["fronts"] = (
-                {q: i for i, q in enumerate(a.states)},
-                sum(1 << i for i, q in enumerate(a.states) if q in a.accepting),
-                [{} for _ in a.states],
-            )
-        self.index, self.accepting, self.memo = a._cache["fronts"]
         self.a, self.g = a, g
+        self.accepting = a.mask(a.accepting)
         n, ends = len(g.nodes), g.edge_endpoints
         self.writers = [(n + j, u) for j, (u, _) in enumerate(ends)]  # (edge bit, writer)
         self.incoming = [[j for j, (_, w) in enumerate(ends) if w == v] for v in range(n)]
-        self.init = [self.index[a.init[g.labels[v]]] for v in g.nodes]
+        self.init = [a.index[a.init[g.labels[v]]] for v in g.nodes]
         self.ones = (1,) * (n + len(ends))
         # whether the initial configuration is quiescent, where every run stops at step 0
         self.quiet = self.fixed(self.init, [(self.init[u],) for _, u in self.writers])
 
-    def delta(self, q: int, fronts: int) -> int:
-        """Fill the memo for state ``q`` and the front states ``fronts``."""
-        a = self.a
-        hood = frozenset(s for i, s in enumerate(a.states) if fronts >> i & 1)
-        target = self.memo[q][fronts] = self.index[a.delta(a.states[q], hood)]
-        return target
-
     def fixed(self, state: list[int], bufs: list[tuple[int, ...]]) -> bool:
         """Every node's transition is a self-loop on its buffers' fronts:
         with every buffer a singleton, the configuration is quiescent."""
-        memo = self.memo
+        memo = self.a.step_memo
         for v, incoming in enumerate(self.incoming):
             q = state[v]
             fronts = 0
             for j in incoming:
                 fronts |= 1 << bufs[j][0]
             target = memo[q].get(fronts)
-            if (self.delta(q, fronts) if target is None else target) != q:
+            if (self.a.step(q, fronts) if target is None else target) != q:
                 return False
         return True
 
@@ -485,7 +470,7 @@ def _run(net: _Net, steps: Iterable[tuple[int, ...]], extend_until_quiescent: bo
     is always its writer's state, so every buffer mirrors its writer exactly
     when all are singletons; a step that changes nothing cannot make the
     configuration quiescent, so quiescence is only tested after a change."""
-    accepting, memo, delta, writers = net.accepting, net.memo, net.delta, net.writers
+    accepting, memo, transition, writers = net.accepting, net.a.step_memo, net.a.step, net.writers
     state = list(net.init)
     bufs = [(state[u],) for _, u in writers]
     traces = [(q,) for q in state]
@@ -507,7 +492,7 @@ def _run(net: _Net, steps: Iterable[tuple[int, ...]], extend_until_quiescent: bo
                         fronts |= 1 << bufs[j][0]
                     target = memo[q].get(fronts)
                     if target is None:
-                        target = delta(q, fronts)
+                        target = transition(q, fronts)
                     if target != q:
                         moved = True
                         state[v] = target
@@ -584,7 +569,7 @@ class _Kernel:
 
 
 def _compile_kernel(a: Automaton) -> _Kernel:
-    index = {q: i for i, q in enumerate(a.states)}
+    index = a.index
     keys: dict[tuple, int] = {}
     ops: list[tuple[int, int, int | tuple[int, ...]]] = []
     reads: list[int] = []  # slot -> the slots it is computed from, itself included, as a mask
@@ -599,9 +584,6 @@ def _compile_kernel(a: Automaton) -> _Kernel:
             reads.append(mask)
         return keys[code, args]
 
-    def states(qs: Iterable[str]) -> int:
-        return sum(1 << index[q] for q in set(qs))
-
     def guard_slot(guard: Guard) -> int:
         """subseteq(A) is "no neighbour outside A", supseteq(B) "a neighbour
         in every state of B"; the combinators fold their parts' slots."""
@@ -609,9 +591,9 @@ def _compile_kernel(a: Automaton) -> _Kernel:
         for g in reversed(_guard_parts(guard)):  # every part before its whole
             kind = _GUARD_SYNTAX[type(g)][0]
             if kind == "subseteq":
-                slot[id(g)] = intern(_NOT, (intern(_ANY, (1 << len(index)) - 1 ^ states(g.states)),))
+                slot[id(g)] = intern(_NOT, (intern(_ANY, (1 << len(index)) - 1 ^ a.mask(g.states)),))
             elif kind == "supseteq":
-                slot[id(g)] = intern(_ALL, states(g.states))
+                slot[id(g)] = intern(_ALL, a.mask(g.states))
             elif kind == "not":
                 slot[id(g)] = intern(_NOT, (slot[id(g.inner)],))
             elif kind == "else":
@@ -630,7 +612,7 @@ def _compile_kernel(a: Automaton) -> _Kernel:
         per_state.append(tuple(op for op in ops if mask >> op[0] & 1))
     return _Kernel(
         init={w: index[q] for w, q in a.init.items()},
-        accepting=states(a.accepting),
+        accepting=a.mask(a.accepting),
         slots=len(ops),
         ops=tuple(per_state),
         rules=rules,

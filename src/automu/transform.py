@@ -29,7 +29,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
     ELSE,
@@ -43,6 +43,7 @@ from .automata import (
     SubsetEq,
     Trace,
     TransitionRule,
+    _bits,
     trace_pushlast,
 )
 from .logic import (
@@ -164,14 +165,13 @@ def shallow_sat(f: Formula, q: Iterable[str], s: Iterable[Iterable[str]]) -> boo
     return sat(f)
 
 
-def _shallow_guard(f: Formula, dia: Mapping[str, Guard], box: Mapping[str, Guard]
-                   ) -> Callable[[frozenset[str]], bool | Guard]:
-    """``shallow_sat(f, q, .)`` as a guard over the neighborhood, per state
-    q: atoms read from q fold to constants, ``Dia X`` and ``Box X`` become
-    ``dia[X]`` (not a subset of the states lacking X) and ``box[X]`` (a subset
-    of the states containing X), giving True or False when no guard is
-    needed.  ``f`` is walked once, into a post-order program of the nodes
-    that read q; every other node is folded once."""
+def _shallow_guards(bodies: Sequence[Formula], q: frozenset[str], dia: Mapping[str, Guard],
+                    box: Mapping[str, Guard]) -> list[bool | Guard]:
+    """``shallow_sat(body, q, .)`` for every body, as a guard over the
+    neighborhood: atoms read from q fold to constants, ``Dia X`` and ``Box X``
+    become ``dia[X]`` (not a subset of the states lacking X) and ``box[X]``
+    (a subset of the states containing X), giving True or False when no
+    guard is needed.  One ``_fold`` of the bodies per state."""
 
     def join(unit: bool, kids: Sequence[bool | Guard]) -> bool | Guard:
         kind = AndGuard if unit else OrGuard  # True is neutral for And, False for Or
@@ -185,34 +185,19 @@ def _shallow_guard(f: Formula, dia: Mapping[str, Guard], box: Mapping[str, Guard
             return parts[0] if parts else unit
         return kind(tuple(parts))
 
-    program: list[Callable[[frozenset[str], list], bool | Guard]] = []
-
-    def node(g: Formula, kids: list) -> object:
-        # a constant, or [i]: the value of program step i
+    def node(g: Formula, kids: list) -> bool | Guard:
         head = _head(g)
-        if head in ("true", "false"):
-            return head == "true"
         if head in ("dia", "box"):
             return (dia if head == "dia" else box)[_children(g)[0].name]
-        if head in ("p", "not-p", "var"):
-            atom, want = g.name if head == "var" else f"p{g.index}", head != "not-p"
-            program.append(lambda q, vals: (atom in q) == want)
-        elif any(isinstance(k, list) for k in kids):
-            program.append(lambda q, vals: join(head == "and", [vals[k[0]] if isinstance(k, list) else k
-                                                               for k in kids]))
-        else:
-            return join(head == "and", kids)
-        return [len(program) - 1]
+        if head == "var":
+            return g.name in q
+        if head in ("p", "not-p"):
+            return (f"p{g.index}" in q) == (head == "p")
+        if head in ("true", "false"):
+            return head == "true"
+        return join(head == "and", kids)
 
-    root = _fold([f], node)[0]
-
-    def at(q: frozenset[str]) -> bool | Guard:
-        vals: list[bool | Guard] = []
-        for step in program:
-            vals.append(step(q, vals))
-        return vals[root[0]]
-
-    return at if isinstance(root, list) else lambda q: root
+    return _fold(bodies, node)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +216,7 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
     (state, S); accepting states are those containing the first variable.
 
     Rules are symbolic: at state q each body becomes a guard over the
-    neighborhood (``_shallow_guard``).  Variables whose guard folds to true
+    neighborhood (``_shallow_guards``).  Variables whose guard folds to true
     are always added, those folding to false never; for the remaining open
     variables one rule per subset, largest first, adds exactly that subset.
     The table has sum over q of 2^|open(q)| <= 2^bits * 3^vars rules, checked
@@ -271,13 +256,11 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
            for y in flat.vars}
 
     # per state: what every transition adds, and the guards of the open variables
-    guards = [_shallow_guard(body, dia, box) for body in flat.bodies]
     plan: list[tuple[frozenset[str], list[tuple[str, Guard]]]] = []
     for q in subsets:
         always, open_vars = set(q), []
-        for x, guard_at in zip(flat.vars, guards):
+        for x, g in zip(flat.vars, _shallow_guards(flat.bodies, q, dia, box)):
             if x not in q:
-                g = guard_at(q)
                 if g is True:
                     always.add(x)
                 elif g is not False:
@@ -316,10 +299,10 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
 # the trace-driving relation
 #
 # The closure runs over ints.  The trace universe is indexed: a set of
-# neighbor traces is a bitmask over that index, a set of states a |Q|-bit mask
-# over ``a.states`` and a node trace an index.  The sets one step from a
-# neighbor set are built once per distinct set, by one product from those of
-# the set without its highest member.  Each round works per node trace: the
+# neighbor traces is a bitmask over that index, a set of states a mask in the
+# automaton's state encoding and a node trace an index.  The sets one step
+# from a neighbor set are built once per distinct set, by one product from
+# those of the set without its highest member.  Each round works per node trace: the
 # sets one step from all of its neighbor sets are unioned into one set, and
 # each member is extended by its last-state mask, decoded once per distinct
 # set over the whole closure.
@@ -334,14 +317,6 @@ class EnablesSet:
 
     pairs: frozenset[tuple[frozenset[Trace], Trace]]
     iterations_used: int
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _extension_choices(subs: Sequence[Sequence[int]], memo: dict[int, tuple[int, ...]],
@@ -418,6 +393,8 @@ def compute_enables(a: Automaton, max_rounds: int | None = None,
     ``max_rounds`` limits derivation depth (round 0 = seeds only), which
     yields a sound under-approximation for inspecting large automata.
     """
+    if max_rounds is not None and max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     traces = a.traces()  # raises NotQuasiAcyclic on infinite trace sets
     if len(traces) > max_traces and max_rounds is None:
         raise AutomatonTooLarge(
@@ -447,7 +424,7 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
     all of t's neighbor sets are unioned into one set, so each distinct set is
     extended once per trace and round: its last-state mask (decoded once per
     set over the whole closure) is looked up in t's dict from last-state mask
-    to the index of the trace extended by ``delta`` on that neighborhood.
+    to the index of the trace extended by ``Automaton.step`` on that mask.
     The next frontier is still every pair one step from the frontier that is
     not yet seen, so the rounds are those of a pair-by-pair search."""
     states = a.states
@@ -459,20 +436,19 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
             f"trace closure over {n} states refused: the _extension_choices products over its "
             f"reachable traces outgrow memory; guard is |Q| <= {SUBSET_ENUMERATION_GUARD}"
         )
-    state_index = {q: i for i, q in enumerate(states)}
     traces = sorted(universe)
     index = {t: i for i, t in enumerate(traces)}
-    last = [1 << state_index[t[-1]] for t in traces]
+    last = [1 << a.index[t[-1]] for t in traces]
     subs = _extension_subsets(traces)
     extended: list[dict[int, int]] = [{} for _ in traces]
 
     def step(t: int, lasts: int) -> int:
-        """Trace ``t`` extended by delta(its last state, ``lasts``)."""
-        q2 = a.delta(traces[t][-1], [states[j] for j in _bits(lasts)])
-        extended[t][lasts] = index[trace_pushlast(traces[t], q2)]
+        """Trace ``t`` extended by the step of its last state on ``lasts``."""
+        q2 = a.step(a.index[traces[t][-1]], lasts)
+        extended[t][lasts] = index[trace_pushlast(traces[t], states[q2])]
         return extended[t][lasts]
 
-    seed_ids = [state_index[q] for q in seeds]
+    seed_ids = [a.index[q] for q in seeds]
     frontier: dict[int, set[int]] = {}  # node trace -> neighbor sets
     seen: set[tuple[int, int]] = set()
     for chosen in range(1 << len(seed_ids)):

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -17,14 +18,17 @@ from automu.automata import (
     SupsetEq,
     TransitionRule,
     automaton_to_json,
+    eval_guard,
     parse_automaton,
     trace_first,
     trace_last,
     trace_popfirst,
     trace_pushlast,
 )
-from automu.zoo import safe_one_automaton, sync_probe_automaton
-from strategies import automata, state_traces
+from automu.runtime import async_run, fuzz_consistency, sample_timing
+from automu.transform import automaton_to_formula
+from automu.zoo import chain_graph, safe_one_automaton, sync_probe_automaton
+from strategies import automata, make_automaton, state_traces
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -145,6 +149,39 @@ class TestDelta:
                 out = a.delta(q, subset)
                 assert out in a.states
                 assert a.delta(q, subset) == out
+
+
+def rule_list_target(a, q, fronts):
+    """The reference: the first rule of state index ``q`` whose guard holds
+    of the neighborhood mask ``fronts``, as a state index."""
+    hood = frozenset(s for i, s in enumerate(a.states) if fronts >> i & 1)
+    return a.states.index(next(r.target for r in a.rules[a.states[q]] if eval_guard(r.guard, hood)))
+
+
+class TestStep:
+    def test_step_is_the_first_matching_rule(self):
+        for seed in range(40):
+            a = make_automaton(random.Random(seed), max_states=5, bits=1)
+            n = len(a.states)
+            assert a.index == {s: i for i, s in enumerate(a.states)}
+            for q in range(n):
+                for fronts in range(1 << n):
+                    assert a.step(q, fronts) == rule_list_target(a, q, fronts), (seed, q, fronts)
+                    assert a.mask(s for i, s in enumerate(a.states) if fronts >> i & 1) == fronts
+
+    @pytest.mark.parametrize("seed", [None, *range(6)])
+    def test_memo_after_compile_down_fuzz_and_run(self, seed):
+        # compile-down's closure and the run engine fill the one memo
+        a = (safe_one_automaton() if seed is None
+             else make_automaton(random.Random(seed), max_states=5, bits=1, quasi_acyclic=True))
+        automaton_to_formula(a)
+        fuzz_consistency(a, max_nodes=3, graphs=8, timings_per_graph=4, seed=7)
+        g = chain_graph()
+        async_run(a, g, sample_timing(g, steps=6, seed=3))
+        filled = [(q, fronts, target) for q, row in enumerate(a.step_memo) for fronts, target in row.items()]
+        assert filled
+        for q, fronts, target in filled:
+            assert target == rule_list_target(a, q, fronts), (q, fronts)
 
 
 class TestTraceOperators:

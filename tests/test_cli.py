@@ -202,6 +202,10 @@ MALFORMED = {
     # RecursionError inside the JSON decoder
     **{f"{flag[2:]}_json_deep": (flag, "[" * 100000 + "]" * 100000)
        for flag in ("--timing", "--automaton", "--graph")},
+    # JSON true is a Python int, and a width or a bound of 1 made of it used to pass
+    "graph_bits_true": ("--graph", json.dumps({**digraph_to_dict(chain_graph()), "bits": True})),
+    "automaton_bits_true": ("--automaton", json.dumps({**_automaton_doc(), "bits": True})),
+    "timing_K_true": ("--timing", json.dumps({**_timing_doc(), "K": True})),
 }
 
 
@@ -451,6 +455,14 @@ class TestRoundTrips:
                      "--max-rounds", "1", "-o", str(out)]) == 0
         assert out.read_text().splitlines()
         capsys.readouterr()
+
+    def test_enables_negative_rounds_exits_2(self, files, tmp_path, capsys):
+        out = tmp_path / "closure.jsonl"
+        assert main(["enables", "--automaton", files["safe_one.json"],
+                     "--max-rounds", "-1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_rounds must be >= 0" in err
+        assert not out.exists()
 
     def test_enables_flagship_two_rounds_pinned(self, tmp_path, capsys):
         out = tmp_path / "closure.jsonl"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from automu import transform
-from automu.automata import Automaton, Trace, parse_automaton, trace_pushlast
+from automu.automata import ELSE, Automaton, Trace, TransitionRule, parse_automaton, trace_pushlast
 from automu.logic import parse_formula
 from automu.transform import compute_enables, formula_to_automaton
 from strategies import automata
@@ -131,6 +131,14 @@ def test_probe_full_closure():
     got = compute_enables(a)
     assert (got.pairs, got.iterations_used) == (ref_pairs, ref_iterations)
     assert len(ref_pairs) == 96
+
+
+def test_negative_rounds_are_refused_before_the_trace_set():
+    # a two-state cycle, whose trace set would raise NotQuasiAcyclic
+    a = Automaton(bits=0, states=("a", "b"), init={"": "a"}, accepting=frozenset(),
+                  rules={"a": (TransitionRule(ELSE, "b"),), "b": (TransitionRule(ELSE, "a"),)})
+    with pytest.raises(ValueError, match="max_rounds must be >= 0, got -1"):
+        compute_enables(a, max_rounds=-1)
 
 
 def test_flagship_one_round():
