@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import transform
-from .automata import Automaton, automaton_to_json, parse_automaton
+from .automata import Automaton, _bits, automaton_to_json, parse_automaton
 from .graphs import digraph_to_dict, parse_digraph
 from .harness import Device, equiv_exhaustive, equiv_sampled
 from .logic import MuSystem, format_formula, lfp, parse_formula
@@ -188,24 +188,22 @@ def cmd_enables(args: argparse.Namespace) -> int:
                                         max_traces=args.max_traces)
     # rows go by node trace (shorter first), then by neighbor set (smaller
     # first, then by its sorted traces).  Ints stand in for both: a trace's
-    # rank, and a neighbor set's negated mask in which each trace weighs
-    # more than all later ones together, so of two sets of one size the one
-    # holding the first trace they differ in comes first.  Each trace and
-    # each distinct neighbor set is ranked and written as JSON once.
-    traces = sorted(automaton.traces())
-    weight = {x: 1 << (len(traces) - i) for i, x in enumerate(traces)}
-    node = {t: (i, json.dumps(list(t))) for i, t in enumerate(sorted(traces, key=lambda t: (len(t), t)))}
-    hoods: dict[frozenset, tuple[int, int, str]] = {}
+    # rank, and a set's mask with its bits reversed and negated, as of two sets
+    # of one size the one holding the lowest (first sorted) bit they differ in
+    # comes first.  Each trace and each distinct set is written as JSON once.
+    traces = closure.traces
+    as_json = [json.dumps(list(t)) for t in traces]
+    rank = {i: r for r, i in enumerate(sorted(range(len(traces)), key=lambda i: (len(traces[i]), traces[i])))}
+    hoods: dict[int, tuple[int, int, str]] = {}
     rows = []
-    for h, t in closure.pairs:
+    for h, t in closure.mask_pairs:
         if h not in hoods:
-            hoods[h] = (len(h), -sum(map(weight.__getitem__, h)), json.dumps([list(x) for x in sorted(h)]))
-        rank, t_json = node[t]
-        size, mask, h_json = hoods[h]
-        rows.append((rank, size, mask, f'{{"H": {h_json}, "t": {t_json}}}'))
+            hoods[h] = (h.bit_count(), -int(f"{h:0{len(traces)}b}"[::-1], 2),
+                        "[" + ", ".join(as_json[i] for i in _bits(h)) + "]")
+        rows.append((rank[t], *hoods[h], as_json[t]))
     rows.sort()  # the three ints differ between any two pairs, so no text is compared
-    _write(args.output, "\n".join(row[3] for row in rows) + "\n")
-    print(f"pairs: {len(closure.pairs)}  iterations: {closure.iterations_used}", file=sys.stderr)
+    _write(args.output, "".join(f'{{"H": {h}, "t": {t}}}\n' for *_, h, t in rows))
+    print(f"pairs: {len(closure.mask_pairs)}  iterations: {closure.iterations_used}", file=sys.stderr)
     return 0
 
 

@@ -225,7 +225,7 @@ def _formula_from_sexp(node: object) -> Formula:
     head = node[0]
     args = node[1:]
     if head in ("p", "not-p"):
-        if len(args) != 1 or not isinstance(args[0], str) or not args[0].isdigit():
+        if len(args) != 1 or not isinstance(args[0], str) or not (args[0].isascii() and args[0].isdigit()):
             raise FormulaSyntaxError(f"({head} <int>) expected, got {node!r}")
         return _CLASS_OF_HEAD[head](int(args[0]))
     if head == "var":

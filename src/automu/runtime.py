@@ -137,6 +137,8 @@ def synchronous_activation(g: Digraph) -> Activation:
 
 
 def synchronous_prefix(g: Digraph, steps: int) -> TimingPrefix:
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     act = synchronous_activation(g)
     return TimingPrefix(steps=(act,) * steps, lossless=True, starvation_bound=1)
 
@@ -275,6 +277,8 @@ def sample_timing(
     seed: int = 0,
 ) -> TimingPrefix:
     """Materialize ``steps`` activation maps from a TimingSampler."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     sampler = TimingSampler(g, p_active, starvation_bound, lossless, seed)
     return TimingPrefix(
         steps=tuple(sampler.next_step() for _ in range(steps)),

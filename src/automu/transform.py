@@ -28,8 +28,8 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property, reduce
+from typing import Iterable, Mapping, Sequence
 
 from .automata import (
     ELSE,
@@ -61,6 +61,7 @@ from .logic import (
     _children,
     _fold,
     _head,
+    _postorder,
     _rebuild,
 )
 
@@ -165,13 +166,14 @@ def shallow_sat(f: Formula, q: Iterable[str], s: Iterable[Iterable[str]]) -> boo
     return sat(f)
 
 
-def _shallow_guards(bodies: Sequence[Formula], q: frozenset[str], dia: Mapping[str, Guard],
-                    box: Mapping[str, Guard]) -> list[bool | Guard]:
+def _shallow_guards(nodes: list, bodies: Sequence[Formula], q: frozenset[str],
+                    dia: Mapping[str, Guard], box: Mapping[str, Guard]) -> list[bool | Guard]:
     """``shallow_sat(body, q, .)`` for every body, as a guard over the
     neighborhood: atoms read from q fold to constants, ``Dia X`` and ``Box X``
     become ``dia[X]`` (not a subset of the states lacking X) and ``box[X]``
     (a subset of the states containing X), giving True or False when no
-    guard is needed.  One ``_fold`` of the bodies per state."""
+    guard is needed.  ``nodes`` is ``_postorder(bodies)`` as a list: it is
+    walked once per compile-up and folded once per state."""
 
     def join(unit: bool, kids: Sequence[bool | Guard]) -> bool | Guard:
         kind = AndGuard if unit else OrGuard  # True is neutral for And, False for Or
@@ -188,7 +190,7 @@ def _shallow_guards(bodies: Sequence[Formula], q: frozenset[str], dia: Mapping[s
     def node(g: Formula, kids: list) -> bool | Guard:
         head = _head(g)
         if head in ("dia", "box"):
-            return (dia if head == "dia" else box)[_children(g)[0].name]
+            return (dia if head == "dia" else box)[g.inner.name]
         if head == "var":
             return g.name in q
         if head in ("p", "not-p"):
@@ -197,7 +199,10 @@ def _shallow_guards(bodies: Sequence[Formula], q: frozenset[str], dia: Mapping[s
             return head == "true"
         return join(head == "and", kids)
 
-    return _fold(bodies, node)
+    value: dict[int, bool | Guard] = {}  # id of a node -> its guard
+    for g, kids in nodes:
+        value[id(g)] = node(g, [value[id(k)] for k in kids])
+    return [value[id(b)] for b in bodies]
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +261,11 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
            for y in flat.vars}
 
     # per state: what every transition adds, and the guards of the open variables
+    nodes = list(_postorder(flat.bodies))
     plan: list[tuple[frozenset[str], list[tuple[str, Guard]]]] = []
     for q in subsets:
         always, open_vars = set(q), []
-        for x, g in zip(flat.vars, _shallow_guards(flat.bodies, q, dia, box)):
+        for x, g in zip(flat.vars, _shallow_guards(nodes, flat.bodies, q, dia, box)):
             if x not in q:
                 if g is True:
                     always.add(x)
@@ -298,25 +304,31 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
 # ---------------------------------------------------------------------------
 # the trace-driving relation
 #
-# The closure runs over ints.  The trace universe is indexed: a set of
-# neighbor traces is a bitmask over that index, a set of states a mask in the
-# automaton's state encoding and a node trace an index.  The sets one step
-# from a neighbor set are built once per distinct set, by one product from
-# those of the set without its highest member.  Each round works per node trace: the
-# sets one step from all of its neighbor sets are unioned into one set, and
-# each member is extended by its last-state mask, decoded once per distinct
-# set over the whole closure.
-# Masks become frozensets of traces only where results leave the closure,
-# each distinct mask once.
+# The closure runs over ints.  The trace universe is indexed by a sorted
+# list: a set of neighbor traces is a bitmask over that index, a set of
+# states a mask in the automaton's state encoding and a node trace an index.
+# The sets one step from a neighbor set are built once per distinct set, by
+# one product from those of the set without its highest member.  Each round
+# works per node trace: the sets one step from all of its neighbor sets are
+# unioned into one set, and each member is extended by its last-state mask,
+# decoded once per distinct set over the whole closure.  The results stay
+# masks; as the index is sorted, a set's traces in order are its bits lowest first.
 
 @dataclass(frozen=True)
 class EnablesSet:
     """Closure of the driving relation: (H, t) means a node starting at
     t's first state can traverse t while seeing its incoming neighbors
-    traverse exactly the traces in H."""
+    traverse exactly the traces in H.  ``mask_pairs`` holds them as (mask of
+    H, index of t) over the sorted ``traces``."""
 
-    pairs: frozenset[tuple[frozenset[Trace], Trace]]
+    traces: tuple[Trace, ...]
+    mask_pairs: frozenset[tuple[int, int]]
     iterations_used: int
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[frozenset[Trace], Trace]]:
+        sets = {h: frozenset(self.traces[i] for i in _bits(h)) for h in {h for h, _ in self.mask_pairs}}
+        return frozenset((sets[h], self.traces[t]) for h, t in self.mask_pairs)
 
 
 def _extension_choices(subs: Sequence[Sequence[int]], memo: dict[int, tuple[int, ...]],
@@ -352,34 +364,30 @@ def _extension_choices(subs: Sequence[Sequence[int]], memo: dict[int, tuple[int,
     return got
 
 
-def _extension_subsets(traces: Sequence[Trace]) -> list[list[int]]:
-    """Per trace of a prefix-closed list: every nonempty subset of the trace
-    and its one-step extensions in the list, as a trace mask."""
+def _prefix_masks(traces: Sequence[Trace]) -> tuple[list[int], list[int], list[int]]:
+    """Per trace of a sorted prefix-closed list, as trace masks: the trace with
+    its one-step extensions, with its prefixes, and with all its extensions."""
     index = {t: i for i, t in enumerate(traces)}
-    ext = [1 << i for i in range(len(traces))]
-    for i, t in enumerate(traces):
+    steps, prefixes, extensions = ([1 << i for i in range(len(traces))] for _ in range(3))
+    for i, t in enumerate(traces):  # a trace's prefixes sort before it
         if len(t) > 1:
-            ext[index[t[:-1]]] |= 1 << i
+            steps[index[t[:-1]]] |= 1 << i
+            prefixes[i] |= prefixes[index[t[:-1]]]
+        for j in _bits(prefixes[i]):
+            extensions[j] |= 1 << i
+    return steps, prefixes, extensions
+
+
+def _extension_subsets(steps: Sequence[int]) -> list[list[int]]:
+    """Every nonempty subset of each of ``_prefix_masks``' one-step extension masks."""
     subs: list[list[int]] = []
-    for m in ext:
+    for m in steps:
         row, s = [], m
         while s:
             row.append(s)
             s = (s - 1) & m
         subs.append(row)
     return subs
-
-
-def _decoded(pairs: Iterable[tuple[int, int]], traces: Sequence[Trace]
-             ) -> Iterator[tuple[frozenset[Trace], Trace]]:
-    """``_pair_closure``'s pairs as (set of traces, trace), decoding every
-    distinct mask once."""
-    sets: dict[int, frozenset[Trace]] = {}
-    for h, t in pairs:
-        hs = sets.get(h)
-        if hs is None:
-            hs = sets[h] = frozenset(traces[i] for i in _bits(h))
-        yield hs, traces[t]
 
 
 def compute_enables(a: Automaton, max_rounds: int | None = None,
@@ -395,21 +403,20 @@ def compute_enables(a: Automaton, max_rounds: int | None = None,
     """
     if max_rounds is not None and max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
-    traces = a.traces()  # raises NotQuasiAcyclic on infinite trace sets
+    traces = sorted(a.traces())  # raises NotQuasiAcyclic on infinite trace sets
     if len(traces) > max_traces and max_rounds is None:
         raise AutomatonTooLarge(
             f"full closure over {len(traces)} traces (up to |T|*2^|T| pairs) exceeds "
             f"the guard of {max_traces}; pass max_rounds for a bounded under-approximation"
         )
-    pairs, iterations, index = _pair_closure(a, a.states, traces, max_rounds)
-    return EnablesSet(pairs=frozenset(_decoded(pairs, index)), iterations_used=iterations)
+    pairs, iterations = _pair_closure(a, a.states, traces, max_rounds)
+    return EnablesSet(tuple(traces), frozenset(pairs), iterations)
 
 
-def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
-                  max_rounds: int | None = None
-                  ) -> tuple[set[tuple[int, int]], int, list[Trace]]:
+def _pair_closure(a: Automaton, seeds: Sequence[str], traces: Sequence[Trace],
+                  max_rounds: int | None = None) -> tuple[set[tuple[int, int]], int]:
     """The driving pairs derivable from ``seeds`` with neighbor traces drawn
-    from ``universe``, a prefix-closed trace set that also holds every node
+    from ``traces``, a sorted prefix-closed trace list that also holds every node
     trace the closure reaches (all traces do, and so do the traces reachable
     from initialization).  Seeds: every set N of seed states, as length-1
     traces, drives each seed q extended by delta(q, N).  Step: from (H, t),
@@ -417,8 +424,8 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
     apiece drives t extended by delta(t's last, last states of H').  Rounds
     are breadth-first layers; round 0 is the seeds alone.
 
-    Returns the pairs, how many were processed, and the trace index they are
-    written over: a pair is (mask of H over the index, index of t).
+    Returns the pairs and how many were processed.  A pair is written over
+    ``traces`` as (mask of H, index of t).
 
     Each round groups its frontier by node trace t.  The sets one step from
     all of t's neighbor sets are unioned into one set, so each distinct set is
@@ -436,10 +443,9 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
             f"trace closure over {n} states refused: the _extension_choices products over its "
             f"reachable traces outgrow memory; guard is |Q| <= {SUBSET_ENUMERATION_GUARD}"
         )
-    traces = sorted(universe)
     index = {t: i for i, t in enumerate(traces)}
     last = [1 << a.index[t[-1]] for t in traces]
-    subs = _extension_subsets(traces)
+    subs = _extension_subsets(_prefix_masks(traces)[0])
     extended: list[dict[int, int]] = [{} for _ in traces]
 
     def step(t: int, lasts: int) -> int:
@@ -487,33 +493,35 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], universe: Iterable[Trace],
                     seen.add(pair)
                     next_frontier.setdefault(t2, set()).add(x)
         frontier = next_frontier
-    return seen, iterations, traces
+    return seen, iterations
 
 
 # ---------------------------------------------------------------------------
 # automaton -> formula
 
-def _reachable_traces(a: Automaton) -> frozenset[Trace]:
-    """Traces a node can traverse in a run started from initialization."""
-    return a.traces(start=a.init.values())
+def _reachable_traces(a: Automaton) -> list[Trace]:
+    """The traces a node can traverse in a run started from initialization, sorted."""
+    return sorted(a.traces(start=a.init.values()))
 
 
-def _driver_closure(a: Automaton) -> dict[Trace, list[frozenset[Trace]]]:
+def _driver_closure(a: Automaton) -> dict[Trace, list[int]]:
     """Driving pairs restricted to what runs started from initialization can
     exhibit: node and neighbor traces begin at initialization states, and
     neighborhoods draw on reachable traces only.  Every produced pair belongs
     to the full closure; conversely every neighbor-trace set arising in a
     synchronous run (on any digraph) is produced, which is exactly what the
-    formula construction needs."""
-    init_states = sorted(set(a.init.values()))
-    pairs, _, traces = _pair_closure(a, init_states, _reachable_traces(a))
-    families: dict[Trace, list[frozenset[Trace]]] = {}
-    for h, t in _decoded(pairs, traces):
-        families.setdefault(t, []).append(h)
+    formula construction needs.  Neighbor sets are grouped by node trace, as
+    masks over ``_reachable_traces(a)``."""
+    traces = _reachable_traces(a)
+    pairs, _ = _pair_closure(a, sorted(set(a.init.values())), traces)
+    families: dict[Trace, list[int]] = {}
+    for h, t in pairs:
+        families.setdefault(traces[t], []).append(h)
     return families
 
 
-def _prune_family(family: list[frozenset[Trace]]) -> list[frozenset[Trace]]:
+def _prune_family(family: list[int], prefixes: Sequence[int],
+                  extensions: Sequence[int]) -> list[int]:
     """Keep only subsumption-minimal neighborhood descriptions; dropped
     members are implied by a kept one wherever they hold.
 
@@ -522,37 +530,23 @@ def _prune_family(family: list[frozenset[Trace]]) -> list[frozenset[Trace]]:
     member of ``small``.  Under any valuation in which a trace's set is
     contained in each of its prefixes' sets, the neighborhood described by
     ``big`` also matches the (weaker) description by ``small``.  Sets are
-    tested as masks over the traces the family names: with ``down`` the
-    prefixes and ``up`` the extensions of a set's members, ``small`` covers
-    ``big`` iff small ⊆ down(big) and big ⊆ up(small)."""
-    ordered = sorted(set(family), key=lambda h: (len(h), sorted(h)))
-    bit = {t: 1 << i for i, t in enumerate(sorted(set().union(*ordered)))}
-    down = dict.fromkeys(bit, 0)
-    up = dict.fromkeys(bit, 0)
-    for y in bit:
-        for k in range(1, len(y) + 1):
-            x = y[:k]
-            if x in bit:
-                down[y] |= bit[x]
-                up[x] |= bit[y]
-    coded = []  # (set, its mask, the mask of its prefixes, the mask of its extensions)
-    for h in ordered:
-        m = h_down = h_up = 0
-        for t in h:
-            m |= bit[t]
-            h_down |= down[t]
-            h_up |= up[t]
-        coded.append((h, m, h_down, h_up))
+    masks over a sorted trace index, with its ``_prefix_masks``: with
+    ``down`` the prefixes and ``up`` the extensions of a set's members,
+    ``small`` covers ``big`` iff small ⊆ down(big) and big ⊆ up(small)."""
 
     def covers(small: tuple, big: tuple) -> bool:
-        return not (small[1] & ~big[2] or big[1] & ~small[3])
+        return not (small[0] & ~big[1] or big[0] & ~small[2])
 
-    kept: list[tuple] = []
-    for h in coded:
-        if any(covers(k, h) for k in kept):
-            continue
-        kept = [k for k in kept if not covers(h, k)]
-        kept.append(h)
+    kept: list[tuple] = []  # (set, the mask of its prefixes, the mask of its extensions)
+    for h in sorted(family, key=lambda h: (h.bit_count(), list(_bits(h)))):
+        down = up = 0
+        for i in _bits(h):
+            down |= prefixes[i]
+            up |= extensions[i]
+        coded = (h, down, up)
+        if not any(covers(k, coded) for k in kept):
+            kept = [k for k in kept if not covers(coded, k)]
+            kept.append(coded)
     return [k[0] for k in kept]
 
 
@@ -593,7 +587,9 @@ def automaton_to_formula(a: Automaton) -> MuSystem:
     """
     traces = sorted(a.traces(), key=lambda t: (len(t), t))
     names = _trace_var_names(traces)
-    families = {t: _prune_family(f) for t, f in _driver_closure(a).items()}
+    index = _reachable_traces(a)  # what the neighbor-set masks are over
+    _, prefixes, extensions = _prefix_masks(index)
+    families = {t: _prune_family(f, prefixes, extensions) for t, f in _driver_closure(a).items()}
 
     head = _or_all([Var(names[t]) for t in traces if t[-1] in a.accepting])
 
@@ -608,7 +604,7 @@ def automaton_to_formula(a: Automaton) -> MuSystem:
         else:
             options = []
             for h in families.get(t, []):
-                members = sorted(h)
+                members = [index[i] for i in _bits(h)]
                 options.append(_and_all(
                     [Dia(Var(names[m])) for m in members]
                     + [Box(_or_all([Var(names[m]) for m in members]))]

@@ -161,6 +161,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "must be >=" in captured.err
 
+    @pytest.mark.parametrize("flags", [["--sample", "-3"], ["--steps", "-3"], ["--sync", "--steps", "-3"]])
+    def test_negative_step_count(self, files, flags, capsys):
+        assert main(["run", "--automaton", files["safe_one.json"], "--graph", files["chain.json"],
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "steps must be >= 0, got -3" in captured.err
+
     def test_equiv_checked_independent_of_jobs(self, tmp_path, capsys):
         a, b = tmp_path / "reach.sexp", tmp_path / "boxed.sexp"
         a.write_text("(mu ((X (or (p 0) (dia (var X))))))")
@@ -471,6 +478,14 @@ class TestRoundTrips:
         assert capsys.readouterr().err == "pairs: 163952  iterations: 20480\n"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "3ae2870d47145cec3bf22abdd4c694c2210d2ef24a42b88f2a3dcc12e7d57712")
+
+    def test_enables_probe_full_closure_pinned(self, tmp_path, capsys):
+        out = tmp_path / "closure.jsonl"
+        assert main(["enables", "--automaton", str(SAMPLES / "sync_probe.json"), "-o", str(out)]) == 0
+        assert capsys.readouterr().err == "pairs: 96  iterations: 96\n"
+        assert len(out.read_text().splitlines()) == 96
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ba187aad77cf3549a872baa522faf14170eee512c022833dc1a06e3045a970f1")
 
     def test_equiv_sampled_mode(self, files, capsys):
         code = main(["equiv", "--a", files["safe_one.json"], "--b", files["safe_one.sexp"],

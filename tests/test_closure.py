@@ -102,15 +102,33 @@ def reference_prune_family(family):
 
 # ---------------------------------------------------------------------------
 
+def decoder(traces):
+    """A trace mask over ``traces`` as the frozenset of its traces."""
+    return lambda h: frozenset(traces[i] for i in transform._bits(h))
+
+
 def closure(a, seeds, universe, max_rounds=None):
     """The closure under test, decoded to the reference's terms."""
-    pairs, iterations, traces = transform._pair_closure(a, seeds, universe, max_rounds)
-    return set(transform._decoded(pairs, traces)), iterations
+    traces = sorted(universe)
+    pairs, iterations = transform._pair_closure(a, seeds, traces, max_rounds)
+    decode = decoder(traces)
+    return {(decode(h), traces[t]) for h, t in pairs}, iterations
 
 
 def restricted(a):
     """Seeds and universe of compile-down's closure."""
     return sorted(set(a.init.values())), transform._reachable_traces(a)
+
+
+def assert_same_prune(a):
+    """``_prune_family`` on every family of compile-down's closure keeps what
+    the reference keeps, in the same order."""
+    index = transform._reachable_traces(a)
+    _, prefixes, extensions = transform._prefix_masks(index)
+    decode = decoder(index)
+    for family in transform._driver_closure(a).values():
+        got = transform._prune_family(family, prefixes, extensions)
+        assert [decode(h) for h in got] == reference_prune_family([decode(h) for h in family])
 
 
 def assert_same_closure(a, seeds, universe, max_rounds=None):
@@ -178,7 +196,7 @@ def test_random_quasi_acyclic_automata_bounded_rounds(a, max_rounds):
 def test_extension_choices_on_every_set_of_probe_traces():
     a = sample("sync_probe.json")
     traces = sorted(a.traces())
-    subs = transform._extension_subsets(traces)
+    subs = transform._extension_subsets(transform._prefix_masks(traces)[0])
     ext = reference_ext(traces)
     memo = {0: (0,)}
     for r in range(len(traces) + 1):
@@ -187,20 +205,17 @@ def test_extension_choices_on_every_set_of_probe_traces():
             got = transform._extension_choices(subs, memo, mask)  # one product on a memoized part
             assert len(set(got)) == len(got)
             assert set(transform._extension_choices(subs, {0: (0,)}, mask)) == set(got)  # built from nothing
-            decoded = {frozenset(traces[i] for i in transform._bits(x)) for x in got}
+            decoded = set(map(decoder(traces), got))
             assert {x: frozenset(t[-1] for t in x) for x in decoded} == dict(
                 reference_extension_choices(ext, frozenset(traces[i] for i in h)))
 
 
 @pytest.mark.parametrize("name", ["sync_probe.json", "safe_one.json", "safe_one", "reach_one", "boxed_one"])
 def test_prune_keeps_what_the_covers_rule_keeps(name):
-    a = sample(name) if name.endswith(".json") else up(name)
-    for family in transform._driver_closure(a).values():
-        assert transform._prune_family(family) == reference_prune_family(family)
+    assert_same_prune(sample(name) if name.endswith(".json") else up(name))
 
 
 @settings(max_examples=40)
 @given(automata(max_states=4, quasi_acyclic=True))
 def test_prune_on_random_automata(a):
-    for family in transform._driver_closure(a).values():
-        assert transform._prune_family(family) == reference_prune_family(family)
+    assert_same_prune(a)

@@ -61,6 +61,12 @@ class TestParsing:
     def test_inferred_bits(self):
         assert parse_formula("(mu ((X0 (p 3))))").bits == 4
 
+    @pytest.mark.parametrize("index", ["²", "٣", "-1"])
+    def test_const_index_takes_ascii_digits_only(self, index):
+        for head in ("p", "not-p"):
+            with pytest.raises(FormulaSyntaxError, match=f"\\({head} <int>\\) expected"):
+                parse_formula(f"(mu ((X ({head} {index}))))")
+
     def test_unbalanced(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("(mu ((X0 true))")
