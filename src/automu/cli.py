@@ -8,6 +8,7 @@ enables.  Exit codes: 0 = pass/true, 1 = counterexample/false/inconsistent,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -207,7 +208,10 @@ def cmd_enables(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (``parse_args``
+    does not change it)."""
     parser = argparse.ArgumentParser(
         prog="automu",
         description="distributed automata, backward fixpoint logic, and the translations between them",

@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -203,83 +203,137 @@ def count_digraphs(max_nodes: int, bits: int) -> int:
 
 
 class Domain:
-    """The node sets of several digraphs on the same m nodes and edges, held
-    in one int each.  Node v owns the slice of bits [v*W, (v+1)*W), one bit
-    per digraph; the digraphs may differ in their labels only.
+    """The node sets of W digraphs on the same m nodes, held in one int
+    each.  Node v owns the slice of bits [v*W, (v+1)*W), bit j of each slice
+    standing for digraph j; the digraphs may differ in their labels and
+    edges.
 
-    A single digraph is the W = 1 domain (``of_digraph``).  An edge mask is
-    the domain of its 2^(bits*m) labelings, bit L of each slice standing for
-    labeling L, or of one block of them when there are too many
-    (``of_edge_mask``).  ``dia`` is memoized per domain."""
+    A single digraph is the W = 1 domain (``of_digraph``), and any W of
+    them one domain of width W (``of_digraphs``).  A block of the
+    enumeration is the domain of 2^MAX_SLICE_BITS consecutive digraphs
+    (``of_block``): all labelings of several edge masks when labelings are
+    few, part of one edge mask's when they are many.  ``dia`` is memoized
+    per domain."""
 
-    __slots__ = ("width", "full", "words", "leaves", "_sources", "_slot", "_image")
+    __slots__ = ("m", "width", "full", "words", "leaves", "_sources", "_image")
 
-    def __init__(self, width: int, spread: list[int], words: Mapping[str, int], bits: int):
+    def __init__(self, m: int, width: int, edges: Mapping[tuple[int, int], int],
+                 words: Mapping[str, int], bits: int):
+        """``edges`` maps each (u, v) to its selector, the W-bit mask of the
+        digraphs with the edge u -> v, and ``words`` each label to the nodes
+        that carry it."""
+        self.m = m
         self.width = width
-        self.full = (1 << len(spread) * width) - 1
-        self.words = words  # label -> the nodes that carry it
+        self.full = (1 << m * width) - 1
+        self.words = words
         # bit b -> the nodes whose label has bit b set (the words are disjoint)
         self.leaves = tuple(sum(s for w, s in words.items() if w[b] == "1") for b in range(bits))
-        # (u * W, u's out-neighbours in every slice) for each node u with out-edges
-        self._sources = tuple((u * width, s) for u, s in enumerate(spread) if s)
-        self._slot = (1 << width) - 1
+        # (u * W, a selector, v * W for the targets v of u's edges that share it)
+        targets: dict[tuple[int, int], list[int]] = {}
+        for (u, v), selector in edges.items():
+            if selector:
+                targets.setdefault((u * width, selector), []).append(v * width)
+        self._sources = tuple((shift, selector, tuple(ts)) for (shift, selector), ts in targets.items())
         self._image: dict[int, int] = {}
 
     @classmethod
     def of_digraph(cls, g: Digraph) -> "Domain":
         """g alone; node v of the domain is g.nodes[v]."""
-        index = {v: i for i, v in enumerate(g.nodes)}
-        words: dict[str, int] = {}
-        for v, i in index.items():
-            words[g.labels[v]] = words.get(g.labels[v], 0) | 1 << i
-        spread = [0] * len(index)
-        for u, v in g.edges:
-            spread[index[u]] |= 1 << index[v]
-        return cls(1, spread, words, g.bits)
+        return cls.of_digraphs([g])
 
     @classmethod
-    def of_edge_mask(cls, m: int, bits: int, mask: int, block: int = 0) -> "Domain":
-        """``indexed_digraph(m, bits, mask, L)`` for the labelings L of block
-        ``block``, bit j of every slice standing for labeling
-        block * W + j, where W = ``slice_width(m, bits)``."""
+    def of_digraphs(cls, gs: Sequence[Digraph]) -> "Domain":
+        """The digraphs, all on m nodes and of one label width, bit j of
+        every slice standing for gs[j]; node v of the domain is node v of
+        each digraph's ``nodes``."""
+        width, m, bits = len(gs), len(gs[0].nodes), gs[0].bits
+        words: dict[str, int] = {}
+        edges: dict[tuple[int, int], int] = {}
+        for j, g in enumerate(gs):
+            for v, node in enumerate(g.nodes):
+                w = g.labels[node]
+                words[w] = words.get(w, 0) | 1 << v * width + j
+            for e in g.edge_endpoints:
+                edges[e] = edges.get(e, 0) | 1 << j
+        return cls(m, width, edges, words, bits)
+
+    @classmethod
+    def of_block(cls, m: int, bits: int, block: int) -> "Domain":
+        """The W = ``slice_width(m, bits)`` digraphs of m nodes with
+        enumeration indices i in [block * W, (block + 1) * W), bit j of every
+        slice standing for index block * W + j.  Index i is the digraph
+        ``indexed_digraph(m, bits, *divmod(i, 2^(bits*m)))``: its edge mask
+        times the labelings per mask, plus its labeling."""
         width = slice_width(m, bits)
-        spread = [0] * m
-        for u, v in edge_pairs(m, mask):
-            spread[u] |= 1 << v * width
-        return cls(width, spread, _slice_words(m, bits, width, block), bits)
+        period = 1 << bits * m  # labelings per edge mask
+        first = block * width
+        # the edge bits that change within the block select runs of labelings;
+        # the others are those of the block's first edge mask
+        varying = _varying_selectors(width, period)
+        mask, slot = first // period, (1 << width) - 1
+        edges: dict[tuple[int, int], int] = {}
+        for e in range(m * m):  # bit e of an edge mask is the edge (e // m, e % m)
+            if e < len(varying):
+                edges[e // m, e % m] = varying[e]
+            elif mask >> e & 1:
+                edges[e // m, e % m] = slot
+        return cls(m, width, edges, _slice_words(m, bits, width, first % period), bits)
 
     def dia(self, s: int) -> int:
         """The nodes with an incoming neighbour in s: OR over edges (u, v) of
-        u's slice moved to v's, one multiplication per source node."""
+        u's slice, restricted to the digraphs that have the edge, moved to
+        v's; one mask per source node and selector, and one shift per
+        target that shares it (a multiplication by the targets' sum would
+        cost more at wide W than the shifts)."""
         out = self._image.get(s)
         if out is None:
             out = 0
-            for shift, spread in self._sources:
-                out |= (s >> shift & self._slot) * spread
+            for shift, selector, targets in self._sources:
+                moved = s >> shift & selector
+                if moved:
+                    for t in targets:
+                        out |= moved << t
             self._image[s] = out
         return out
 
 
-# the log2 of the most labelings one domain holds, which keeps a node set of
+# the log2 of the most digraphs one block holds, which keeps a node set of
 # m nodes within m * 2^MAX_SLICE_BITS bits
 MAX_SLICE_BITS = 12
 
 
 def slice_width(m: int, bits: int) -> int:
-    """How many labelings of m nodes one edge-mask domain holds: all
-    2^(bits*m), or 2^MAX_SLICE_BITS per block when there are more."""
-    return 1 << min(bits * m, MAX_SLICE_BITS)
+    """How many digraphs of m nodes one block of the enumeration holds: all
+    2^(m*m + bits*m) of them, or 2^MAX_SLICE_BITS when there are more."""
+    return 1 << min(m * m + bits * m, MAX_SLICE_BITS)
 
 
 @functools.lru_cache(maxsize=64)
-def _slice_words(m: int, bits: int, width: int, block: int) -> dict[str, int]:
-    """Label -> the nodes that carry it, over labelings [block * width,
-    (block + 1) * width) of m nodes.  Every domain of the block shares the
-    dict, so it is never written after this."""
+def _varying_selectors(width: int, period: int) -> tuple[int, ...]:
+    """For each edge bit e that changes within a block of ``width`` indices
+    (blocks start at a multiple of ``width``, and each edge mask spans
+    ``period`` of them), the W-bit mask of the indices whose edge mask has
+    bit e: the upper half of every 2^(e+1) masks' run of indices."""
+    out = []
+    run = period
+    while run < width:  # ``run`` indices share bit e of their edge mask
+        upper = ((1 << run) - 1) << run
+        out.append(upper * (((1 << width) - 1) // ((1 << 2 * run) - 1)))
+        run *= 2
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _slice_words(m: int, bits: int, width: int, start: int) -> dict[str, int]:
+    """Label -> the nodes that carry it, over the labelings (start + j) mod
+    2^(bits*m) of m nodes for j < width.  Every domain of the block shares
+    the dict, so it is never written after this."""
+    period = min(width, 1 << bits * m)
+    repeat = ((1 << width) - 1) // ((1 << period) - 1)  # bit k * period for every k
     words: dict[str, int] = {}
-    for j in range(width):
-        for v, w in enumerate(labeling(m, bits, block * width + j)):
-            words[w] = words.get(w, 0) | 1 << (v * width + j)
+    for j in range(period):
+        for v, w in enumerate(labeling(m, bits, start + j)):
+            words[w] = words.get(w, 0) | repeat << v * width + j
     return words
 
 

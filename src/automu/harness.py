@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
+from . import graphs
 from .automata import Automaton
 from .graphs import (  # enumerate_digraphs and random_digraph are looked up here by perfbench
     BitWidthMismatch,
@@ -98,30 +99,28 @@ def _accepting_mask(d: Device, domain: Domain) -> int:
     raise TypeError(f"not a device: {d!r}")
 
 
-def _units(max_nodes: int, bits: int) -> list[tuple[int, int]]:
-    """(m, the units at m nodes) for m = 1..max_nodes.  A unit is one edge
-    mask with one block of W = ``slice_width(m, bits)`` of its labelings,
-    which is all of them unless 2^(bits*m) > 2^MAX_SLICE_BITS.  Units come in
-    enumeration order: m ascending, then edge mask, then block."""
-    return [(m, (1 << m * m) * ((1 << bits * m) // slice_width(m, bits))) for m in range(1, max_nodes + 1)]
+def _blocks(max_nodes: int, bits: int) -> list[tuple[int, int]]:
+    """(m, the blocks at m nodes) for m = 1..max_nodes.  A block is W =
+    ``slice_width(m, bits)`` consecutive digraphs of the enumeration, so
+    blocks come in enumeration order: m ascending, then edge mask, then
+    labeling."""
+    return [(m, (1 << m * m + bits * m) // slice_width(m, bits)) for m in range(1, max_nodes + 1)]
 
 
 def _exhaustive_slice(
     d1: Device, d2: Device, max_nodes: int, start: int, stop: int
 ) -> tuple[Counterexample | None, int]:
-    """Scan units [start, stop) of the enumeration, both devices evaluating
-    all labelings of a unit at once; return the first disagreement (or None)
-    and the points checked up to it.  A unit that agrees everywhere counts m
-    points per labeling.  In the first that does not, the disagreement is at
-    its lowest labeling, then lowest node, and the count stops after that
-    labeling: both are what a scan graph by graph finds."""
+    """Scan blocks [start, stop) of the enumeration, both devices evaluating
+    all digraphs of a block at once; return the first disagreement (or None)
+    and the points checked up to it.  A block that agrees everywhere counts m
+    points per digraph.  In the first that does not, the disagreement is at
+    its lowest digraph, then lowest node, and the count stops after that
+    digraph: both are what a scan graph by graph finds."""
     bits = d1.bits
     checked = offset = 0
-    for m, count in _units(max_nodes, bits):
-        blocks = count >> m * m
-        for unit in range(max(start - offset, 0), min(stop - offset, count)):
-            mask, block = divmod(unit, blocks)
-            domain = Domain.of_edge_mask(m, bits, mask, block)
+    for m, count in _blocks(max_nodes, bits):
+        for block in range(max(start - offset, 0), min(stop - offset, count)):
+            domain = Domain.of_block(m, bits, block)
             s1 = _accepting_mask(d1, domain)
             s2 = _accepting_mask(d2, domain)
             width = domain.width
@@ -129,12 +128,12 @@ def _exhaustive_slice(
                 checked += m * width
                 continue
             diff, slot = s1 ^ s2, (1 << width) - 1
-            labelings = 0  # those on which some node disagrees
+            digraphs = 0  # those on which some node disagrees
             for v in range(m):
-                labelings |= diff >> v * width & slot
-            j = (labelings & -labelings).bit_length() - 1
+                digraphs |= diff >> v * width & slot
+            j = (digraphs & -digraphs).bit_length() - 1
             v = next(v for v in range(m) if diff >> v * width + j & 1)
-            g = indexed_digraph(m, bits, mask, block * width + j)
+            g = indexed_digraph(m, bits, *divmod(block * width + j, 1 << bits * m))
             at = v * width + j
             return Counterexample(g, g.nodes[v], bool(s1 >> at & 1), bool(s2 >> at & 1)), checked + m * (j + 1)
         offset += count
@@ -143,14 +142,14 @@ def _exhaustive_slice(
 
 def equiv_exhaustive(d1: Device, d2: Device, max_nodes: int, jobs: int = 1) -> EquivVerdict:
     """Compare the devices on every digraph with up to ``max_nodes`` nodes and
-    every point, in enumeration order, all labelings of an edge mask at once
-    (bitsliced, see ``Domain``).  The first disagreement and ``checked`` are
-    those of a scan graph by graph, and the same at any job count: parallel
-    workers scan disjoint ranges of edge masks and the earliest disagreeing
-    range wins."""
+    every point, in enumeration order, a block of 2^MAX_SLICE_BITS digraphs
+    at once (bitsliced, see ``Domain``).  The first disagreement and
+    ``checked`` are those of a scan graph by graph, and the same at any job
+    count: parallel workers scan disjoint ranges of blocks and the earliest
+    disagreeing range wins."""
     check_budget(max_nodes, jobs)
     _require_same_bits(d1, d2)
-    total = sum(count for _, count in _units(max_nodes, d1.bits))
+    total = sum(count for _, count in _blocks(max_nodes, d1.bits))
     cex, checked = first_hit(_exhaustive_slice, [
         (d1, d2, max_nodes, start, stop) for start, stop in split_range(total, jobs)
     ], jobs)
@@ -160,12 +159,35 @@ def equiv_exhaustive(d1: Device, d2: Device, max_nodes: int, jobs: int = 1) -> E
 def _sampled_slice(
     d1: Device, d2: Device, max_nodes: int, seeds: list[int]
 ) -> tuple[Counterexample | None, int]:
-    for offset, s in enumerate(seeds):
-        p = random_digraph(random.Random(s), max_nodes, d1.bits)
-        v1 = device_accepts(d1, p)
-        v2 = device_accepts(d2, p)
-        if v1 != v2:
-            return Counterexample(p.graph, p.point, v1, v2), offset + 1
+    """Draw a digraph per seed and compare the devices at its point, in
+    batches of 1, 2, 4, ... samples so that an early disagreement stays
+    cheap; a batch's samples of one node count share one domain.  Return
+    the lowest disagreeing sample (or None) and the samples checked up to
+    it."""
+    done, size = 0, 1
+    while done < len(seeds):
+        batch = [random_digraph(random.Random(s), max_nodes, d1.bits)
+                 for s in seeds[done:done + size]]
+        by_nodes: dict[int, list[int]] = {}  # m -> the batch positions of its samples
+        for i, p in enumerate(batch):
+            by_nodes.setdefault(len(p.graph.nodes), []).append(i)
+        hits = []  # (batch position, verdicts) of each node count's lowest disagreement
+        for positions in by_nodes.values():
+            domain = Domain.of_digraphs([batch[i].graph for i in positions])
+            s1 = _accepting_mask(d1, domain)
+            s2 = _accepting_mask(d2, domain)
+            diff = s1 ^ s2
+            for j, i in enumerate(positions):
+                p = batch[i]
+                at = p.graph.nodes.index(p.point) * domain.width + j
+                if diff >> at & 1:
+                    hits.append((i, bool(s1 >> at & 1), bool(s2 >> at & 1)))
+                    break
+        if hits:
+            i, v1, v2 = min(hits)
+            return Counterexample(batch[i].graph, batch[i].point, v1, v2), done + i + 1
+        done += len(batch)
+        size = min(2 * size, 1 << graphs.MAX_SLICE_BITS)
     return None, len(seeds)
 
 
@@ -175,8 +197,9 @@ def equiv_sampled(
     """Compare the devices at a random point of ``samples`` random digraphs
     (edge probability 0.5, uniform labels); deterministic for a given seed
     (each sample runs off its own derived sub-seed, so job count does not
-    change which digraphs are drawn).  Sampling can only refute equivalence,
-    never establish it."""
+    change which digraphs are drawn).  The samples are evaluated in batches,
+    one domain per node count, and the lowest disagreeing one is reported.
+    Sampling can only refute equivalence, never establish it."""
     check_budget(max_nodes, jobs, samples=samples)
     _require_same_bits(d1, d2)
     rng = random.Random(seed)

@@ -118,10 +118,14 @@ def _rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
     return type(f)(*kids) if kids else f
 
 
-def _postorder(roots: Iterable[Formula]) -> Iterator[tuple[Formula, list[Formula]]]:
+def _postorder(
+    roots: Iterable[Formula], seen: set[int] | None = None
+) -> Iterator[tuple[Formula, list[Formula]]]:
     """Every node object under the roots once, with its children, children
-    first.  The walk keeps its own stack, so a chain of any length is fine."""
-    seen: set[int] = set()
+    first; nodes whose ids are in ``seen`` (which the walk extends) are
+    skipped.  The walk keeps its own stack, so a chain of any length is
+    fine."""
+    seen = set() if seen is None else seen
     for root in roots:
         stack: list[tuple[Formula, list[Formula] | None]] = [(root, None)]
         while stack:
@@ -144,10 +148,6 @@ def _fold(roots: Sequence[Formula], node: Callable[[Formula, list], object]) -> 
     return [value[id(root)] for root in roots]
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g, _ in _postorder([f]) if _head(g) == "var")
-
-
 def max_const_index(f: Formula) -> int:
     """Largest constant index used, or -1 if none."""
     return max((g.index for g, _ in _postorder([f]) if _head(g) in ("p", "not-p")), default=-1)
@@ -157,7 +157,8 @@ def max_const_index(f: Formula) -> int:
 class MuSystem:
     """Simultaneous least fixpoint over variables ``vars`` with one body per
     variable.  The first variable is the one whose fixpoint component defines
-    satisfaction."""
+    satisfaction.  ``bits=None`` stands for the smallest width that covers
+    every constant used."""
 
     bits: int
     vars: tuple[str, ...]
@@ -172,15 +173,29 @@ class MuSystem:
         if len(set(self.vars)) != len(self.vars):
             raise FormulaSyntaxError("duplicate variable name")
         declared = set(self.vars)
+        # one walk over all bodies: a node shared with an earlier body is not
+        # visited again, and whatever it holds was checked at that body
+        seen: set[int] = set()
+        top = -1
         for x, body in zip(self.vars, self.bodies):
-            loose = free_vars(body) - declared
+            loose: set[str] = set()
+            body_top = -1
+            for f, _ in _postorder([body], seen):
+                cls = type(f)
+                if cls is Var:
+                    if f.name not in declared:
+                        loose.add(f.name)
+                elif cls is Const or cls is NegConst:
+                    body_top = max(body_top, f.index)
             if loose:
                 raise FormulaSyntaxError(f"unknown variable {sorted(loose)[0]!r} in body of {x!r}")
-            top = max_const_index(body)
-            if top >= self.bits:
+            if self.bits is not None and body_top >= self.bits:
                 raise FormulaSyntaxError(
-                    f"constant index {top} out of range for {self.bits}-bit labels (body of {x!r})"
+                    f"constant index {body_top} out of range for {self.bits}-bit labels (body of {x!r})"
                 )
+            top = max(top, body_top)
+        if self.bits is None:
+            object.__setattr__(self, "bits", top + 1)
 
 
 Valuation = Mapping[str, AbstractSet[str]]
@@ -268,8 +283,6 @@ def _parse_formula(text: str, bits: int | None) -> MuSystem:
             raise FormulaSyntaxError(f"expected (NAME <f>) pair, got {entry!r}")
         names.append(entry[0])
         bodies.append(_formula_from_sexp(entry[1]))
-    if bits is None:
-        bits = max((max_const_index(b) for b in bodies), default=-1) + 1
     return MuSystem(bits=bits, vars=tuple(names), bodies=tuple(bodies))
 
 

@@ -630,8 +630,10 @@ def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
     read once for all nodes from has[q], and moves q's nodes by a
     first-match fold over them.  The run is deterministic over finitely
     many configurations, so it is simulated until the whole configuration
-    repeats: every digraph's own run has then repeated too, and acceptance
-    is decided exactly."""
+    repeats or for |Q|^m configurations, whichever comes first: each
+    digraph's own run has by then shown every configuration it ever reaches,
+    and acceptance is decided exactly.  (Digraphs whose runs cycle with
+    different periods repeat jointly only after the lcm of the periods.)"""
     kernel = a._cache.get("kernel")
     if kernel is None:
         kernel = a._cache["kernel"] = _compile_kernel(a)
@@ -643,12 +645,13 @@ def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
     visited = 0
     seen: set[frozenset[tuple[int, int]]] = set()
     vals = [0] * kernel.slots
+    configurations = len(a.states) ** domain.m  # of one digraph
     while True:
         for q, nodes in states.items():
             if accepting >> q & 1:
                 visited |= nodes
         key = frozenset(states.items())
-        if key in seen:
+        if key in seen or len(seen) + 1 == configurations:
             return visited
         seen.add(key)
         has = [(1 << q, dia(nodes)) for q, nodes in states.items()]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from automu import graphs
 from automu.graphs import (
     BitWidthMismatch,
     Digraph,
@@ -146,25 +147,54 @@ def product_enumeration(max_nodes, bits):
                 yield Digraph(bits=bits, nodes=nodes, labels=dict(zip(nodes, assignment)), edges=edges)
 
 
+def assert_domain_holds(d: Domain, gs: list[Digraph], at: list[int], rng: random.Random) -> None:
+    """Digraph gs[k] is bit at[k] of every slice of d: its labels in the
+    words and leaves, and its incoming neighbours under ``dia``, also of
+    node sets that hold other digraphs' nodes as well."""
+    width, m = d.width, d.m
+    assert d.full == (1 << m * width) - 1
+    for k, g in enumerate(gs):
+        j = at[k]
+        for i, v in enumerate(g.nodes):
+            bit = i * width + j
+            assert [w for w, s in d.words.items() if s >> bit & 1] == [g.labels[v]]
+            assert [d.leaves[b] >> bit & 1 for b in range(g.bits)] == [int(c) for c in g.labels[v]]
+        for s in range(2**m):
+            inner = {g.nodes[i] for i in range(m) if s >> i & 1}
+            sliced = sum(1 << i * width + j for i in range(m) if s >> i & 1)
+            noise = rng.getrandbits(m * width) & ~sum(1 << i * width + j for i in range(m))
+            for mixed in (sliced, sliced | noise):
+                image = d.dia(mixed)
+                assert [image >> i * width + j & 1 for i in range(m)] == [
+                    int(bool(g.incoming(v) & inner)) for v in g.nodes]
+
+
 class TestDomain:
     @pytest.mark.parametrize("bits", [0, 1, 2])
     def test_edge_mask_domain_holds_every_labeling(self, bits):
-        # slice bit L of node v: its label in labeling L, and its incoming
-        # neighbours in that digraph
+        # index i = mask * 2^(bits*m) + L of the enumeration is bit
+        # i mod W of block i // W: a block holds whole edge masks here
+        rng = random.Random(bits)
         for m in range(1, 4):
-            width = slice_width(m, bits)
+            width, period = slice_width(m, bits), 2 ** (bits * m)
             for mask in range(0, 2 ** (m * m), 7):
-                d = Domain.of_edge_mask(m, bits, mask)
-                for index in range(2 ** (bits * m)):
-                    g = indexed_digraph(m, bits, mask, index)
-                    for i, v in enumerate(g.nodes):
-                        at = i * width + index
-                        assert d.words[g.labels[v]] >> at & 1
-                        assert [d.leaves[b] >> at & 1 for b in range(bits)] == [int(c) for c in g.labels[v]]
-                        for s in range(2**m):
-                            inner = {g.nodes[j] for j in range(m) if s >> j & 1}
-                            sliced = sum(1 << j * width + index for j in range(m) if s >> j & 1)
-                            assert bool(d.dia(sliced) >> at & 1) == bool(g.incoming(v) & inner)
+                first = mask * period
+                d = Domain.of_block(m, bits, first // width)
+                gs = [indexed_digraph(m, bits, mask, index) for index in range(period)]
+                assert_domain_holds(d, gs, [(first + index) % width for index in range(period)], rng)
+
+    @pytest.mark.parametrize("bits", [0, 1, 2])
+    def test_blocks_partition_the_enumeration(self, bits, monkeypatch):
+        # with at most 8 digraphs a block, blocks span several edge masks at
+        # few labelings and split one at many
+        monkeypatch.setattr(graphs, "MAX_SLICE_BITS", 3)
+        rng = random.Random(bits)
+        for m in range(1, 4):
+            width, period = slice_width(m, bits), 2 ** (bits * m)
+            assert width == min(8, 2 ** (m * m) * period)
+            for block in range(0, 2 ** (m * m) * period // width, 5):
+                gs = [indexed_digraph(m, bits, *divmod(block * width + j, period)) for j in range(width)]
+                assert_domain_holds(Domain.of_block(m, bits, block), gs, list(range(width)), rng)
 
     def test_digraph_domain(self):
         g = Digraph(bits=2, nodes=("a", "b", "c"), labels={"a": "10", "b": "11", "c": "10"},
@@ -174,6 +204,19 @@ class TestDomain:
         assert d.words == {"10": 0b101, "11": 0b010}
         assert d.leaves == (0b111, 0b010)
         assert d.dia(0b001) == 0b010 and d.dia(0b110) == 0b011 and d.dia(0) == 0
+
+    @pytest.mark.parametrize("bits", [0, 1, 2])
+    def test_digraphs_domain(self, bits):
+        # any digraphs on m nodes, edges and labels drawn independently
+        rng = random.Random(bits)
+        for m in range(1, 5):
+            for width in (1, 2, 7, 64):
+                gs = []
+                while len(gs) < width:
+                    p = random_digraph(rng, m, bits)
+                    if len(p.graph.nodes) == m:
+                        gs.append(p.graph)
+                assert_domain_holds(Domain.of_digraphs(gs), gs, list(range(width)), rng)
 
 
 class TestBisimulation:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from automu import graphs
-from automu.automata import parse_automaton
+from automu.automata import ELSE, Automaton, SubsetEq, SupsetEq, TransitionRule, parse_automaton
 from automu.graphs import (
     BitWidthMismatch,
     Digraph,
@@ -18,6 +18,7 @@ from automu.graphs import (
     backward_bisimilar,
     enumerate_digraphs,
     indexed_digraph,
+    random_digraph,
     slice_width,
 )
 from automu.harness import (
@@ -31,11 +32,13 @@ from automu.harness import (
     equiv_exhaustive,
     equiv_sampled,
 )
-from automu.logic import parse_formula
+from automu.logic import And, MuSystem, TrueF, parse_formula
+from automu.runtime import sync_accepting_mask, sync_accepting_nodes
 from automu.transform import automaton_to_formula, formula_to_automaton
 from automu.zoo import chain_graph, safe_one_automaton, safe_one_formula, single_node
 from strategies import automata, make_pointed, systems
 from test_kernel import BENCHMARK_FORMULAS
+from test_runtime import sync_step_accepting_nodes
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -65,21 +68,58 @@ def all_points(max_nodes: int, bits: int) -> int:
     return sum(m * 2 ** (m * m) * 2 ** (bits * m) for m in range(1, max_nodes + 1))
 
 
-def assert_slices_match_graphs(d, units) -> None:
-    """On every labeling of every (m, edge mask) in ``units``, the device's
-    sliced acceptance agrees with ``accepted_nodes`` on that one digraph."""
-    for m, mask in units:
+def block_digraph(m: int, bits: int, block: int, j: int) -> Digraph:
+    """Digraph j of block ``block`` at m nodes (see ``Domain.of_block``)."""
+    return indexed_digraph(m, bits, *divmod(block * slice_width(m, bits) + j, 2 ** (bits * m)))
+
+
+def assert_blocks_match_graphs(d, blocks, positions=None) -> None:
+    """On every digraph of every (m, block) in ``blocks`` (or at the given
+    positions of each), the device's sliced acceptance agrees with
+    ``accepted_nodes`` on that one digraph."""
+    for m, block in blocks:
         width = slice_width(m, d.bits)
-        for block in range(2 ** (d.bits * m) // width):
-            got = _accepting_mask(d, Domain.of_edge_mask(m, d.bits, mask, block))
-            for j in range(width):
-                g = indexed_digraph(m, d.bits, mask, block * width + j)
-                sliced = {v for i, v in enumerate(g.nodes) if got >> i * width + j & 1}
-                assert sliced == accepted_nodes(d, g), g
+        got = _accepting_mask(d, Domain.of_block(m, d.bits, block))
+        for j in range(width) if positions is None else positions:
+            g = block_digraph(m, d.bits, block, j)
+            sliced = {v for i, v in enumerate(g.nodes) if got >> i * width + j & 1}
+            assert sliced == accepted_nodes(d, g), g
 
 
-def all_units(max_nodes: int) -> list[tuple[int, int]]:
-    return [(m, mask) for m in range(1, max_nodes + 1) for mask in range(2 ** (m * m))]
+def all_blocks(max_nodes: int, bits: int) -> list[tuple[int, int]]:
+    return [(m, block) for m in range(1, max_nodes + 1)
+            for block in range(2 ** (m * m + bits * m) // slice_width(m, bits))]
+
+
+def reference_sampled(d1, d2, max_nodes: int, samples: int, seed: int) -> EquivVerdict:
+    """Sampled equiv one sample at a time: the same draws, each compared by
+    ``device_accepts`` at its point."""
+    rng = random.Random(seed)
+    for k, s in enumerate([rng.randrange(2**32) for _ in range(samples)]):
+        p = random_digraph(random.Random(s), max_nodes, d1.bits)
+        v1, v2 = device_accepts(d1, p), device_accepts(d2, p)
+        if v1 != v2:
+            return EquivVerdict(False, k + 1, Counterexample(p.graph, p.point, v1, v2))
+    return EquivVerdict(True, samples)
+
+
+# a 0-bit automaton whose run cycles with a period that depends on the edge
+# mask: a node without in-neighbours loops through a0 a1 a2, one with them
+# through b0 b1 and moves to the accepting sink once it sees a2 from b1, so
+# a block of several edge masks repeats jointly only after many steps
+MASK_PERIOD = Automaton(
+    bits=0,
+    states=("a0", "a1", "a2", "b0", "b1", "hit"),
+    init={"": "a0"},
+    rules={
+        **{f"a{i}": (TransitionRule(SubsetEq(frozenset()), f"a{(i + 1) % 3}"), TransitionRule(ELSE, "b0"))
+           for i in range(3)},
+        "b0": (TransitionRule(ELSE, "b1"),),
+        "b1": (TransitionRule(SupsetEq(frozenset({"a2"})), "hit"), TransitionRule(ELSE, "b0")),
+        "hit": (TransitionRule(ELSE, "hit"),),
+    },
+    accepting=frozenset({"hit"}),
+)
 
 
 # the devices of the round-trip benchmark and the samples: the five
@@ -89,7 +129,7 @@ DEVICE_NAMES = (
     [f"formula:{name}" for name in BENCHMARK_FORMULAS]
     + [f"up:{name}" for name in BENCHMARK_FORMULAS]
     + [f"sample:{p.name}" for p in sorted(SAMPLES.glob("*.json")) if '"states"' in p.read_text()]
-    + ["down:safe_one.json"]
+    + ["down:safe_one.json", "cyclic:mask_period", "formula0:reach_a_source"]
 )
 
 
@@ -102,6 +142,10 @@ def device(name: str):
         return formula_to_automaton(device(f"formula:{arg}"))
     if kind == "sample":
         return parse_automaton((SAMPLES / arg).read_text())
+    if kind == "cyclic":
+        return MASK_PERIOD
+    if kind == "formula0":  # a backward path from a node without in-neighbours
+        return parse_formula("(mu ((X (or (box false) (dia (var X))))))")
     return automaton_to_formula(device(f"sample:{arg}"))
 
 
@@ -182,12 +226,17 @@ class TestSlicedScan:
 
     @pytest.mark.parametrize("name", DEVICE_NAMES)
     def test_device_exhaustive(self, name):
-        assert_slices_match_graphs(device(name), all_units(3))
+        d = device(name)
+        assert_blocks_match_graphs(d, all_blocks(3, d.bits))
 
     @pytest.mark.parametrize("name", DEVICE_NAMES)
     def test_device_on_sampled_4_node_edge_masks(self, name):
+        # three blocks of 4096 digraphs each, 64 of them checked a block
+        d = device(name)
         rng = random.Random(name)
-        assert_slices_match_graphs(device(name), [(4, rng.randrange(2**16)) for _ in range(12)])
+        blocks = 2 ** (16 + 4 * d.bits) // slice_width(4, d.bits)
+        assert_blocks_match_graphs(d, [(4, rng.randrange(blocks)) for _ in range(3)],
+                                   sorted(rng.sample(range(slice_width(4, d.bits)), 64)))
 
     @pytest.mark.parametrize("name", DEVICE_NAMES)
     def test_scans_agree_with_every_later_device(self, name):
@@ -202,43 +251,64 @@ class TestSlicedScan:
             else:
                 assert got == reference_verdict(d1, d2, 3), other
 
-    def test_scans_agree_on_sampled_4_node_edge_masks(self):
-        # one unit of the scan against the 16 digraphs enumerate_digraphs
-        # yields for it (indexed_digraph reproduces them, see test_graphs)
+    def test_scans_agree_on_sampled_4_node_edge_masks(self, monkeypatch):
+        # with 16 digraphs a block, block 1 + 4 + 256 + mask of the scan is
+        # the 16 digraphs enumerate_digraphs yields for 4-node edge mask
+        # ``mask`` (indexed_digraph reproduces them, see test_graphs)
+        monkeypatch.setattr(graphs, "MAX_SLICE_BITS", 4)
         dead_end_one = parse_formula("(mu ((X0 (and (p 0) (box false)))))")
         rng = random.Random(4)
         for mask in sorted(rng.sample(range(2**16), 6)):
-            unit = 2 + 16 + 512 + mask
-            graphs_of_unit = [indexed_digraph(4, 1, mask, index) for index in range(16)]
+            block = 1 + 4 + 256 + mask
+            graphs_of_block = [indexed_digraph(4, 1, mask, index) for index in range(16)]
             for d2 in (safe_one_formula(), dead_end_one):
-                got = _exhaustive_slice(safe_one_automaton(), d2, 4, unit, unit + 1)
-                assert got == reference_scan(safe_one_automaton(), d2, graphs_of_unit), mask
+                got = _exhaustive_slice(safe_one_automaton(), d2, 4, block, block + 1)
+                assert got == reference_scan(safe_one_automaton(), d2, graphs_of_block), mask
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=2).flatmap(
         lambda bits: st.tuples(systems(bits=bits, max_vars=3), automata(max_states=4, bits=bits))))
     def test_random_devices(self, case):
         # automata with non-trivial cycles included: the run stops when the
-        # whole sliced configuration repeats
+        # whole sliced configuration repeats or after |Q|^m configurations
         system, automaton = case
         nodes = 3 if system.bits < 2 else 2
         for d in case:
-            assert_slices_match_graphs(d, all_units(nodes))
+            assert_blocks_match_graphs(d, all_blocks(nodes, d.bits))
         assert equiv_exhaustive(system, automaton, nodes) == reference_verdict(system, automaton, nodes)
 
+    def test_run_bound_on_mixed_periods(self):
+        # the 1-node block holds the digraph without and with a self-loop,
+        # whose runs cycle with periods 3 and 2 (the second after one step):
+        # the joint configuration first repeats at step 7, and the run stops
+        # after |Q|^1 = 6 configurations
+        a = MASK_PERIOD
+        for m in (1, 2, 3):
+            for block in range(2 ** (m * m) // slice_width(m, 0)):
+                width = slice_width(m, 0)
+                got = sync_accepting_mask(a, Domain.of_block(m, 0, block))
+                for j in range(width):
+                    g = block_digraph(m, 0, block, j)
+                    want = sync_accepting_nodes(a, g)
+                    assert {v for i, v in enumerate(g.nodes) if got >> i * width + j & 1} == want, g
+                    if m < 3:
+                        assert want == sync_step_accepting_nodes(a, g), g
+
     def test_blocks_of_labelings(self, monkeypatch):
-        # with at most 4 labelings a domain, 3 nodes at 2 bits take 16 blocks
-        # an edge mask, and the scan must not notice
+        # with at most 32 digraphs a block, a block at 2 bits spans two edge
+        # masks at 1 and 2 nodes and holds half of one at 3 nodes; with at
+        # most 4, every block splits one edge mask; the scan must not notice
         small = parse_formula("(mu ((X (and (p 1) (dia (and (p 0) (not-p 1)))))))")
         nothing = parse_formula("(mu ((X false)))", bits=2)
         whole = equiv_exhaustive(small, nothing, 3)
-        monkeypatch.setattr(graphs, "MAX_SLICE_BITS", 2)
-        assert slice_width(3, 2) == 4
-        assert equiv_exhaustive(small, nothing, 3) == whole == reference_verdict(small, nothing, 3)
-        assert_slices_match_graphs(device("formula:two_and"), all_units(3))
         up = device("up:two_and")
-        assert_slices_match_graphs(up, [(3, mask) for mask in range(0, 512, 37)])
-        assert equiv_exhaustive(up, device("formula:two_and"), 3).checked == all_points(3, 2)
+        for top, width in ((5, 32), (2, 4)):
+            monkeypatch.setattr(graphs, "MAX_SLICE_BITS", top)
+            assert [slice_width(m, 2) for m in (1, 2, 3)] == [min(8, width), width, width]
+            assert equiv_exhaustive(small, nothing, 3) == whole == reference_verdict(small, nothing, 3)
+            assert_blocks_match_graphs(device("formula:two_and"), all_blocks(3, 2))
+            assert_blocks_match_graphs(up, all_blocks(3, 2)[::37])
+            assert equiv_exhaustive(up, device("formula:two_and"), 3).checked == all_points(3, 2)
 
 
 class TestSampled:
@@ -265,6 +335,37 @@ class TestSampled:
         seq = equiv_sampled(t, f, 3, 40, seed=9)
         par = equiv_sampled(t, f, 3, 40, seed=9, jobs=2)
         assert seq.counterexample == par.counterexample
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_early_and_late_counterexamples(self, jobs):
+        # true vs false disagrees at the first sample; a point with
+        # in-neighbours, all of them sources labeled 1, is rare enough at 4
+        # nodes that the first witness lies several batches in (batch 7 of
+        # samples 64-127, and batch 9 of samples 256-399)
+        rare = parse_formula("(mu ((X (and (dia true) (box (and (p 0) (box false)))))))")
+        nothing = parse_formula("(mu ((X false)))", bits=1)
+        everything = parse_formula("(mu ((X true)))", bits=1)
+        for d1, d2, seed in ((everything, nothing, 3), (rare, nothing, 0), (rare, nothing, 7)):
+            got = equiv_sampled(d1, d2, 4, 400, seed=seed, jobs=jobs)
+            assert got == reference_sampled(d1, d2, 4, 400, seed)
+        assert equiv_sampled(everything, nothing, 4, 400, seed=3, jobs=jobs).checked == 1
+        assert [equiv_sampled(rare, nothing, 4, 400, seed=seed).checked for seed in (0, 7)] == [65, 357]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(min_value=0, max_value=2).flatmap(
+        lambda bits: st.tuples(systems(bits=bits, max_vars=3), automata(max_states=4, bits=bits))),
+        st.integers(min_value=0, max_value=2**16))
+    def test_batches_match_the_sample_by_sample_scan(self, case, seed):
+        # equivalent pairs (each device against itself, the system also
+        # against a copy whose first body is and-ed with true) and the
+        # system against the automaton, which mostly disagree early
+        system, automaton = case
+        padded = MuSystem(bits=system.bits, vars=system.vars,
+                          bodies=(And(system.bodies[0], TrueF()), *system.bodies[1:]))
+        for d1, d2 in ((system, padded), (automaton, automaton), (system, automaton)):
+            want = reference_sampled(d1, d2, 4, 150, seed)
+            for jobs in (1, 2, 3):
+                assert equiv_sampled(d1, d2, 4, 150, seed=seed, jobs=jobs) == want
 
     def test_bounded_scope_misses_large_motifs(self):
         # X0 marks nodes whose every backward path is an exact 3-step descent
