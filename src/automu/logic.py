@@ -158,9 +158,10 @@ class MuSystem:
     """Simultaneous least fixpoint over variables ``vars`` with one body per
     variable.  The first variable is the one whose fixpoint component defines
     satisfaction.  ``bits=None`` stands for the smallest width that covers
-    every constant used."""
+    every constant used; construction replaces it by that width, so ``bits``
+    is an int on every constructed system."""
 
-    bits: int
+    bits: int | None
     vars: tuple[str, ...]
     bodies: tuple[Formula, ...]
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)

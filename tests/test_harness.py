@@ -231,12 +231,15 @@ class TestSlicedScan:
 
     @pytest.mark.parametrize("name", DEVICE_NAMES)
     def test_device_on_sampled_4_node_edge_masks(self, name):
-        # three blocks of 4096 digraphs each, 64 of them checked a block
+        # as many digraphs as 12 whole 4-node edge masks hold, 12 * 2^(4 bits),
+        # checked at the same positions of three blocks of 4096 digraphs each
         d = device(name)
         rng = random.Random(name)
-        blocks = 2 ** (16 + 4 * d.bits) // slice_width(4, d.bits)
+        width = slice_width(4, d.bits)
+        blocks = 2 ** (16 + 4 * d.bits) // width
+        positions = min(width, 12 * 2 ** (4 * d.bits) // 3)
         assert_blocks_match_graphs(d, [(4, rng.randrange(blocks)) for _ in range(3)],
-                                   sorted(rng.sample(range(slice_width(4, d.bits)), 64)))
+                                   sorted(rng.sample(range(width), positions)))
 
     @pytest.mark.parametrize("name", DEVICE_NAMES)
     def test_scans_agree_with_every_later_device(self, name):
