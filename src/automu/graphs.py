@@ -85,6 +85,15 @@ class Digraph:
         # collector's allocation count raised, and fuzz builds one per graph
         return tuple([(node[u], node[v]) for u, v in self.sorted_edges])
 
+    @cached_property
+    def in_edges(self) -> tuple[int, ...]:
+        """Per node, in ``nodes`` order, the mask of the ``sorted_edges``
+        indices that point into it."""
+        masks = [0] * len(self.nodes)
+        for j, (_, v) in enumerate(self.edge_endpoints):
+            masks[v] |= 1 << j
+        return tuple(masks)
+
     def incoming(self, v: str) -> frozenset[str]:
         """Set of incoming neighbors of ``v``: all u with an edge u -> v."""
         if v not in self.incoming_map:

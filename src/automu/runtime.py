@@ -21,7 +21,7 @@ are definitive.
 
 ``async_run`` and ``check_consistency`` run on one engine, ``_run``, over an
 automaton and a graph compiled once into indices (``_Net``): the automaton's
-state encoding, buffers of state indices, activation bits and the memoized
+state encoding, buffers of state indices, activation masks and the memoized
 ``Automaton.step``.  ``async_step``, ``is_quiescent``, ``sync_step`` and
 ``initial_configuration`` are the single-step API on named configurations
 and the reference the engine is tested against.
@@ -29,9 +29,12 @@ and the reference the engine is tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import random
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -42,6 +45,7 @@ from .automata import (
     Guard,
     NotQuasiAcyclic,
     Trace,
+    _bits,
     _guard_parts,
     trace_popfirst,
     trace_pushlast,
@@ -69,15 +73,20 @@ def split_range(total: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
+def check_counts(**counts: int) -> None:
+    """Reject a negative count, naming it, before any work starts."""
+    for name, count in counts.items():
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+
+
 def check_budget(max_nodes: int, jobs: int, **counts: int) -> None:
     """Reject a scan budget that is empty or invalid before any work starts."""
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for name, count in counts.items():
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
+    check_counts(**counts)
 
 
 def first_hit(scan: Callable[..., tuple], slices: list[tuple], jobs: int) -> tuple:
@@ -211,6 +220,81 @@ def is_quiescent(a: Automaton, g: Digraph, c: Configuration) -> bool:
 # ---------------------------------------------------------------------------
 # timing sampler
 
+_MAX_BLOCK = 64  # the most steps drawn in one call, so a large starvation bound draws no further ahead
+# a translation of bytes to the digits "1" (active) and "0": bit 53 of a
+# 64-bit lane, set iff its draw is inactive, is bit 5 of the lane's second
+# most significant byte
+_ACTIVE_DIGIT = bytes(0x30 if b & 0x20 else 0x31 for b in range(256))
+
+
+@functools.lru_cache(maxsize=64)
+def _lane_masks(lanes: int, threshold: int) -> tuple[int, int, int, int]:
+    """Over ``lanes`` 64-bit lanes: in each, the bits of the first word
+    ``random()`` keeps, the 26 bits of the second word it keeps once
+    shifted down, and the bias that carries the lane's 53-bit draw into bit
+    53 iff the draw is >= threshold; and the number of lanes."""
+    rep = ((1 << 64 * lanes) - 1) // ((1 << 64) - 1)
+    return 0xFFFFFFE0 * rep, 0x3FFFFFF * rep, ((1 << 53) - threshold) * rep, lanes
+
+
+def _draw(rng: random.Random, k: int, masks: tuple[int, int, int, int]) -> int:
+    """k draws of ``rng.random() < p`` from one ``getrandbits`` call, with
+    ``masks`` from ``_lane_masks`` for threshold ceil(p * 2^53) and at
+    least k lanes, as a mask whose bit i is draw i.  random() reads two
+    32-bit words w0 and w1 and returns ((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53,
+    so it is below p iff that 53-bit integer is below the threshold.
+    getrandbits(64 k) reads the same words in the same order, least
+    significant first: 64-bit lane i holds draw i's w0 low and w1 high, and
+    all lanes are compared at once (the masks repeat per lane, so the bias
+    is cut to k lanes by a shift)."""
+    if not k:
+        return 0
+    first, second, bias, lanes = masks
+    r = rng.getrandbits(64 * k)
+    x = ((r & first) << 21 | r >> 38 & second) + (bias >> 64 * (lanes - k))
+    return int(x.to_bytes(8 * k, "big")[1::8].translate(_ACTIVE_DIGIT), 2)
+
+
+def _sample(g: Digraph, p_active: float, starvation_bound: int, lossless: bool,
+            rng: random.Random) -> Iterator[int]:
+    """The sampler's steps as masks (see ``TimingSampler``).  An entity is
+    starved when it was inactive in each of the last K-1 steps.  When the
+    longest any entity has been inactive is i < K-1 steps, none can starve
+    in the next K-1-i, so those are drawn at once, from one call."""
+    n, size = len(g.nodes), len(g.nodes) + len(g.edges)
+    full = (1 << size) - 1
+    # for the largest draw; random() < p iff its 53-bit integer < ceil(p * 2^53)
+    masks = _lane_masks(size * max(1, min(starvation_bound - 1, _MAX_BLOCK)), math.ceil(p_active * 2**53))
+    # (the edges into a node, as entity bits, and the node's bit)
+    deliver = [(into << n, 1 << v) for v, into in enumerate(g.in_edges) if into] if lossless else ()
+    recent: deque[int] = deque(maxlen=starvation_bound - 1)
+    while True:
+        # the longest idle stretch: one less than the latest steps needed to activate every entity
+        seen, idle = 0, len(recent)
+        for i, on in enumerate(reversed(recent)):
+            seen |= on
+            if seen == full:
+                idle = i
+                break
+        if idle < recent.maxlen:
+            steps = min(recent.maxlen - idle, _MAX_BLOCK)
+            block = _draw(rng, size * steps, masks)
+        else:
+            starved = full & ~seen
+            steps, block = 1, _draw(rng, size - starved.bit_count(), masks)
+            for i in _bits(starved):  # a starved entity is active and took no draw
+                low = block & (1 << i) - 1
+                block = (block ^ low) << 1 | 1 << i | low
+        for _ in range(steps):
+            on = block & full
+            block >>= size
+            for into, node in deliver:
+                if on & into:
+                    on |= node
+            recent.append(on)
+            yield on
+
+
 class TimingSampler:
     """Deterministic stream of activation maps for a graph.
 
@@ -221,9 +305,12 @@ class TimingSampler:
     as well; edge activations are never removed.
 
     The entities are indexed: the nodes in ``g.nodes`` order, then the edges
-    in sorted order, which is also the order of the random draws.
-    ``next_bits`` gives a step as one bit per entity, the view the run
-    engine reads; ``next_step`` wraps the same step into an ``Activation``.
+    in sorted order, which is also the order of the random draws: each entity
+    that is not starved is active iff ``random() < p_active``, and a starved
+    one takes no draw.  ``next_bits`` gives a step as a mask whose bit i is
+    entity i, and ``next_step`` wraps the same step into an ``Activation``.
+    Both read one stream, ``_sample``, which ``check_consistency`` runs the
+    engine on directly.
     """
 
     def __init__(
@@ -242,30 +329,21 @@ class TimingSampler:
         self.p_active = p_active
         self.starvation_bound = starvation_bound
         self.lossless = lossless
-        self._rng = random.Random(seed)
-        n = len(g.nodes)
-        self._idle = [0] * (n + len(g.edges))
-        # (edge entity, its target's entity): an active edge activates its target
-        self._deliver = [(n + j, v) for j, (_, v) in enumerate(g.edge_endpoints)] if lossless else []
+        self._masks = _sample(g, p_active, starvation_bound, lossless, random.Random(seed))
 
     def __iter__(self) -> Iterator[Activation]:
         while True:
             yield self.next_step()
 
-    def next_bits(self) -> tuple[int, ...]:
-        """The next step, one bit per entity in index order."""
-        draw, p, starved = self._rng.random, self.p_active, self.starvation_bound - 1
-        on = [1 if idle >= starved or draw() < p else 0 for idle in self._idle]
-        for e, v in self._deliver:
-            if on[e]:
-                on[v] = 1
-        self._idle = [0 if b else idle + 1 for b, idle in zip(on, self._idle)]
-        return tuple(on)
+    def next_bits(self) -> int:
+        """The next step as a mask: bit i is entity i."""
+        return next(self._masks)
 
     def next_step(self) -> Activation:
         on = self.next_bits()
         nodes = self.g.nodes
-        return Activation(nodes=dict(zip(nodes, on)), edges=dict(zip(self.g.sorted_edges, on[len(nodes):])))
+        return Activation(nodes={v: on >> i & 1 for i, v in enumerate(nodes)},
+                          edges={e: on >> i & 1 for i, e in enumerate(self.g.sorted_edges, len(nodes))})
 
 
 def sample_timing(
@@ -375,8 +453,9 @@ class _Net:
     """An automaton and a graph compiled once for the run engine.  Nodes are
     indices in ``g.nodes`` order, edges indices in ``g.sorted_edges`` order
     (the sampler's), states the automaton's own encoding; a step's
-    activation is one bit per node, then one per edge.  The engine reads
-    ``Automaton.step``'s memo rows inline and calls ``step`` on a miss."""
+    activation is a mask of entities, bit v for node v and bit n + j for
+    edge j.  The engine reads ``Automaton.step``'s memo rows inline and
+    calls ``step`` on a miss."""
 
     def __init__(self, a: Automaton, g: Digraph):
         if a.bits != g.bits:
@@ -384,28 +463,28 @@ class _Net:
         self.a, self.g = a, g
         self.accepting = a.mask(a.accepting)
         n, ends = len(g.nodes), g.edge_endpoints
-        self.writers = [(n + j, u) for j, (u, _) in enumerate(ends)]  # (edge bit, writer)
+        self.full = (1 << n + len(ends)) - 1  # every entity active
+        self.reader = [v for _, v in ends]
         self.incoming = [[j for j, (_, w) in enumerate(ends) if w == v] for v in range(n)]
+        # per node: its out-edges as (edge, edge bit, reader), and their bits as one mask
+        self.outgoing = [[(j, 1 << n + j, w) for j, (u, w) in enumerate(ends) if u == v] for v in range(n)]
+        self.out_bits = [sum(bit for _, bit, _ in out) for out in self.outgoing]
+        # the initial configuration, which every run copies: states, buffers,
+        # traces, the step each node visited an accepting state, and targets
         self.init = [a.index[a.init[g.labels[v]]] for v in g.nodes]
-        self.ones = (1,) * (n + len(ends))
-        # whether the initial configuration is quiescent, where every run stops at step 0
-        self.quiet = self.fixed(self.init, [(self.init[u],) for _, u in self.writers])
-
-    def fixed(self, state: list[int], bufs: list[tuple[int, ...]]) -> bool:
-        """Every node's transition is a self-loop on its buffers' fronts:
-        with every buffer a singleton, the configuration is quiescent."""
-        memo = self.a.step_memo
-        for v, incoming in enumerate(self.incoming):
-            q = state[v]
+        self.bufs = [(self.init[u],) for u, _ in ends]
+        self.traces = [(q,) for q in self.init]
+        self.visited = [0 if self.accepting >> q & 1 else None for q in self.init]
+        self.target = []
+        for q, incoming in zip(self.init, self.incoming):
             fronts = 0
             for j in incoming:
-                fronts |= 1 << bufs[j][0]
-            target = memo[q].get(fronts)
-            if (self.a.step(q, fronts) if target is None else target) != q:
-                return False
-        return True
+                fronts |= 1 << self.bufs[j][0]
+            self.target.append(a.step(q, fronts))
+        # the nodes that move when active; with none, every run stops at step 0
+        self.movers = sum(1 << v for v, q in enumerate(self.init) if self.target[v] != q)
 
-    def extension(self, bufs: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    def extension(self, bufs: list[tuple[int, ...]]) -> Iterator[int]:
         """The fully-active steps that follow a run's supplied ones, until
         the theoretical bound; ``bufs`` are read when the first is drawn."""
         # termination bound for the fully-active policy: every node moves at
@@ -418,11 +497,11 @@ class _Net:
                 "cannot extend to quiescence: buffers of a non-quasi-acyclic automaton may grow forever"
             )
         budget = (len(self.init) * (longest + 1) + 2) * (longest + 2) + sum(map(len, bufs))
-        yield from itertools.repeat(self.ones, budget)
+        yield from itertools.repeat(self.full, budget)
         raise AssertionError("quiescence not reached within its theoretical bound")
 
-    def timing_bits(self, timing: TimingPrefix) -> list[tuple[int, ...]]:
-        """A timing's steps as activation bits, each step checked against
+    def timing_bits(self, timing: TimingPrefix) -> list[int]:
+        """A timing's steps as activation masks, each step checked against
         the graph: it names exactly its nodes and edges, every value is the
         integer 0 or 1, and a lossless timing activates no edge whose target
         node is inactive."""
@@ -437,7 +516,7 @@ class _Net:
             extra = (set(act.nodes) - nodes) | (set(act.edges) - edges)
             if extra:
                 raise RuntimeFormatError(f"step #{i}: {sorted(map(str, extra))!r} not in the graph")
-            on = tuple(act.nodes[v] for v in g.nodes) + tuple(act.edges[e] for e in g.sorted_edges)
+            on = [act.nodes[v] for v in g.nodes] + [act.edges[e] for e in g.sorted_edges]
             bad = next((x for x in on if type(x) is not int or x not in (0, 1)), None)
             if bad is not None:
                 raise RuntimeFormatError(f"step #{i}: activation {bad!r} is not 0 or 1")
@@ -446,7 +525,7 @@ class _Net:
                     if act.edges[u, v] and not act.nodes[v]:
                         raise RuntimeFormatError(f"step #{i}: lossless timing activates edge "
                                                  f"{_edge_key((u, v))} while {v!r} is inactive")
-            out.append(on)
+            out.append(sum(x << k for k, x in enumerate(on)))
         return out
 
 
@@ -467,60 +546,76 @@ class _Outcome(NamedTuple):
         return ["yes" if at is not None else unvisited for at in self.visited]
 
 
-def _run(net: _Net, steps: Iterable[tuple[int, ...]], extend_until_quiescent: bool) -> _Outcome:
-    """The run engine: drive a run along the activation bits ``steps``;
+def _run(net: _Net, steps: Iterable[int], extend_until_quiescent: bool) -> _Outcome:
+    """The run engine: drive a run along the activation masks ``steps``;
     optionally keep stepping with the fully-active (round-robin-fair) policy
-    until quiescent.  A buffer is a tuple of state indices whose last entry
-    is always its writer's state, so every buffer mirrors its writer exactly
-    when all are singletons; a step that changes nothing cannot make the
-    configuration quiescent, so quiescence is only tested after a change."""
-    accepting, memo, transition, writers = net.accepting, net.a.step_memo, net.a.step, net.writers
-    state = list(net.init)
-    bufs = [(state[u],) for _, u in writers]
-    traces = [(q,) for q in state]
-    visited: list[int | None] = [0 if accepting >> q & 1 else None for q in state]
-    stabilized = 0 if net.quiet else None
+    until quiescent.
+
+    A buffer is a tuple of state indices whose last entry is always its
+    writer's state.  The engine keeps each node's target on its current
+    fronts, the ``movers`` whose target is not their state, and the ``long``
+    buffers holding more than one state (a mask of their edges' bits).  A step touches only
+    the active movers, their out-edges, and the active long buffers, and
+    recomputes a target only where a node's state or one of its fronts
+    changed.  The configuration is quiescent when no node moves and every
+    buffer mirrors its writer: no movers and no long buffers."""
+    state, bufs, traces, visited = net.init[:], net.bufs[:], net.traces[:], net.visited[:]
+    movers = net.movers
+    if not movers:
+        return _Outcome(visited, 0, 0, state, bufs, traces)
+    accepting, memo, transition = net.accepting, net.a.step_memo, net.a.step
+    incoming, outgoing, out_bits, reader = net.incoming, net.outgoing, net.out_bits, net.reader
+    edge0 = len(state)  # the bit of edge 0
+    target = net.target[:]
+    long = 0
+    if extend_until_quiescent:
+        steps = itertools.chain(steps, net.extension(bufs))
     step = 0
-    longer = 0  # buffers holding more than one state
-    if stabilized is None:
-        if extend_until_quiescent:
-            steps = itertools.chain(steps, net.extension(bufs))
-        for on in steps:
-            step += 1
-            moved = False
-            for v, incoming in enumerate(net.incoming):
-                if on[v]:
-                    q = state[v]
-                    fronts = 0
-                    for j in incoming:
-                        fronts |= 1 << bufs[j][0]
-                    target = memo[q].get(fronts)
-                    if target is None:
-                        target = transition(q, fronts)
-                    if target != q:
-                        moved = True
-                        state[v] = target
-                        traces[v] += (target,)
-                        if visited[v] is None and accepting >> target & 1:
-                            visited[v] = step
-            if not (moved or longer):
-                continue  # nothing changed, so the configuration is still not quiescent
-            longer = 0
-            for j, (bit, u) in enumerate(writers):
-                b = bufs[j]
-                if b[-1] != state[u]:  # pushlast the writer's new state
-                    b += (state[u],)
-                elif len(b) == 1:
-                    continue
-                if on[bit]:  # popfirst
-                    b = b[1:]
-                if len(b) > 1:
-                    longer += 1
-                bufs[j] = b
-            if not longer and net.fixed(state, bufs):
-                stabilized = step
-                break
-    return _Outcome(visited, stabilized, step, state, bufs, traces)
+    for on in steps:
+        step += 1
+        moving, popping = on & movers, on & long
+        if not (moving or popping):
+            continue
+        stale = moving  # nodes whose target is to be recomputed
+        while moving:
+            low = moving & -moving
+            moving ^= low
+            v = low.bit_length() - 1
+            q = state[v] = target[v]
+            traces[v] += (q,)
+            if visited[v] is None and accepting >> q & 1:
+                visited[v] = step
+            popping &= ~out_bits[v]
+            for j, bit, w in outgoing[v]:  # pushlast the writer's new state
+                if on & bit:  # and popfirst, keeping the length: its reader sees a new front
+                    bufs[j] = bufs[j][1:] + (q,)
+                    stale |= 1 << w
+                else:
+                    bufs[j] += (q,)
+                    long |= bit
+        while popping:  # active long buffers whose writer stayed
+            bit = popping & -popping
+            popping ^= bit
+            j = bit.bit_length() - 1 - edge0
+            b = bufs[j] = bufs[j][1:]
+            if len(b) == 1:
+                long ^= bit
+            stale |= 1 << reader[j]
+        while stale:
+            low = stale & -stale
+            stale ^= low
+            w = low.bit_length() - 1
+            q, fronts = state[w], 0
+            for j in incoming[w]:
+                fronts |= 1 << bufs[j][0]
+            t = memo[q].get(fronts)
+            if t is None:
+                t = transition(q, fronts)
+            target[w] = t
+            movers = movers | low if t != q else movers & ~low
+        if not (movers or long):
+            return _Outcome(visited, step, step, state, bufs, traces)
+    return _Outcome(visited, None, step, state, bufs, traces)
 
 
 def async_run(
@@ -753,6 +848,7 @@ def check_consistency(
     """
     if budget is None:
         budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
+    check_counts(samples=samples, budget=budget)
     quasi = a.trace_length_bound() is not None
     net = _Net(a, g)
 
@@ -763,7 +859,7 @@ def check_consistency(
             return synchronous_prefix(g, steps)
         return sample_timing(g, steps, lossless=lossless, seed=seed)
 
-    base = _run(net, itertools.repeat(net.ones, budget), quasi)
+    base = _run(net, itertools.repeat(net.full, budget), quasi)
     if base.stabilized == 0:
         # quiescent from the start: every timing gives this run's verdicts
         return ConsistencyVerdict(consistent=True, runs=1, comparisons=0)
@@ -775,8 +871,8 @@ def check_consistency(
     for i in range(samples):
         lossless = True if lossless_only else (i % 2 == 0)
         timing_seed = rng.randrange(2**32)
-        sampler = TimingSampler(g, lossless=lossless, seed=timing_seed)
-        out = _run(net, itertools.islice(iter(sampler.next_bits, None), budget), quasi)
+        masks = _sample(g, DEFAULT_P_ACTIVE, DEFAULT_STARVATION_BOUND, lossless, random.Random(timing_seed))
+        out = _run(net, itertools.islice(masks, budget), quasi)
         prefix = (timing_seed, lossless, min(out.steps, budget))
         for v, got in enumerate(out.verdicts()):
             ref, ref_prefix = refs[v]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -6,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from automu.automata import ELSE, Automaton, NotQuasiAcyclic, TransitionRule, parse_automaton, trace_pushlast
+from automu.automata import (
+    ELSE,
+    Automaton,
+    NotQuasiAcyclic,
+    SubsetEq,
+    SupsetEq,
+    TransitionRule,
+    parse_automaton,
+    trace_pushlast,
+)
 from automu.graphs import Digraph, PointedDigraph, enumerate_digraphs
 from automu.runtime import (
     DEFAULT_STARVATION_BOUND,
@@ -18,6 +28,8 @@ from automu.runtime import (
     RuntimeFormatError,
     TimingPrefix,
     TimingSampler,
+    _draw,
+    _lane_masks,
     async_run,
     async_step,
     check_consistency,
@@ -339,6 +351,17 @@ class TestConsistency:
         )
         assert verdict.consistent
 
+    @pytest.mark.parametrize("counts", [{"samples": -3}, {"samples": 5, "budget": -1}])
+    def test_negative_counts_rejected(self, counts):
+        name, value = list(counts.items())[-1]
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got {value}"):
+            check_consistency(sync_probe_automaton(), two_cycle_graph(), **counts)
+
+    def test_zero_budget_is_legal(self):
+        verdict = check_consistency(sync_probe_automaton(), two_cycle_graph(), samples=4, budget=0)
+        assert verdict == reference_consistency(sync_probe_automaton(), two_cycle_graph(), 4, budget=0)
+        assert verdict.runs == 5
+
     def test_zero_samples_vacuous(self):
         verdict = check_consistency(sync_probe_automaton(), two_cycle_graph(), samples=0)
         assert verdict.consistent
@@ -591,6 +614,116 @@ class TestSamplerViews:
             want = self.reference_steps(g, 60, p, k, lossless, seed)
             for on, ref in zip(iter(bits.next_bits, None), want):
                 act = acts.next_step()
+                on = mask_bits(on, len(ref))
                 assert on == ref
                 assert on == (tuple(act.nodes[v] for v in g.nodes)
                               + tuple(act.edges[e] for e in sorted(g.edges)))
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, DEFAULT_STARVATION_BOUND])
+    @pytest.mark.parametrize("p", [0.3, 0.1, 1e-9, 1.0])
+    def test_lane_draws_are_random_draws(self, p, k, lossless):
+        # p * 2^53 is not an integer for 0.3 and 0.1, and 1e-9 leaves a
+        # threshold of a few million; a prefix shorter than the first block
+        # of K-1 steps, one ending with it, and ones crossing step K
+        for seed in range(4):
+            g = make_graph(random.Random(seed), 5, 1)
+            for steps in {max(k - 2, 0), k - 1, k, 3 * k + 5}:
+                sampler = TimingSampler(g, p, k, lossless, seed)
+                want = list(self.reference_steps(g, steps, p, k, lossless, seed))
+                entities = len(g.nodes) + len(g.edges)
+                assert [mask_bits(sampler.next_bits(), entities) for _ in range(steps)] == want
+                timing = sample_timing(g, steps, p, k, lossless, seed)
+                assert [tuple(act.nodes[v] for v in g.nodes) + tuple(act.edges[e] for e in sorted(g.edges))
+                        for act in timing.steps] == want
+
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.1, 1e-9, 1.0])
+    def test_lane_draw_at_the_threshold(self, p):
+        # words whose 53-bit draw lies at, just below and just above
+        # ceil(p * 2^53), with random discarded low bits, against random()'s
+        # own formula on them
+        rng = random.Random(p)
+        threshold = math.ceil(p * 2**53)
+        draws = [x for x in (0, threshold - 1, threshold, threshold + 1, 2**53 - 1) if 0 <= x < 2**53]
+        draws += [rng.getrandbits(53) for _ in range(40)]
+        words = []
+        for x in draws:  # w0 keeps its top 27 bits, w1 its top 26
+            words += [(x >> 26) << 5 | rng.getrandbits(5), (x & (1 << 26) - 1) << 6 | rng.getrandbits(6)]
+
+        class Words:
+            def getrandbits(self, k):
+                assert k == 32 * len(words)
+                return sum(w << 32 * i for i, w in enumerate(words))
+
+        want = [((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0) < p
+                for w0, w1 in zip(words[::2], words[1::2])]
+        got = _draw(Words(), len(draws), _lane_masks(len(draws) + 3, threshold))  # masks for more lanes
+        assert mask_bits(got, len(draws)) == tuple(map(int, want))
+
+
+def mask_bits(on, entities):
+    """A step mask as one 0/1 per entity, in index order."""
+    return tuple(on >> i & 1 for i in range(entities))
+
+
+def staged_automaton():
+    """A writer with no incoming edge moves s0 -> s1 -> s2; a reader in s0
+    accepts if the front it reads is s1, rejects on s2, and waits on s0."""
+    return Automaton(
+        bits=0, states=("s0", "s1", "s2", "acc", "rej"), init={"": "s0"}, accepting=frozenset({"acc"}),
+        rules={
+            "s0": (TransitionRule(SupsetEq(frozenset({"s1"})), "acc"),
+                   TransitionRule(SubsetEq(frozenset()), "s1"),
+                   TransitionRule(SupsetEq(frozenset({"s2"})), "rej"),
+                   TransitionRule(ELSE, "s0")),
+            "s1": (TransitionRule(ELSE, "s2"),),
+            "s2": (TransitionRule(ELSE, "s2"),),
+            "acc": (TransitionRule(ELSE, "acc"),),
+            "rej": (TransitionRule(ELSE, "rej"),),
+        },
+    )
+
+
+def activation(g, active):
+    """The activation in which exactly the named nodes and edges act."""
+    return Activation(nodes={v: int(v in active) for v in g.nodes}, edges={e: int(e in active) for e in g.edges})
+
+
+class TestEngineHandCases:
+    def check(self, a, g, steps, buffer, verdict):
+        """The run along ``steps`` matches the reference with and without
+        the extension, leaves edge u -> v holding ``buffer``, and ends with
+        ``verdict`` at v."""
+        timing = TimingPrefix(tuple(activation(g, act) for act in steps), lossless=False, starvation_bound=1)
+        cut = async_run(a, g, timing, extend_until_quiescent=False)
+        assert cut == reference_run(a, g, timing.steps, False)
+        assert cut.final.buffers["u", "v"] == buffer
+        report = async_run(a, g, timing)
+        assert report == reference_run(a, g, timing.steps, True)
+        assert report.accepted["v"] == verdict
+
+    def test_writer_moves_while_its_singleton_edge_pops(self):
+        # u moves qa -> qacc and its buffer to v is pushed then popped in
+        # the same step: v's front is now qacc, so v reads no qa and dies
+        g = two_cycle_graph()
+        self.check(sync_probe_automaton(), g, [{"u", ("u", "v")}], ("qacc",), "no")
+
+    def test_long_buffer_pops_while_its_writer_moves(self):
+        # u: s0 -> s1 with the edge idle leaves (s0, s1); u: s1 -> s2 with
+        # the edge active pushes s2 and pops s0 once, so v's front is s1
+        g = Digraph(bits=0, nodes=("u", "v"), labels={"u": "", "v": ""}, edges=frozenset({("u", "v")}))
+        self.check(staged_automaton(), g, [{"u"}, {"u", ("u", "v")}], ("s1", "s2"), "yes")
+
+    def test_consistency_past_the_first_block(self):
+        # safe_one on a 5-node path: sampled runs outlast the K-1 steps the
+        # sampler draws in its first call, so they read the later draws too
+        a = safe_one_automaton()
+        nodes = tuple(f"n{i}" for i in range(5))
+        g = Digraph(bits=1, nodes=nodes, labels=dict(zip(nodes, "10000")), edges=frozenset(zip(nodes, nodes[1:])))
+        got = check_consistency(a, g, 20, seed=3)
+        assert got == reference_consistency(a, g, 20, seed=3)
+        assert got.runs == 21 and got.comparisons > 0
+        rng, budget = random.Random(3), 10 * DEFAULT_STARVATION_BOUND * len(nodes)
+        steps = [async_run(a, g, sample_timing(g, budget, lossless=i % 2 == 0, seed=rng.randrange(2**32))).steps_taken
+                 for i in range(20)]
+        assert max(steps) > DEFAULT_STARVATION_BOUND
