@@ -29,7 +29,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
     ELSE,
@@ -305,14 +305,17 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
 # the trace-driving relation
 #
 # The closure runs over ints.  The trace universe is indexed by a sorted
-# list: a set of neighbor traces is a bitmask over that index, a set of
-# states a mask in the automaton's state encoding and a node trace an index.
-# The sets one step from a neighbor set are built once per distinct set, by
-# one product from those of the set without its highest member.  Each round
-# works per node trace: the sets one step from all of its neighbor sets are
-# unioned into one set, and each member is extended by its last-state mask,
-# decoded once per distinct set over the whole closure.  The results stay
-# masks; as the index is sorted, a set's traces in order are its bits lowest first.
+# list: a set of neighbor traces is a mask over that index, a set of states a
+# mask in the automaton's state encoding and a node trace an index.  A family
+# of neighbor sets is one 2^|T|-bit int whose bit h is set iff the set with
+# mask h belongs to it: a dense bitset, in the spirit of Minato's set-family
+# algebra.  The closure keeps one family per node trace and works a family
+# at a time: per round and node trace, the sets one step from all of its
+# neighbor sets are one family, built by O(|T| * k) shifts and masks (k the
+# size of a trace's one-step extension set), cut by the last states of their
+# traces, and each part is extended by one step of the node trace.  The
+# compile-down prune tests coverage the same way.  As the index is sorted, a
+# set's traces in order are its bits lowest first.
 
 @dataclass(frozen=True)
 class EnablesSet:
@@ -337,7 +340,8 @@ def _extension_choices(subs: Sequence[Sequence[int]], memo: dict[int, tuple[int,
     nonempty set of its one-step extensions (keeping the trace counts as
     extending by its own last state).  Distinct neighbor nodes sharing a
     trace may diverge, hence set-of-extensions rather than one extension per
-    trace.
+    trace.  This is the one-set product that ``_Families.choices`` is tested
+    against; the closure does not call it.
 
     ``h`` is a trace mask and ``subs[i]`` lists the nonempty subsets of trace
     i's extensions as trace masks.  ``memo`` holds the result of every mask
@@ -364,9 +368,9 @@ def _extension_choices(subs: Sequence[Sequence[int]], memo: dict[int, tuple[int,
     return got
 
 
-def _prefix_masks(traces: Sequence[Trace]) -> tuple[list[int], list[int], list[int]]:
+def _prefix_masks(traces: Sequence[Trace]) -> tuple[list[int], list[int]]:
     """Per trace of a sorted prefix-closed list, as trace masks: the trace with
-    its one-step extensions, with its prefixes, and with all its extensions."""
+    its one-step extensions, and with all its extensions."""
     index = {t: i for i, t in enumerate(traces)}
     steps, prefixes, extensions = ([1 << i for i in range(len(traces))] for _ in range(3))
     for i, t in enumerate(traces):  # a trace's prefixes sort before it
@@ -375,7 +379,7 @@ def _prefix_masks(traces: Sequence[Trace]) -> tuple[list[int], list[int], list[i
             prefixes[i] |= prefixes[index[t[:-1]]]
         for j in _bits(prefixes[i]):
             extensions[j] |= 1 << i
-    return steps, prefixes, extensions
+    return steps, extensions
 
 
 def _extension_subsets(steps: Sequence[int]) -> list[list[int]]:
@@ -388,6 +392,91 @@ def _extension_subsets(steps: Sequence[int]) -> list[list[int]]:
             s = (s - 1) & m
         subs.append(row)
     return subs
+
+
+def _members(family: int) -> list[int]:
+    """The masks in ``family``, lowest first."""
+    return [h for h, bit in enumerate(bin(family)[:1:-1]) if bit == "1"]
+
+
+def _subsets(mask: int) -> int:
+    """The family of every subset of ``mask``."""
+    family = 1
+    for i in _bits(mask):
+        family |= family << (1 << i)
+    return family
+
+
+def _holding(n: int) -> list[int]:
+    """Per trace i of n, the family of the sets holding i: in every block of
+    2^(i+1) bits, the upper 2^i."""
+    holding = []
+    for i in range(n):
+        family, period = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while period < 1 << n:
+            family |= family << period
+            period <<= 1
+        holding.append(family)
+    return holding
+
+
+class _Families:
+    """The closure's operations on families of neighbor sets over a sorted
+    index of n traces.  ``steps`` are ``_prefix_masks``' one-step extension
+    masks and ``lasts[i]`` is the state mask of trace i's last state."""
+
+    def __init__(self, steps: Sequence[int], lasts: Sequence[int]):
+        has = _holding(len(steps))
+        # the traces with an extension, highest first: the shift and family of
+        # the trace, then of each one-step extension (the trace itself included)
+        self.spread = [(1 << i, has[i], [(1 << e, has[e]) for e in _bits(m)])
+                       for i, m in reversed(list(enumerate(steps))) if m != 1 << i]
+        hits: dict[int, int] = {}  # last-state mask -> the sets holding a trace ending there
+        for i, q in enumerate(lasts):
+            hits[q] = hits.get(q, 0) | has[i]
+        self.hits = sorted(hits.items())
+
+    def choices(self, family: int) -> int:
+        """The sets one step from the members of ``family``: the union of
+        ``_extension_choices`` over them.
+
+        Traces are replaced highest first.  The members holding trace i lose
+        it by one shift down by 2^i, then gain each nonempty subset of its
+        one-step extensions by "add e" steps: a set lacking e moves up by
+        2^e, and one holding e stays.  Every extension of i sorts after i, so
+        no trace added by an earlier step is replaced again, and a trace
+        still held when its turn comes is one of the member's own."""
+        for shift, has, adds in self.spread:
+            held = family & has
+            if held:
+                family ^= held
+                held >>= shift
+                got = 0  # held, each with a nonempty subset of the extensions so far
+                for e_shift, e_has in adds:
+                    base = held | got
+                    got |= (base | base << e_shift) & e_has
+                family |= got
+        return family
+
+    def split(self, family: int) -> Iterator[tuple[int, int]]:
+        """The nonempty ``family`` cut by the last states of its members'
+        traces: each last-state mask with the part of the members that have
+        it.  The cut goes one state at a time, on the sets holding a trace
+        that ends in it; the walk is depth first, so at most one part per
+        state waits."""
+        hits = self.hits
+        stack = [(family, 0, 0)]
+        while stack:
+            part, k, lasts = stack.pop()
+            if k == len(hits):
+                yield lasts, part
+                continue
+            q, hit = hits[k]
+            inside = part & hit
+            if inside != part:
+                stack.append((part ^ inside, k + 1, lasts))
+            if inside:
+                stack.append((inside, k + 1, lasts | q))
 
 
 def compute_enables(a: Automaton, max_rounds: int | None = None,
@@ -409,12 +498,13 @@ def compute_enables(a: Automaton, max_rounds: int | None = None,
             f"full closure over {len(traces)} traces (up to |T|*2^|T| pairs) exceeds "
             f"the guard of {max_traces}; pass max_rounds for a bounded under-approximation"
         )
-    pairs, iterations = _pair_closure(a, a.states, traces, max_rounds)
-    return EnablesSet(tuple(traces), frozenset(pairs), iterations)
+    families, iterations = _pair_closure(a, a.states, traces, max_rounds)
+    pairs = frozenset((h, t) for t, family in enumerate(families) for h in _members(family))
+    return EnablesSet(tuple(traces), pairs, iterations)
 
 
 def _pair_closure(a: Automaton, seeds: Sequence[str], traces: Sequence[Trace],
-                  max_rounds: int | None = None) -> tuple[set[tuple[int, int]], int]:
+                  max_rounds: int | None = None) -> tuple[list[int], int]:
     """The driving pairs derivable from ``seeds`` with neighbor traces drawn
     from ``traces``, a sorted prefix-closed trace list that also holds every node
     trace the closure reaches (all traces do, and so do the traces reachable
@@ -424,28 +514,29 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], traces: Sequence[Trace],
     apiece drives t extended by delta(t's last, last states of H').  Rounds
     are breadth-first layers; round 0 is the seeds alone.
 
-    Returns the pairs and how many were processed.  A pair is written over
-    ``traces`` as (mask of H, index of t).
+    Returns, per index trace t, the family of the neighbor sets H that drive
+    it (see ``_Families``), and how many pairs were processed.
 
-    Each round groups its frontier by node trace t.  The sets one step from
-    all of t's neighbor sets are unioned into one set, so each distinct set is
-    extended once per trace and round: its last-state mask (decoded once per
-    set over the whole closure) is looked up in t's dict from last-state mask
-    to the index of the trace extended by ``Automaton.step`` on that mask.
-    The next frontier is still every pair one step from the frontier that is
-    not yet seen, so the rounds are those of a pair-by-pair search."""
-    states = a.states
-    n = len(states)
+    Each round takes the frontier's family of each node trace t whole: the
+    sets one step from its members are one family (``_Families.choices``),
+    cut by last-state mask (``_Families.split``).  Each part is extended by
+    the step of t's last state on its mask, which a dict per node trace
+    memoizes as the index of the extended trace (a miss calls
+    ``Automaton.step``), and its sets not yet seen for that trace join the
+    next frontier.  So the rounds are those of a pair-by-pair search.
+
+    A family takes 2^|T| bits, so more than SUBSET_ENUMERATION_GUARD traces
+    (128 KiB a family at 20) raise ``AutomatonTooLarge`` before any family
+    is built."""
+    n = len(traces)
     if n > SUBSET_ENUMERATION_GUARD:
-        # no guard on the closure's own size trips before the products are
-        # built, so the state count stands in for one
         raise AutomatonTooLarge(
-            f"trace closure over {n} states refused: the _extension_choices products over its "
-            f"reachable traces outgrow memory; guard is |Q| <= {SUBSET_ENUMERATION_GUARD}"
+            f"trace closure over {n} traces refused: each family of neighbor-trace sets is a "
+            f"2^{n}-bit int; guard is |T| <= {SUBSET_ENUMERATION_GUARD}"
         )
+    states = a.states
     index = {t: i for i, t in enumerate(traces)}
-    last = [1 << a.index[t[-1]] for t in traces]
-    subs = _extension_subsets(_prefix_masks(traces)[0])
+    families = _Families(_prefix_masks(traces)[0], [1 << a.index[t[-1]] for t in traces])
     extended: list[dict[int, int]] = [{} for _ in traces]
 
     def step(t: int, lasts: int) -> int:
@@ -455,43 +546,30 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], traces: Sequence[Trace],
         return extended[t][lasts]
 
     seed_ids = [a.index[q] for q in seeds]
-    frontier: dict[int, set[int]] = {}  # node trace -> neighbor sets
-    seen: set[tuple[int, int]] = set()
+    seen = [0] * n  # node trace -> the family of its neighbor sets
     for chosen in range(1 << len(seed_ids)):
         lasts = h = 0
         for i in _bits(chosen):
             lasts |= 1 << seed_ids[i]
             h |= 1 << index[(seeds[i],)]
         for q in seeds:
-            t = step(index[(q,)], lasts)
-            frontier.setdefault(t, set()).add(h)
-            seen.add((h, t))
+            seen[step(index[(q,)], lasts)] |= 1 << h
+    frontier = {t: family for t, family in enumerate(seen) if family}
     iterations = rounds = 0
-    memo: dict[int, tuple[int, ...]] = {0: (0,)}
-    lasts_of: dict[int, int] = {}
     while frontier and (max_rounds is None or rounds < max_rounds):
         rounds += 1
-        next_frontier: dict[int, set[int]] = {}
-        for t, hs in frontier.items():
-            iterations += len(hs)
-            xs: set[int] = set()
-            for h in hs:
-                xs.update(memo[h] if h in memo else _extension_choices(subs, memo, h))
+        next_frontier: dict[int, int] = {}
+        for t, family in frontier.items():
+            iterations += family.bit_count()
             ext = extended[t]
-            for x in xs:
-                lasts = lasts_of.get(x)
-                if lasts is None:
-                    lasts = 0
-                    for i in _bits(x):
-                        lasts |= last[i]
-                    lasts_of[x] = lasts
+            for lasts, part in families.split(families.choices(family)):
                 t2 = ext.get(lasts)
                 if t2 is None:
                     t2 = step(t, lasts)
-                pair = (x, t2)
-                if pair not in seen:
-                    seen.add(pair)
-                    next_frontier.setdefault(t2, set()).add(x)
+                new = part & ~seen[t2]
+                if new:
+                    seen[t2] |= new
+                    next_frontier[t2] = next_frontier.get(t2, 0) | new
         frontier = next_frontier
     return seen, iterations
 
@@ -511,17 +589,13 @@ def _driver_closure(a: Automaton) -> dict[Trace, list[int]]:
     to the full closure; conversely every neighbor-trace set arising in a
     synchronous run (on any digraph) is produced, which is exactly what the
     formula construction needs.  Neighbor sets are grouped by node trace, as
-    masks over ``_reachable_traces(a)``."""
+    masks over ``_reachable_traces(a)``, lowest first."""
     traces = _reachable_traces(a)
-    pairs, _ = _pair_closure(a, sorted(set(a.init.values())), traces)
-    families: dict[Trace, list[int]] = {}
-    for h, t in pairs:
-        families.setdefault(traces[t], []).append(h)
-    return families
+    families, _ = _pair_closure(a, sorted(set(a.init.values())), traces)
+    return {traces[t]: _members(family) for t, family in enumerate(families) if family}
 
 
-def _prune_family(family: list[int], prefixes: Sequence[int],
-                  extensions: Sequence[int]) -> list[int]:
+def _prune_family(family: list[int], extensions: Sequence[int]) -> list[int]:
     """Keep only subsumption-minimal neighborhood descriptions; dropped
     members are implied by a kept one wherever they hold.
 
@@ -529,25 +603,51 @@ def _prune_family(family: list[int], prefixes: Sequence[int],
     prefix of some member of ``big`` and every member of ``big`` extends some
     member of ``small``.  Under any valuation in which a trace's set is
     contained in each of its prefixes' sets, the neighborhood described by
-    ``big`` also matches the (weaker) description by ``small``.  Sets are
-    masks over a sorted trace index, with its ``_prefix_masks``: with
-    ``down`` the prefixes and ``up`` the extensions of a set's members,
-    ``small`` covers ``big`` iff small ⊆ down(big) and big ⊆ up(small)."""
+    ``big`` also matches the (weaker) description by ``small``.
 
-    def covers(small: tuple, big: tuple) -> bool:
-        return not (small[0] & ~big[1] or big[0] & ~small[2])
-
-    kept: list[tuple] = []  # (set, the mask of its prefixes, the mask of its extensions)
-    for h in sorted(family, key=lambda h: (h.bit_count(), list(_bits(h)))):
-        down = up = 0
-        for i in _bits(h):
-            down |= prefixes[i]
-            up |= extensions[i]
-        coded = (h, down, up)
-        if not any(covers(k, coded) for k in kept):
-            kept = [k for k in kept if not covers(coded, k)]
-            kept.append(coded)
-    return [k[0] for k in kept]
+    Members are taken smaller first, then by their sorted traces; a member
+    no kept one covers is kept, and the kept ones it covers are dropped.
+    Sets are masks over a sorted trace index, with its ``_prefix_masks``
+    extension masks.  With ``up`` the extensions of a set's members,
+    ``small`` covers ``big`` iff big ⊆ up(small) and big meets the
+    extensions of each member of ``small``, so the sets a member covers are
+    one family: the subsets of its ``up`` that meet each of those masks.
+    Covering is transitive, so what the members kept so far cover, dropped
+    ones included, is what the ones still kept cover.  So the next member
+    to keep is the first of the family's sets outside that union, found a
+    trace at a time, and only kept members cost work."""
+    n = len(extensions)
+    holding = _holding(n)
+    meets: dict[int, int] = {}  # index trace -> the sets meeting its extensions
+    by_size: dict[int, bytearray] = {}  # the members of each size, as a family's bytes
+    for h in family:
+        size = h.bit_count()
+        if size not in by_size:
+            by_size[size] = bytearray(((1 << n) + 7) >> 3)
+        by_size[size][h >> 3] |= 1 << (h & 7)
+    covered = 0
+    kept: list[int] = []
+    for _, members in sorted(by_size.items()):
+        rest = int.from_bytes(members, "little") & ~covered
+        while rest:
+            first = rest  # narrowed to the sets holding the lowest trace some of them hold
+            for has in holding:
+                if first & has:
+                    first &= has
+            h = first.bit_length() - 1
+            up = 0
+            for i in _bits(h):
+                up |= extensions[i]
+            cover = _subsets(up)
+            for i in _bits(h):
+                if i not in meets:
+                    meets[i] = reduce(int.__or__, (holding[j] for j in _bits(extensions[i])))
+                cover &= meets[i]
+            kept = [k for k in kept if not cover >> k & 1]
+            kept.append(h)
+            covered |= cover
+            rest &= ~cover
+    return kept
 
 
 def _or_all(parts: list[Formula]) -> Formula:
@@ -588,8 +688,8 @@ def automaton_to_formula(a: Automaton) -> MuSystem:
     traces = sorted(a.traces(), key=lambda t: (len(t), t))
     names = _trace_var_names(traces)
     index = _reachable_traces(a)  # what the neighbor-set masks are over
-    _, prefixes, extensions = _prefix_masks(index)
-    families = {t: _prune_family(f, prefixes, extensions) for t, f in _driver_closure(a).items()}
+    extensions = _prefix_masks(index)[1]
+    families = {t: _prune_family(f, extensions) for t, f in _driver_closure(a).items()}
 
     head = _or_all([Var(names[t]) for t in traces if t[-1] in a.accepting])
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -486,6 +487,18 @@ class TestRoundTrips:
         assert len(out.read_text().splitlines()) == 96
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "ba187aad77cf3549a872baa522faf14170eee512c022833dc1a06e3045a970f1")
+
+    @pytest.mark.parametrize("argv", [["compile-down"], ["enables", "--max-rounds", "1"]])
+    def test_closure_over_more_than_20_traces_is_refused(self, argv, tmp_path, capsys):
+        # seven states whose diagram is a complete DAG: 64 traces from
+        # initialization and 127 in all, so no family of neighbor sets is built
+        start = time.perf_counter()
+        code = main([*argv, "--automaton", str(SAMPLES / "dag7.json"), "-o", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 2 and elapsed < 1
+        assert len(errors) == 1 and "traces refused" in errors[0] and "Traceback" not in err
 
     def test_equiv_sampled_mode(self, files, capsys):
         code = main(["equiv", "--a", files["safe_one.json"], "--b", files["safe_one.sexp"],

@@ -1,16 +1,18 @@
 """Differential tests of the int-encoded trace-driving closure
 (``transform._pair_closure``, ``_extension_choices``, ``_prune_family``)
 against the frozenset implementation it replaced, kept here as the
-reference."""
+reference, and of the closure's family operations (``_Families``) against
+the one-set product ``_extension_choices``."""
 
 import itertools
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from automu import transform
-from automu.automata import ELSE, Automaton, Trace, TransitionRule, parse_automaton, trace_pushlast
+from automu.automata import ELSE, Automaton, AutomatonTooLarge, Trace, TransitionRule, parse_automaton, trace_pushlast
 from automu.logic import parse_formula
 from automu.transform import compute_enables, formula_to_automaton
 from strategies import automata
@@ -110,9 +112,9 @@ def decoder(traces):
 def closure(a, seeds, universe, max_rounds=None):
     """The closure under test, decoded to the reference's terms."""
     traces = sorted(universe)
-    pairs, iterations = transform._pair_closure(a, seeds, traces, max_rounds)
+    families, iterations = transform._pair_closure(a, seeds, traces, max_rounds)
     decode = decoder(traces)
-    return {(decode(h), traces[t]) for h, t in pairs}, iterations
+    return {(decode(h), traces[t]) for t, family in enumerate(families) for h in transform._members(family)}, iterations
 
 
 def restricted(a):
@@ -124,10 +126,10 @@ def assert_same_prune(a):
     """``_prune_family`` on every family of compile-down's closure keeps what
     the reference keeps, in the same order."""
     index = transform._reachable_traces(a)
-    _, prefixes, extensions = transform._prefix_masks(index)
+    extensions = transform._prefix_masks(index)[1]
     decode = decoder(index)
     for family in transform._driver_closure(a).values():
-        got = transform._prune_family(family, prefixes, extensions)
+        got = transform._prune_family(family, extensions)
         assert [decode(h) for h in got] == reference_prune_family([decode(h) for h in family])
 
 
@@ -208,6 +210,57 @@ def test_extension_choices_on_every_set_of_probe_traces():
             decoded = set(map(decoder(traces), got))
             assert {x: frozenset(t[-1] for t in x) for x in decoded} == dict(
                 reference_extension_choices(ext, frozenset(traces[i] for i in h)))
+
+
+def assert_family_operations(a, traces, family):
+    """``_Families.choices`` of ``family`` is the union of ``_extension_choices``
+    over its members, and ``split`` cuts it into the sets of each last-state
+    mask, as decoding every set's mask gives them."""
+    steps = transform._prefix_masks(traces)[0]
+    ops = transform._Families(steps, [1 << a.index[t[-1]] for t in traces])
+    subs = transform._extension_subsets(steps)
+    memo = {0: (0,)}
+    want = set()
+    for h in transform._members(family):
+        want.update(transform._extension_choices(subs, memo, h))
+    got = ops.choices(family)
+    assert transform._members(got) == sorted(want)
+    parts = {}
+    for x in want:
+        lasts = a.mask(traces[i][-1] for i in transform._bits(x))
+        parts[lasts] = parts.get(lasts, 0) | 1 << x
+    cut = list(ops.split(got))
+    assert len(cut) == len(parts) and dict(cut) == parts
+
+
+def test_family_operations_on_every_set_of_probe_traces():
+    a = sample("sync_probe.json")
+    traces = sorted(a.traces())
+    for h in range(1 << len(traces)):
+        assert_family_operations(a, traces, 1 << h)
+
+
+FLAGSHIP = sample("safe_one.json")
+FLAGSHIP_TRACES = sorted(FLAGSHIP.traces())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, (1 << len(FLAGSHIP_TRACES)) - 1), max_size=8))
+def test_family_operations_on_random_families_of_flagship_traces(masks):
+    assert len(FLAGSHIP_TRACES) == 15
+    assert_family_operations(FLAGSHIP, FLAGSHIP_TRACES, sum(1 << h for h in masks))
+
+
+def test_closure_guard_trips_before_any_family_is_built(monkeypatch):
+    # seven states whose diagram is a complete DAG: 127 traces
+    a = sample("dag7.json")
+
+    def unbuilt(*args):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(transform, "_Families", unbuilt)
+    with pytest.raises(AutomatonTooLarge, match=r"over 127 traces refused: .* 2\^127-bit int; guard is \|T\| <= 20"):
+        transform._pair_closure(a, a.states, sorted(a.traces()), max_rounds=1)
 
 
 @pytest.mark.parametrize("name", ["sync_probe.json", "safe_one.json", "safe_one", "reach_one", "boxed_one"])

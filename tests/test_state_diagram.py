@@ -162,5 +162,5 @@ class TestCommandsOn128States:
         assert main(["compile-down", "--automaton", up, "-o", str(tmp_path / "down.sexp")]) == 2
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and "over 128 states refused: the _extension_choices products" in errors[0]
+        assert len(errors) == 1 and "over 184 traces refused: each family of neighbor-trace sets is a 2^184-bit" in errors[0]
         assert "Traceback" not in err
