@@ -22,7 +22,9 @@ are definitive.
 ``async_run`` and ``check_consistency`` run on one engine, ``_run``, over an
 automaton and a graph compiled once into indices (``_Net``): the automaton's
 state encoding, buffers of state indices, activation masks and the memoized
-``Automaton.step``.  ``async_step``, ``is_quiescent``, ``sync_step`` and
+``Automaton.step``.  On the same ``_Net``, ``check_consistency`` first runs
+the lossy explorer ``_outcomes``, which can prove a graph consistent
+without sampling a timing.  ``async_step``, ``is_quiescent``, ``sync_step`` and
 ``initial_configuration`` are the single-step API on named configurations
 and the reference the engine is tested against.
 """
@@ -35,9 +37,8 @@ import json
 import math
 import random
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .automata import (
     _GUARD_SYNTAX,
@@ -97,6 +98,9 @@ def first_hit(scan: Callable[..., tuple], slices: list[tuple], jobs: int) -> tup
     has one, with each count summed over the slices before it plus its own
     partial count, so all are the same at any job count."""
     if jobs > 1 and len(slices) > 1:
+        # imported here: it pulls in multiprocessing, which a one-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(scan, *zip(*slices)))
     else:
@@ -475,14 +479,17 @@ class _Net:
         self.bufs = [(self.init[u],) for u, _ in ends]
         self.traces = [(q,) for q in self.init]
         self.visited = [0 if self.accepting >> q & 1 else None for q in self.init]
-        self.target = []
-        for q, incoming in zip(self.init, self.incoming):
-            fronts = 0
-            for j in incoming:
-                fronts |= 1 << self.bufs[j][0]
-            self.target.append(a.step(q, fronts))
+        self.target = [self.target_of(q, self.bufs, v) for v, q in enumerate(self.init)]
         # the nodes that move when active; with none, every run stops at step 0
         self.movers = sum(1 << v for v, q in enumerate(self.init) if self.target[v] != q)
+
+    def target_of(self, q: int, bufs: Sequence[tuple[int, ...]], w: int) -> int:
+        """Node w's target in state q on the fronts of ``bufs``."""
+        fronts = 0
+        for j in self.incoming[w]:
+            fronts |= 1 << bufs[j][0]
+        t = self.a.step_memo[q].get(fronts)
+        return self.a.step(q, fronts) if t is None else t
 
     def extension(self, bufs: list[tuple[int, ...]]) -> Iterator[int]:
         """The fully-active steps that follow a run's supplied ones, until
@@ -818,16 +825,71 @@ class ConsistencyWitness:
 
 @dataclass(frozen=True)
 class ConsistencyVerdict:
-    """``consistent`` means no disagreement was found within the budget; it is
-    never a proof that the automaton is asynchronous.  ``comparisons`` counts
-    the definitive per-node verdicts compared with a definitive reference:
-    "consistent" on none compared nothing (a graph quiescent from the start
-    takes no comparison, since no timing can change its run)."""
+    """``consistent`` means no disagreement was found within the budget.  It
+    proves timing independence on this graph only when the graph is
+    quiescent from the start or the explorer settled it (see
+    ``check_consistency``); the verdict does not say which.
+    ``comparisons`` counts the definitive per-node verdicts compared with a
+    definitive reference: "consistent" on none compared nothing (a graph
+    quiescent from the start takes no comparison, since no timing can
+    change its run).  A graph the explorer settles counts ``runs`` and
+    ``comparisons`` as the sampled loop would have, so both are the same
+    on either path."""
 
     consistent: bool
     runs: int
     comparisons: int
     witness: ConsistencyWitness | None = None
+
+
+def _outcomes(net: _Net, limit: int) -> Iterator[int | None]:
+    """The lossy explorer: a depth-first search over the configurations
+    reachable from the initial one by single-entity steps, each (states,
+    buffers, visited mask) seen once.  A step is either one mover taking its
+    target and pushing it onto its out-buffers, or one buffer that holds
+    more than one state popping.  Yields the visited mask (bit v: node v
+    has visited an accepting state) of each quiescent configuration, each
+    distinct mask once as it is first found; or yields None and stops once
+    more than ``limit`` configurations have been seen.
+
+    Every run of the engine, under any timing, ends at a quiescent
+    configuration found here.  An engine step is the same as its active
+    movers moving one at a time, then its pops: pushes go to the back of
+    buffers that are never empty, so no front, and no mover's target,
+    changes during the moves; a moved writer's active buffer holds at least
+    two states after the push, so popping it then is legal.  Every sampled
+    run, the fully-active extension to quiescence included, is therefore a
+    path in this graph.  Lossless timings are a subset of lossy ones, so
+    the outcomes cover them too."""
+    accepting, outgoing, reader, target = net.accepting, net.outgoing, net.reader, net.target_of
+    start = (tuple(net.init), tuple(net.bufs), sum(1 << v for v, at in enumerate(net.visited) if at is not None))
+    seen = {start}
+    stack = [(start, tuple(net.target))]  # a configuration and its nodes' targets
+    found = set()
+    while stack:
+        (state, bufs, visited), targets = stack.pop()
+        steps = []  # (the next configuration, the one node whose state or fronts changed)
+        for v, t in enumerate(targets):
+            if t != state[v]:
+                pushed = list(bufs)
+                for j, _, _ in outgoing[v]:
+                    pushed[j] += (t,)
+                moved = visited | (accepting >> t & 1) << v
+                steps.append(((state[:v] + (t,) + state[v + 1:], tuple(pushed), moved), v))
+        for j, b in enumerate(bufs):
+            if len(b) > 1:
+                steps.append(((state, bufs[:j] + (b[1:],) + bufs[j + 1:], visited), reader[j]))
+        if not steps and visited not in found:  # quiescent
+            found.add(visited)
+            yield visited
+        for config, w in steps:
+            if config in seen:
+                continue
+            seen.add(config)
+            if len(seen) > limit:
+                yield None
+                return
+            stack.append((config, targets[:w] + (target(config[0][w], config[1], w),) + targets[w + 1:]))
 
 
 def check_consistency(
@@ -845,12 +907,41 @@ def check_consistency(
     Without ``lossless_only``, sampled timings alternate lossless and lossy.
     A disagreement is returned with the two timings (truncated to the steps
     actually executed, hence replayable) and the node as witness.
+
+    For a quasi-acyclic automaton, every fair run ends quiescent and a graph
+    has finitely many reachable configurations.  Before sampling, the
+    explorer ``_outcomes`` visits them, giving up past ``samples`` of them.
+    If it sees them all and they hold exactly one quiescent outcome, every
+    timing (the sampled ones included) gives the same verdicts, so the graph
+    is proved timing-independent and nothing is sampled.  The verdict is
+    then the one the sampled loop would return: ``samples + 1`` runs and
+    ``samples * n`` comparisons, since every run of a quasi-acyclic
+    automaton reaches quiescence and so compares all n nodes.  Every other
+    graph (a cyclic automaton, more configurations than ``samples``, or two
+    outcomes) takes the sampled loop, ``_sampled_consistency``.
     """
     if budget is None:
         budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
     check_counts(samples=samples, budget=budget)
     quasi = a.trace_length_bound() is not None
     net = _Net(a, g)
+    base = _run(net, itertools.repeat(net.full, budget), quasi)
+    if base.stabilized == 0:
+        # quiescent from the start: every timing gives this run's verdicts
+        return ConsistencyVerdict(consistent=True, runs=1, comparisons=0)
+    if quasi and samples:
+        found = list(itertools.islice(_outcomes(net, samples), 2))
+        if len(found) == 1 and found[0] is not None:
+            return ConsistencyVerdict(consistent=True, runs=samples + 1, comparisons=samples * len(g.nodes))
+    return _sampled_consistency(net, base, samples, lossless_only, seed, budget)
+
+
+def _sampled_consistency(net: _Net, base: _Outcome, samples: int, lossless_only: bool, seed: int,
+                         budget: int) -> ConsistencyVerdict:
+    """``check_consistency``'s sampled loop, against the synchronous run
+    ``base``."""
+    g = net.g
+    quasi = net.a.trace_length_bound() is not None
 
     def timing(seed: int | None, lossless: bool, steps: int) -> TimingPrefix:
         """The prefix a run consumed, rebuilt for a witness: the synchronous
@@ -859,10 +950,6 @@ def check_consistency(
             return synchronous_prefix(g, steps)
         return sample_timing(g, steps, lossless=lossless, seed=seed)
 
-    base = _run(net, itertools.repeat(net.full, budget), quasi)
-    if base.stabilized == 0:
-        # quiescent from the start: every timing gives this run's verdicts
-        return ConsistencyVerdict(consistent=True, runs=1, comparisons=0)
     # per node: the reference verdict and the timing that gave it
     refs = [(verdict, (None, True, min(base.steps, budget))) for verdict in base.verdicts()]
 

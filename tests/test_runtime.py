@@ -2,11 +2,13 @@ import itertools
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from automu import runtime
 from automu.automata import (
     ELSE,
     Automaton,
@@ -17,7 +19,7 @@ from automu.automata import (
     parse_automaton,
     trace_pushlast,
 )
-from automu.graphs import Digraph, PointedDigraph, enumerate_digraphs
+from automu.graphs import Digraph, PointedDigraph, enumerate_digraphs, node_set
 from automu.runtime import (
     DEFAULT_STARVATION_BOUND,
     Activation,
@@ -30,6 +32,10 @@ from automu.runtime import (
     TimingSampler,
     _draw,
     _lane_masks,
+    _Net,
+    _outcomes,
+    _run,
+    _sample,
     async_run,
     async_step,
     check_consistency,
@@ -392,6 +398,13 @@ def criterion_4_subjects():
                                      for f in (safe_one_formula, reach_one_formula, boxed_one_formula)]
 
 
+def sampled_consistency(*args, **kwargs):
+    """``check_consistency`` with the explorer leaving every graph
+    undecided: the sampled loop runs on every graph that moves."""
+    with mock.patch.object(runtime, "_outcomes", lambda net, limit: iter([None])):
+        return check_consistency(*args, **kwargs)
+
+
 class TestQuiescentAtStart:
     def test_takes_the_synchronous_run_alone(self):
         rng = random.Random(0)
@@ -400,6 +413,7 @@ class TestQuiescentAtStart:
             for _ in range(15):
                 g = make_graph(rng, 5, a.bits)
                 verdict = check_consistency(a, g, samples=6, seed=1)
+                assert sampled_consistency(a, g, samples=6, seed=1) == verdict
                 if not is_quiescent(a, g, initial_configuration(a, g)):
                     assert verdict.runs == 7
                     continue
@@ -575,6 +589,7 @@ class TestEngineAgainstReference:
             for lossless_only, budget in itertools.product((False, True), (None, 2)):
                 want = reference_consistency(a, g, 12, lossless_only, seed=i, budget=budget)
                 assert check_consistency(a, g, 12, lossless_only, seed=i, budget=budget) == want
+                assert sampled_consistency(a, g, 12, lossless_only, seed=i, budget=budget) == want
 
     @pytest.mark.parametrize("budget", [None, 1])
     @pytest.mark.parametrize("delayed", [False, True])
@@ -720,10 +735,114 @@ class TestEngineHandCases:
         a = safe_one_automaton()
         nodes = tuple(f"n{i}" for i in range(5))
         g = Digraph(bits=1, nodes=nodes, labels=dict(zip(nodes, "10000")), edges=frozenset(zip(nodes, nodes[1:])))
-        got = check_consistency(a, g, 20, seed=3)
-        assert got == reference_consistency(a, g, 20, seed=3)
+        got = sampled_consistency(a, g, 20, seed=3)
+        assert got == reference_consistency(a, g, 20, seed=3) == check_consistency(a, g, 20, seed=3)
         assert got.runs == 21 and got.comparisons > 0
         rng, budget = random.Random(3), 10 * DEFAULT_STARVATION_BOUND * len(nodes)
         steps = [async_run(a, g, sample_timing(g, budget, lossless=i % 2 == 0, seed=rng.randrange(2**32))).steps_taken
                  for i in range(20)]
         assert max(steps) > DEFAULT_STARVATION_BOUND
+
+
+# ---------------------------------------------------------------------------
+# the lossy explorer against the full-activation reference
+
+
+def reference_outcomes(a, g):
+    """Every quiescent outcome over all timings, as the set of nodes that
+    visited an accepting state: a search over named configurations in which
+    any subset of the nodes and edges acts at each step, stepped by
+    ``async_step`` and stopped by ``is_quiescent``."""
+    entities = list(g.nodes) + sorted(g.edges)
+    acts = [activation(g, on) for k in range(len(entities) + 1) for on in itertools.combinations(entities, k)]
+
+    def key(c, visited):
+        return tuple(sorted(c.node_state.items())), tuple(sorted(c.buffers.items())), visited
+
+    c0 = initial_configuration(a, g)
+    todo = [(c0, frozenset(v for v in g.nodes if c0.node_state[v] in a.accepting))]
+    seen = {key(*todo[0])}
+    outcomes = set()
+    while todo:
+        c, visited = todo.pop()
+        if is_quiescent(a, g, c):
+            outcomes.add(visited)
+            continue
+        for act in acts:
+            nxt = async_step(a, g, c, act)
+            now = visited | {v for v in g.nodes if nxt.node_state[v] in a.accepting}
+            if key(nxt, now) not in seen:
+                seen.add(key(nxt, now))
+                todo.append((nxt, now))
+    return outcomes
+
+
+def explorer_graphs(bits):
+    """Every digraph of at most 2 nodes, then sampled 3-node graphs."""
+    yield from enumerate_digraphs(2, bits)
+    rng = random.Random(bits)
+    nodes = ("n0", "n1", "n2")
+    for _ in range(6):
+        yield Digraph(bits=bits, nodes=nodes,
+                      labels={v: "".join(rng.choice("01") for _ in range(bits)) for v in nodes},
+                      edges=frozenset((u, v) for u in nodes for v in nodes if rng.random() < 0.3))
+
+
+def explored(a, g):
+    """The explorer's outcomes with no limit, as sets of nodes."""
+    return {node_set(g, mask) for mask in _outcomes(_Net(a, g), math.inf)}
+
+
+def proved(a, g, samples):
+    """Whether ``check_consistency`` settles the graph without sampling."""
+    found = list(itertools.islice(_outcomes(_Net(a, g), samples), 2))
+    return len(found) == 1 and found[0] is not None
+
+
+class TestExplorer:
+    @pytest.mark.parametrize("name", list(engine_subjects()))
+    def test_outcomes_match_the_full_activation_reference(self, name):
+        a = engine_subjects()[name]
+        several = 0
+        for g in explorer_graphs(a.bits):
+            want = reference_outcomes(a, g)
+            assert explored(a, g) == want, g
+            several += len(want) > 1
+        if name == "sync_probe.json":
+            assert several  # the probe is timing-dependent on some of them
+
+    @pytest.mark.parametrize("name", list(engine_subjects()))
+    def test_sampled_runs_end_in_an_explored_outcome(self, name):
+        a = engine_subjects()[name]
+        rng = random.Random(5)
+        for g in itertools.chain(explorer_graphs(a.bits), (make_graph(rng, 4, a.bits) for _ in range(4))):
+            net = _Net(a, g)
+            outcomes = explored(a, g)
+            for seed, lossless in itertools.product(range(6), (False, True)):
+                steps = _sample(g, 0.5, DEFAULT_STARVATION_BOUND, lossless, random.Random(seed))
+                out = _run(net, itertools.islice(steps, 40), True)
+                assert node_set(g, sum(1 << v for v, at in enumerate(out.visited) if at is not None)) in outcomes
+
+    @pytest.mark.parametrize("name", list(engine_subjects()))
+    def test_consistency_matches_the_reference_on_either_path(self, name):
+        a = engine_subjects()[name]
+        paths = set()
+        for i, g in enumerate(engine_graphs(a.bits)):
+            if not is_quiescent(a, g, initial_configuration(a, g)):
+                paths.add(proved(a, g, 12))
+            assert check_consistency(a, g, 12, seed=i) == reference_consistency(a, g, 12, seed=i), g
+        assert paths == {False, True}
+
+    def test_a_proved_graph_draws_no_timing(self):
+        a, g = safe_one_automaton(), chain_graph()
+        assert proved(a, g, 30)
+
+        def no_sampling(*args):
+            raise AssertionError("a timing was drawn")
+
+        with mock.patch.object(runtime, "_sample", no_sampling):
+            verdict = check_consistency(a, g, samples=30, seed=7)
+            with pytest.raises(AssertionError, match="a timing was drawn"):
+                check_consistency(sync_probe_automaton(), two_cycle_graph(), samples=30)
+        assert verdict == ConsistencyVerdict(consistent=True, runs=31, comparisons=60)
+        assert verdict == reference_consistency(a, g, 30, seed=7)
