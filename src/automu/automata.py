@@ -20,6 +20,11 @@ memoized per set of neighbor states; that scan survives only in
 ``is_quasi_acyclic``, as the reference.  One extension loop, ``traces``,
 answers every trace question: from every state it gives all paths of the
 diagram, from the initialization states the traces compile-down drives.
+
+``is_monotone`` is a certificate, over the states reachable from
+initialization, that the automaton gives the same verdicts under every
+timing on every digraph; ``check_consistency`` asks it before it explores
+or samples.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ class NotQuasiAcyclic(ValueError):
 # how many states the reference scan enumerates subsets of, and the log2 of
 # the neighborhood regions ``state_diagram`` may split one state's rules into
 SUBSET_ENUMERATION_GUARD = 20
+# the most states reachable from initialization that ``is_monotone`` lists
+# the 2^|R| neighborhoods of (about 0.2 s at 10 states, 4 times that at 12)
+CERTIFICATE_GUARD = 10
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +373,56 @@ class Automaton:
             self._cache["bound"] = _longest_path(self.state_diagram())
         return self._cache["bound"]
 
+    def is_monotone(self) -> bool:
+        """A certificate that the automaton is timing-independent on every
+        digraph: every run, under any timing, lossy or lossless, ends in the
+        same quiescent configuration.  Memoized.
+
+        It is read over R, the states of ``traces(init states)``: every
+        state a node can be in, a set closed under step(q, F) for q in R and
+        F a subset of R.  Let <= be the reflexive-transitive closure of
+        q -> step(q, F) on R.  The automaton is certified when it is
+        quasi-acyclic (so <= is antisymmetric) and, for every q <= q2 in R
+        and every F and F | {y} that are subsets of R:
+
+        1. accepting states are upward closed under <=;
+        2. step(q, F) <= step(q2, F);
+        3. step(q, F) <= step(q, F | {y}) when some x in F has x <= y;
+        4. step(q, F | {y}) <= step(q, F) when some z in F has y <= z.
+
+        3 adds a state above a member of F, 4 drops one below another
+        member.  Together they generate the Egli-Milner order on front sets
+        (F ⊑ G when every member of F is <= some member of G and every
+        member of G is >= some member of F: add all of G, then drop the rest
+        of F), so step is monotone in that order, as both ``dia`` and ``box``
+        guards of a least fixpoint are.  Least-fixpoint approximants only
+        grow: this is the chaotic-iteration argument for monotone operators
+        (Cousot and Cousot 1977).
+
+        Proof.  Take a quiescent configuration Y that some run on a digraph
+        reaches, and any run on the same digraph.  By induction over
+        single-entity steps, every node state of that run is <= the node's
+        state in Y, and every buffer entry is <= its writer's.  Initially
+        every node v is in its initialization state, the first state of
+        v's trace in the run to Y, and a trace is a <=-chain, so it is
+        <= Y_v; each buffer holds its writer's initial state.  A pop removes
+        an entry; a push copies its writer's new state.  A move takes v from
+        s <= Y_v to step(s, F), where F holds the fronts f_u of v's incoming
+        buffers, each f_u <= Y_u.  Every buffer is nonempty, so F ⊑ G =
+        {Y_u}, and step(s, F) <= step(Y_v, F) <= step(Y_v, G) = Y_v, by 2,
+        then 3 and 4, then Y's quiescence.  So any two quiescent
+        configurations that runs reach are each <= the other, and they are
+        equal.  A node's trace is a <=-chain that ends at its final state,
+        so by 1 it visited an accepting state iff that final state is
+        accepting.  Every verdict is therefore the same under every timing,
+        lossy or lossless.
+
+        More than CERTIFICATE_GUARD states in R returns False before the
+        2^|R| neighborhoods are listed."""
+        if "monotone" not in self._cache:
+            self._cache["monotone"] = self.trace_length_bound() is not None and _monotone(self)
+        return self._cache["monotone"]
+
     def is_quasi_acyclic(self) -> bool:
         """True iff the state diagram has no directed cycles except self-loops
         (equivalently: the trace set is finite).  The reference: it scans all
@@ -412,6 +470,57 @@ class Automaton:
             return False
         diagram = self.state_diagram()
         return all(b in diagram[a] for a, b in zip(t, t[1:]))  # no self-loops in it
+
+
+def _reachable_states(a: Automaton) -> frozenset[str]:
+    """The states of ``a.traces(init states)``, without listing the traces:
+    the least set that holds the initialization states and every successor
+    of its members on neighborhoods drawn from it."""
+    reach = frozenset(a.init.values())
+    while True:
+        more = reach.union(*(a._successors(q, reach) for q in reach))
+        if more == reach:
+            return reach
+        reach = more
+
+
+def _monotone(a: Automaton) -> bool:
+    """The conditions of ``Automaton.is_monotone`` on a quasi-acyclic
+    automaton, on masks: ``table[q][i]`` is step(q, subsets[i]), where bit
+    k of i says states[k] is in the subset, and bit r of ``up[q]`` says
+    q <= r.  2 is checked for q2 a successor of q only, since the steps
+    generate <= and <= is transitive; 3 and 4 in one loop over F and y."""
+    reach = _reachable_states(a)
+    if len(reach) > CERTIFICATE_GUARD:
+        return False
+    states = sorted(a.index[q] for q in reach)
+    subsets = [0]
+    for q in states:
+        subsets += [f | 1 << q for f in subsets]
+    table = {q: [a.step(q, f) for f in subsets] for q in states}
+    successors = {q: set(row) - {q} for q, row in table.items()}
+    up = {}
+    for q in graphlib.TopologicalSorter(successors).static_order():  # successors first
+        up[q] = 1 << q
+        for r in successors[q]:
+            up[q] |= up[r]
+    down = {y: sum(1 << x for x in states if up[x] >> y & 1) for y in states}
+    accepting = a.mask(a.accepting)
+    if any(up[q] & ~accepting for q in states if accepting >> q & 1):
+        return False
+    for q, row in table.items():
+        for q2 in successors[q]:
+            if not all(up[t] >> t2 & 1 for t, t2 in zip(row, table[q2])):
+                return False
+    for row in table.values():
+        for k, y in enumerate(states):
+            for i, f in enumerate(subsets):
+                if i >> k & 1:
+                    continue
+                t, t2 = row[i], row[i | 1 << k]
+                if f & down[y] and not up[t] >> t2 & 1 or f & up[y] and not up[t2] >> t & 1:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------

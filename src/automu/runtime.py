@@ -22,9 +22,11 @@ are definitive.
 ``async_run`` and ``check_consistency`` run on one engine, ``_run``, over an
 automaton and a graph compiled once into indices (``_Net``): the automaton's
 state encoding, buffers of state indices, activation masks and the memoized
-``Automaton.step``.  On the same ``_Net``, ``check_consistency`` first runs
-the lossy explorer ``_outcomes``, which can prove a graph consistent
-without sampling a timing.  ``async_step``, ``is_quiescent``, ``sync_step`` and
+``Automaton.step``.  Before it samples, ``check_consistency`` asks the
+automaton's certificate ``Automaton.is_monotone``, which proves every graph
+consistent at once, and then runs the lossy explorer ``_outcomes`` on the
+same ``_Net``, which can prove one graph consistent; either way no timing
+is sampled.  ``async_step``, ``is_quiescent``, ``sync_step`` and
 ``initial_configuration`` are the single-step API on named configurations
 and the reference the engine is tested against.
 """
@@ -827,14 +829,15 @@ class ConsistencyWitness:
 class ConsistencyVerdict:
     """``consistent`` means no disagreement was found within the budget.  It
     proves timing independence on this graph only when the graph is
-    quiescent from the start or the explorer settled it (see
+    quiescent from the start, the automaton is certified by
+    ``Automaton.is_monotone``, or the explorer settled the graph (see
     ``check_consistency``); the verdict does not say which.
     ``comparisons`` counts the definitive per-node verdicts compared with a
     definitive reference: "consistent" on none compared nothing (a graph
     quiescent from the start takes no comparison, since no timing can
-    change its run).  A graph the explorer settles counts ``runs`` and
-    ``comparisons`` as the sampled loop would have, so both are the same
-    on either path."""
+    change its run).  A graph the certificate or the explorer settles
+    counts ``runs`` and ``comparisons`` as the sampled loop would have, so
+    both are the same on every path."""
 
     consistent: bool
     runs: int
@@ -892,6 +895,13 @@ def _outcomes(net: _Net, limit: int) -> Iterator[int | None]:
             stack.append((config, targets[:w] + (target(config[0][w], config[1], w),) + targets[w + 1:]))
 
 
+def _one_outcome(net: _Net, limit: int) -> bool:
+    """Whether the explorer sees every configuration reachable on ``net``
+    within ``limit`` of them, and they hold exactly one quiescent outcome."""
+    found = list(itertools.islice(_outcomes(net, limit), 2))
+    return len(found) == 1 and found[0] is not None
+
+
 def check_consistency(
     a: Automaton,
     g: Digraph,
@@ -909,16 +919,26 @@ def check_consistency(
     actually executed, hence replayable) and the node as witness.
 
     For a quasi-acyclic automaton, every fair run ends quiescent and a graph
-    has finitely many reachable configurations.  Before sampling, the
-    explorer ``_outcomes`` visits them, giving up past ``samples`` of them.
-    If it sees them all and they hold exactly one quiescent outcome, every
-    timing (the sampled ones included) gives the same verdicts, so the graph
-    is proved timing-independent and nothing is sampled.  The verdict is
-    then the one the sampled loop would return: ``samples + 1`` runs and
-    ``samples * n`` comparisons, since every run of a quasi-acyclic
-    automaton reaches quiescence and so compares all n nodes.  Every other
-    graph (a cyclic automaton, more configurations than ``samples``, or two
-    outcomes) takes the sampled loop, ``_sampled_consistency``.
+    has finitely many reachable configurations.  The paths are tried in
+    this order, the first that settles the graph wins (2 and 3 only for a
+    quasi-acyclic automaton and ``samples`` > 0):
+
+    1. quiescent at the start: no timing can move the graph;
+    2. the certificate ``Automaton.is_monotone``, computed once per
+       automaton: every run on every graph ends in one quiescent
+       configuration (the proof is in its docstring);
+    3. the explorer ``_outcomes``, which visits the reachable
+       configurations, giving up past ``samples`` of them; if it sees them
+       all and they hold exactly one quiescent outcome, every timing gives
+       the same verdicts;
+    4. the sampled loop, ``_sampled_consistency``, for every other graph (a
+       cyclic automaton, more configurations than ``samples``, or two
+       outcomes).
+
+    On paths 2 and 3 nothing is sampled, and the verdict is the one the
+    sampled loop would return: ``samples + 1`` runs and ``samples * n``
+    comparisons, since every run of a quasi-acyclic automaton reaches
+    quiescence and so compares all n nodes, and no two runs disagree.
     """
     if budget is None:
         budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
@@ -929,10 +949,8 @@ def check_consistency(
     if base.stabilized == 0:
         # quiescent from the start: every timing gives this run's verdicts
         return ConsistencyVerdict(consistent=True, runs=1, comparisons=0)
-    if quasi and samples:
-        found = list(itertools.islice(_outcomes(net, samples), 2))
-        if len(found) == 1 and found[0] is not None:
-            return ConsistencyVerdict(consistent=True, runs=samples + 1, comparisons=samples * len(g.nodes))
+    if quasi and samples and (a.is_monotone() or _one_outcome(net, samples)):
+        return ConsistencyVerdict(consistent=True, runs=samples + 1, comparisons=samples * len(g.nodes))
     return _sampled_consistency(net, base, samples, lossless_only, seed, budget)
 
 

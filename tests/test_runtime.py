@@ -5,21 +5,24 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from automu import runtime
 from automu.automata import (
+    CERTIFICATE_GUARD,
     ELSE,
     Automaton,
     NotQuasiAcyclic,
     SubsetEq,
     SupsetEq,
     TransitionRule,
+    _reachable_states,
     parse_automaton,
     trace_pushlast,
 )
 from automu.graphs import Digraph, PointedDigraph, enumerate_digraphs, node_set
+from automu.logic import parse_formula
 from automu.runtime import (
     DEFAULT_STARVATION_BOUND,
     Activation,
@@ -62,7 +65,8 @@ from automu.zoo import (
     sync_probe_automaton,
     two_cycle_graph,
 )
-from strategies import automata, graphs, make_graph, seeds
+from strategies import automata, graphs, make_graph, seeds, systems
+from test_transform import SIX_VARIABLES
 
 
 def sync_config(a, g, rng):
@@ -398,10 +402,17 @@ def criterion_4_subjects():
                                      for f in (safe_one_formula, reach_one_formula, boxed_one_formula)]
 
 
+def uncertified():
+    """The certificate switched off: every automaton takes the explorer,
+    then the sampled loop, as if ``Automaton.is_monotone`` had failed."""
+    return mock.patch.object(Automaton, "is_monotone", lambda self: False)
+
+
 def sampled_consistency(*args, **kwargs):
-    """``check_consistency`` with the explorer leaving every graph
-    undecided: the sampled loop runs on every graph that moves."""
-    with mock.patch.object(runtime, "_outcomes", lambda net, limit: iter([None])):
+    """``check_consistency`` with the certificate off and the explorer
+    leaving every graph undecided: the sampled loop runs on every graph
+    that moves."""
+    with uncertified(), mock.patch.object(runtime, "_outcomes", lambda net, limit: iter([None])):
         return check_consistency(*args, **kwargs)
 
 
@@ -534,6 +545,10 @@ def engine_subjects():
         **{f"up({f.__name__[:-8]})": formula_to_automaton(f())
            for f in (safe_one_formula, reach_one_formula, boxed_one_formula)},
     }
+
+
+# the engine subjects ``Automaton.is_monotone`` certifies
+CERTIFIED = {"up(safe_one)", "up(reach_one)", "up(boxed_one)"}
 
 
 def engine_graphs(bits):
@@ -793,6 +808,20 @@ def explored(a, g):
     return {node_set(g, mask) for mask in _outcomes(_Net(a, g), math.inf)}
 
 
+def consistency_path(a, g, samples, **kwargs):
+    """``check_consistency``'s verdict, and the path that settled it:
+    "quiescent" at the start, "certified" by ``Automaton.is_monotone``,
+    "explored" by ``_outcomes`` or "sampled"."""
+    with mock.patch.object(runtime, "_outcomes", wraps=runtime._outcomes) as explore, \
+            mock.patch.object(runtime, "_sampled_consistency", wraps=runtime._sampled_consistency) as sample:
+        verdict = check_consistency(a, g, samples, **kwargs)
+    if sample.called:
+        return verdict, "sampled"
+    if explore.called:
+        return verdict, "explored"
+    return verdict, "quiescent" if verdict.runs == 1 else "certified"
+
+
 def proved(a, g, samples):
     """Whether ``check_consistency`` settles the graph without sampling."""
     found = list(itertools.islice(_outcomes(_Net(a, g), samples), 2))
@@ -826,12 +855,19 @@ class TestExplorer:
     @pytest.mark.parametrize("name", list(engine_subjects()))
     def test_consistency_matches_the_reference_on_either_path(self, name):
         a = engine_subjects()[name]
-        paths = set()
+        paths, uncertified_paths = set(), set()
         for i, g in enumerate(engine_graphs(a.bits)):
-            if not is_quiescent(a, g, initial_configuration(a, g)):
-                paths.add(proved(a, g, 12))
-            assert check_consistency(a, g, 12, seed=i) == reference_consistency(a, g, 12, seed=i), g
-        assert paths == {False, True}
+            want = reference_consistency(a, g, 12, seed=i)
+            verdict, path = consistency_path(a, g, 12, seed=i)
+            assert verdict == want, g
+            paths.add(path)
+            with uncertified():  # the explorer and the sampled loop, on every subject
+                verdict, path = consistency_path(a, g, 12, seed=i)
+            assert verdict == want, g
+            uncertified_paths.add(path)
+        # the graphs that move: every one certified, or some explored and some sampled
+        assert paths - {"quiescent"} == ({"certified"} if name in CERTIFIED else {"explored", "sampled"})
+        assert uncertified_paths - {"quiescent"} == {"explored", "sampled"}
 
     def test_a_proved_graph_draws_no_timing(self):
         a, g = safe_one_automaton(), chain_graph()
@@ -846,3 +882,133 @@ class TestExplorer:
                 check_consistency(sync_probe_automaton(), two_cycle_graph(), samples=30)
         assert verdict == ConsistencyVerdict(consistent=True, runs=31, comparisons=60)
         assert verdict == reference_consistency(a, g, 30, seed=7)
+
+    def test_a_certified_graph_draws_no_timing(self):
+        # five nodes and eleven edges: more than 30 configurations for the explorer
+        a, g = formula_to_automaton(reach_one_formula()), make_graph(random.Random(6), 5, 1)
+        assert a.is_monotone() and not proved(a, g, 30)
+
+        def fail(*args):
+            raise AssertionError("a timing was drawn or a configuration explored")
+
+        with mock.patch.object(runtime, "_sample", fail), mock.patch.object(runtime, "_outcomes", fail):
+            verdict = check_consistency(a, g, samples=30, seed=7)
+        assert verdict == ConsistencyVerdict(consistent=True, runs=31, comparisons=30 * len(g.nodes))
+        assert verdict == reference_consistency(a, g, 30, seed=7)
+
+
+# ---------------------------------------------------------------------------
+# the certificate: one quiescent outcome on every graph
+
+
+def certificate_graphs(bits, seed):
+    """Every digraph of at most 2 nodes, then sampled 3- and 4-node graphs."""
+    yield from enumerate_digraphs(2, bits)
+    rng = random.Random(seed)
+    for m in (3, 3, 4, 4):
+        nodes = tuple(f"n{i}" for i in range(m))
+        yield Digraph(bits=bits, nodes=nodes,
+                      labels={v: "".join(rng.choice("01") for _ in range(bits)) for v in nodes},
+                      edges=frozenset((u, v) for u in nodes for v in nodes if rng.random() < 0.3))
+
+
+def one_outcome_everywhere(a, seed):
+    """The explorer, with no limit, finds exactly one outcome on every
+    ``certificate_graphs`` graph."""
+    for g in certificate_graphs(a.bits, seed):
+        assert len(explored(a, g)) == 1, g
+
+
+def hand_automaton(accepting, rules):
+    """A 0-bit automaton that starts in state i; ``rules`` lists each
+    state's (guard, target) pairs."""
+    return Automaton(bits=0, states=tuple(rules), init={"": "i"}, accepting=frozenset(accepting),
+                     rules={q: tuple(TransitionRule(g, t) for g, t in lst) for q, lst in rules.items()})
+
+
+def sub(*states):
+    return SubsetEq(frozenset(states))
+
+
+def sup(*states):
+    return SupsetEq(frozenset(states))
+
+
+# per condition of ``Automaton.is_monotone``, an automaton that fails that
+# one alone, and is timing-dependent on some digraph of two nodes
+FAILS_ONE_CONDITION = {
+    # accepting a is below rejecting b: a node that reads a moves past it
+    "accepting upward closed": hand_automaton({"a"}, {
+        "i": [(sub("i"), "a"), (ELSE, "b")], "a": [(ELSE, "b")], "b": [(ELSE, "b")]}),
+    # from i, reading b jumps to b, but from a, reading i and b stays at a
+    "monotone in the state": hand_automaton({"b"}, {
+        "i": [(sub("i", "a"), "a"), (ELSE, "b")], "a": [(sub("b"), "b"), (ELSE, "a")], "b": [(ELSE, "b")]}),
+    # i moves only while every front is i: a front that moved on blocks it
+    "a raised front never lowers": hand_automaton({"a"}, {
+        "i": [(sub("i"), "a"), (ELSE, "i")], "a": [(ELSE, "a")]}),
+    # i moves only while some front is i: dropping it blocks the move
+    "a dropped front never lowers": hand_automaton({"a"}, {
+        "i": [(sup("i"), "a"), (ELSE, "i")], "a": [(ELSE, "a")]}),
+}
+
+
+class TestCertificate:
+    def test_which_subjects_are_certified(self):
+        assert {name for name, a in engine_subjects().items() if a.is_monotone()} == CERTIFIED
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_certified_subjects_have_one_outcome_on_every_graph(self, name):
+        one_outcome_everywhere(engine_subjects()[name], 0)
+
+    @given(automata(quasi_acyclic=True), seeds)
+    @settings(max_examples=200)
+    def test_a_certified_automaton_has_one_outcome_on_every_graph(self, a, seed):
+        assume(a.is_monotone())
+        one_outcome_everywhere(a, seed)
+
+    @given(systems(bits=1, max_vars=2, depth=2), seeds)
+    @settings(max_examples=60)
+    def test_a_certified_compile_up_has_one_outcome_on_every_graph(self, sys, seed):
+        a = formula_to_automaton(sys)
+        assume(len(a.states) <= 16 and a.is_monotone())
+        one_outcome_everywhere(a, seed)
+
+    @given(automata(quasi_acyclic=True))
+    def test_it_reads_the_states_of_the_initialized_traces(self, a):
+        assert _reachable_states(a) == {q for t in a.traces(a.init.values()) for q in t}
+
+    @pytest.mark.parametrize("condition", list(FAILS_ONE_CONDITION))
+    def test_each_condition_is_needed(self, condition):
+        a = FAILS_ONE_CONDITION[condition]
+        assert not a.is_monotone()
+        assert any(len(explored(a, g)) > 1 for g in enumerate_digraphs(2, a.bits))
+
+    def test_an_upward_closed_accepting_set_is_certified(self):
+        a = FAILS_ONE_CONDITION["accepting upward closed"]
+        a = Automaton(bits=a.bits, states=a.states, init=a.init, rules=a.rules, accepting=frozenset({"b"}))
+        assert a.is_monotone()
+
+    def test_a_cyclic_automaton_is_not_certified(self):
+        cyclic = hand_automaton({"a"}, {"i": [(ELSE, "a")], "a": [(ELSE, "i")]})
+        assert cyclic.trace_length_bound() is None
+        assert not cyclic.is_monotone()
+
+    def test_the_guard_trips_before_any_neighborhood_is_listed(self):
+        a = formula_to_automaton(parse_formula(SIX_VARIABLES, bits=1))
+        assert len({q for t in a.traces(a.init.values()) for q in t}) == 26 > CERTIFICATE_GUARD
+        g = make_graph(random.Random(6), 5, 1)
+        with mock.patch.object(Automaton, "step", side_effect=AssertionError("a neighborhood was listed")):
+            assert not a.is_monotone()
+        verdict, path = consistency_path(a, g, 12, seed=3)
+        assert path in ("explored", "sampled")
+        with uncertified():
+            assert consistency_path(a, g, 12, seed=3) == (verdict, path)
+
+    @pytest.mark.parametrize("kwargs", [{"timings_per_graph": 0}, {"lossless_only": True}, {"jobs": 2}])
+    def test_fuzz_is_the_same_with_the_certificate_off(self, kwargs):
+        a = formula_to_automaton(boxed_one_formula())
+        kwargs = {"timings_per_graph": 20, **kwargs}
+        verdict = fuzz_consistency(a, 5, 20, seed=1, **kwargs)
+        with uncertified():
+            assert fuzz_consistency(a, 5, 20, seed=1, **kwargs) == verdict
+        assert verdict.consistent
