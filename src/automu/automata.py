@@ -9,17 +9,20 @@ semantics and a mandatory unconditional ``else`` rule at the end.
 An automaton owns its state encoding: bit i of a state mask stands for
 ``states[i]``.  ``step`` is the transition function on that encoding, one
 memo per state from the neighborhood mask to the target, filled from the
-rule list; ``delta`` is the same function on state names, and the run
-engine, the synchronous kernel and the trace closure all read the encoding.
+rule list by the one guard evaluator, ``_decide``, which the state diagram
+runs on regions of neighborhoods (``eval_guard`` is the tests' reference);
+``delta`` is the same function on state names, and the run engine, the
+synchronous kernel and the trace closure all read the encoding.
 
 Also here: the trace algebra (first / last / pushlast / popfirst) used by the
 asynchronous run semantics, and the state diagram behind quasi-acyclicity (no
 cycles other than self-loops) and the trace sets.  Each state's successors
 are derived rule by rule, never by enumerating the 2^|Q| neighborhoods, and
 memoized per set of neighbor states; that scan survives only in
-``is_quasi_acyclic``, as the reference.  One extension loop, ``traces``,
-answers every trace question: from every state it gives all paths of the
-diagram, from the initialization states the traces compile-down drives.
+``is_quasi_acyclic``, as the reference.  ``traces`` reads paths off the
+diagram within the one reachability fixpoint, ``_reachable_states``: from
+every state all paths, from the initialization states the traces
+compile-down drives.
 
 ``is_monotone`` is a certificate, over the states reachable from
 initialization, that the automaton gives the same verdicts under every
@@ -29,12 +32,11 @@ or samples.
 
 from __future__ import annotations
 
-import functools
 import graphlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 
 class AutomatonFormatError(ValueError):
@@ -102,6 +104,7 @@ Guard = Union[SubsetEq, SupsetEq, NotGuard, AndGuard, OrGuard, Else]
 
 
 def eval_guard(guard: Guard, neighbors: frozenset[str]) -> bool:
+    """``guard`` on a neighborhood of state names: the reference for ``step``."""
     if isinstance(guard, SubsetEq):
         return neighbors <= guard.states
     if isinstance(guard, SupsetEq):
@@ -143,29 +146,29 @@ def _guard_parts(guard: Guard) -> list[Guard]:
     return out
 
 
-def _decide(guard: Guard, inn: int, free: int, mask: Callable[[frozenset[str]], int]
-            ) -> tuple[bool | None, int]:
+def _decide(guard: Guard, inn: int, free: int, masks: dict[frozenset[str], int]) -> tuple[bool | None, int]:
     """``guard`` on the region of neighborhoods that hold the states in
-    ``inn``, may hold those in ``free`` and hold no other (``mask`` turns a
-    set of states into such a bitmask): True or False when it is so on all
-    of the region, else None with the undecided states it depends on."""
+    ``inn``, may hold those in ``free`` and hold no other (``masks`` gives
+    the bitmask of each state set the guard names): True or False when it
+    is so on all of the region, else None with the undecided states it
+    depends on."""
     kind = _GUARD_SYNTAX[type(guard)][0]
     if kind == "subseteq":
-        outside = ~mask(guard.states)
+        outside = ~masks[guard.states]
         depends = free & outside
         return (False, 0) if inn & outside else (not depends or None, depends)
     if kind == "supseteq":
-        depends = mask(guard.states) & ~inn
+        depends = masks[guard.states] & ~inn
         return (False, 0) if depends & ~free else (not depends or None, depends)
     if kind == "not":
-        holds, depends = _decide(guard.inner, inn, free, mask)
+        holds, depends = _decide(guard.inner, inn, free, masks)
         return (None if holds is None else not holds), depends
     if kind == "else":
         return True, 0
     decisive = kind == "or"  # a part with this value settles the whole
     undecided = 0
     for part in guard.parts:
-        holds, depends = _decide(part, inn, free, mask)
+        holds, depends = _decide(part, inn, free, masks)
         if holds is decisive:
             return decisive, 0
         if holds is None and not undecided:
@@ -273,6 +276,7 @@ class Automaton:
             raise AutomatonFormatError(f"accepting states {sorted(self.accepting - declared)!r} undeclared")
         if set(self.rules) != declared:
             raise AutomatonFormatError("rules must be given for exactly the declared states")
+        masks = self._cache["masks"] = {}  # every state set a guard names -> its state mask
         for q, lst in self.rules.items():
             if not lst or not isinstance(lst[-1].guard, Else):
                 raise AutomatonFormatError(f"transition function not total at {q!r}: final else rule missing")
@@ -290,6 +294,7 @@ class Automaton:
                 bad = set().union(*named) - declared
                 if bad:
                     raise AutomatonFormatError(f"state {q!r}: guard references undeclared states {sorted(bad)!r}")
+                masks.update({s: self.mask(s) for s in named if s not in masks})
         object.__setattr__(self, "step_memo", [{} for _ in self.states])
 
     def mask(self, states: Iterable[str]) -> int:
@@ -303,11 +308,10 @@ class Automaton:
         """The transition function on the state encoding: the target of state
         ``q`` on the neighborhood whose states are the bits of ``fronts``.  A
         miss of ``step_memo[q]`` is filled from the rule list: the first rule
-        of q whose guard holds of the neighborhood wins."""
+        of q whose guard ``_decide`` finds true on that one neighborhood wins."""
         target = self.step_memo[q].get(fronts)
-        if target is None:
-            hood = frozenset(self.states[i] for i in _bits(fronts))
-            rule = next(r for r in self.rules[self.states[q]] if eval_guard(r.guard, hood))  # else ends it
+        if target is None:  # else ends the list
+            rule = next(r for r in self.rules[self.states[q]] if _decide(r.guard, fronts, 0, self._cache["masks"])[0])
             target = self.step_memo[q][fronts] = self.index[rule.target]
         return target
 
@@ -340,9 +344,8 @@ class Automaton:
         memo = self._cache.setdefault("successors", {})
         if (q, within) in memo:
             return memo[q, within]
-        mask = functools.cache(self.mask)
         found = {q}  # a self-loop is not recorded
-        regions = [(0, mask(within))]  # (states in N, states not yet decided)
+        regions = [(0, self.mask(within))]  # (states in N, states not yet decided)
         for count in itertools.count(1):
             if not regions:
                 memo[q, within] = frozenset(found - {q})
@@ -353,7 +356,7 @@ class Automaton:
             inn, free = regions.pop()
             split, new = 0, False
             for rule in self.rules[q]:
-                holds, depends = _decide(rule.guard, inn, free, mask)
+                holds, depends = _decide(rule.guard, inn, free, self._cache["masks"])
                 if holds is False:
                     continue
                 if holds and not split:  # the first rule that can fire fires on all of it
@@ -439,25 +442,20 @@ class Automaton:
         return _longest_path({q: frozenset(found - {q}) for q, found in enumerate(diagram)}) is not None
 
     def traces(self, start: Iterable[str] | None = None) -> frozenset[Trace]:
-        """The traces that begin in a state of ``start`` (default: every
-        state), each extended by the successors of its last state with
-        neighborhoods drawn from the last states found so far.  From every
-        state these are all paths of the state diagram, every length-1 trace
+        """The paths from a state of ``start`` (default: every state) of the
+        state diagram within ``_reachable_states(start)``.  From every state
+        these are all paths of the state diagram, every length-1 trace
         included; from the initialization states, the traces a node can
         traverse in a run started there.  A trace that would revisit a state
         raises ``NotQuasiAcyclic``: the set is then infinite."""
-        key = None if start is None else frozenset(start)
+        key = frozenset(self.states if start is None else start)
         memo = self._cache.setdefault("traces", {})
         if key not in memo:
-            reach: set[Trace] = set()
-            frontier = {(q,) for q in (self.states if key is None else key)}
-            within: frozenset[str] = frozenset()
-            while frontier:
+            within = _reachable_states(self, key)
+            reach, frontier = set(), {(q,) for q in key}
+            while frontier:  # one layer per trace length
                 reach |= frontier
-                lasts = within.union(t[-1] for t in frontier)
-                if lasts != within:  # more neighborhoods: the older traces may extend further too
-                    frontier, within = reach, lasts
-                frontier = {t + (q2,) for t in frontier for q2 in self._successors(t[-1], within)} - reach
+                frontier = {t + (q2,) for t in frontier for q2 in self._successors(t[-1], within)}
                 if any(t[-1] in t[:-1] for t in frontier):
                     raise NotQuasiAcyclic("trace set is infinite: state diagram has a non-trivial cycle")
             memo[key] = frozenset(reach)
@@ -472,11 +470,11 @@ class Automaton:
         return all(b in diagram[a] for a, b in zip(t, t[1:]))  # no self-loops in it
 
 
-def _reachable_states(a: Automaton) -> frozenset[str]:
-    """The states of ``a.traces(init states)``, without listing the traces:
-    the least set that holds the initialization states and every successor
-    of its members on neighborhoods drawn from it."""
-    reach = frozenset(a.init.values())
+def _reachable_states(a: Automaton, start: Iterable[str]) -> frozenset[str]:
+    """The states of ``a.traces(start)``, without listing the traces: the
+    least set that holds ``start`` and every successor of its members on
+    neighborhoods drawn from it.  The one state-level reachability fixpoint."""
+    reach = frozenset(start)
     while True:
         more = reach.union(*(a._successors(q, reach) for q in reach))
         if more == reach:
@@ -490,7 +488,7 @@ def _monotone(a: Automaton) -> bool:
     k of i says states[k] is in the subset, and bit r of ``up[q]`` says
     q <= r.  2 is checked for q2 a successor of q only, since the steps
     generate <= and <= is transitive; 3 and 4 in one loop over F and y."""
-    reach = _reachable_states(a)
+    reach = _reachable_states(a, a.init.values())
     if len(reach) > CERTIFICATE_GUARD:
         return False
     states = sorted(a.index[q] for q in reach)

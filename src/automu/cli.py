@@ -188,23 +188,21 @@ def cmd_enables(args: argparse.Namespace) -> int:
     closure = transform.compute_enables(automaton, max_rounds=args.max_rounds,
                                         max_traces=args.max_traces)
     # rows go by node trace (shorter first), then by neighbor set (smaller
-    # first, then by its sorted traces).  Ints stand in for both: a trace's
-    # rank, and a set's mask with its bits reversed and negated, as of two sets
-    # of one size the one holding the lowest (first sorted) bit they differ in
-    # comes first.  Each trace and each distinct set is written as JSON once.
+    # first, then by its sorted traces): a set's key is its size and its mask
+    # with the bits reversed and negated, as of two sets of one size the one
+    # holding the lowest (first sorted) bit they differ in comes first, so no
+    # text is compared.  Each trace and each distinct set is written as JSON once.
     traces = closure.traces
     as_json = [json.dumps(list(t)) for t in traces]
-    rank = {i: r for r, i in enumerate(sorted(range(len(traces)), key=lambda i: (len(traces[i]), traces[i])))}
-    hoods: dict[int, tuple[int, int, str]] = {}
-    rows = []
-    for h, t in closure.mask_pairs:
-        if h not in hoods:
-            hoods[h] = (h.bit_count(), -int(f"{h:0{len(traces)}b}"[::-1], 2),
-                        "[" + ", ".join(as_json[i] for i in _bits(h)) + "]")
-        rows.append((rank[t], *hoods[h], as_json[t]))
-    rows.sort()  # the three ints differ between any two pairs, so no text is compared
-    _write(args.output, "".join(f'{{"H": {h}, "t": {t}}}\n' for *_, h, t in rows))
-    print(f"pairs: {len(closure.mask_pairs)}  iterations: {closure.iterations_used}", file=sys.stderr)
+    hood = functools.cache(lambda h: (h.bit_count(), -int(f"{h:0{len(traces)}b}"[::-1], 2),
+                                      "[" + ", ".join(as_json[i] for i in _bits(h)) + "]"))
+    lines = []
+    for t in sorted(range(len(traces)), key=lambda i: (len(traces[i]), traces[i])):
+        for *_, h in sorted(map(hood, transform._members(closure.families[t]))):
+            lines.append(f'{{"H": {h}, "t": {as_json[t]}}}\n')
+    _write(args.output, "".join(lines))
+    print(f"pairs: {sum(map(int.bit_count, closure.families))}  iterations: {closure.iterations_used}",
+          file=sys.stderr)
     return 0
 
 

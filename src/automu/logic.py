@@ -167,6 +167,8 @@ class MuSystem:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.bits is not None and self.bits < 0:
+            raise FormulaSyntaxError(f"bits must be >= 0, got {self.bits}")
         if not self.vars:
             raise FormulaSyntaxError("a system needs at least one variable")
         if len(self.vars) != len(self.bodies):

@@ -19,16 +19,17 @@ fully-active step changes nothing and every buffer holds exactly its writer's
 state; quiescence is absorbing under any timing, so verdicts at quiescence
 are definitive.
 
-``async_run`` and ``check_consistency`` run on one engine, ``_run``, over an
-automaton and a graph compiled once into indices (``_Net``): the automaton's
-state encoding, buffers of state indices, activation masks and the memoized
-``Automaton.step``.  Before it samples, ``check_consistency`` asks the
-automaton's certificate ``Automaton.is_monotone``, which proves every graph
-consistent at once, and then runs the lossy explorer ``_outcomes`` on the
-same ``_Net``, which can prove one graph consistent; either way no timing
-is sampled.  ``async_step``, ``is_quiescent``, ``sync_step`` and
-``initial_configuration`` are the single-step API on named configurations
-and the reference the engine is tested against.
+``async_run`` and ``check_consistency``'s sampled loop run on one engine,
+``_run``, over an automaton and a graph compiled once into indices
+(``_Net``): the automaton's state encoding, buffers of state indices,
+activation masks and the memoized ``Automaton.step``.  Before it samples,
+``check_consistency`` asks the automaton's certificate
+``Automaton.is_monotone``, which proves every graph consistent at once, and
+then runs the lossy explorer ``_outcomes`` on the same ``_Net``, which can
+prove one graph consistent; either way no engine runs.  ``async_step``,
+``is_quiescent``, ``sync_step`` and ``initial_configuration`` are the
+single-step API on named configurations and the reference the engine is
+tested against.
 """
 
 from __future__ import annotations
@@ -911,8 +912,7 @@ def check_consistency(
     budget: int | None = None,
 ) -> ConsistencyVerdict:
     """Run ``samples`` sampled fair timings plus the synchronous timing and
-    compare definitive per-node verdicts.  A graph whose initial
-    configuration is already quiescent takes the synchronous run alone.
+    compare definitive per-node verdicts.
 
     Without ``lossless_only``, sampled timings alternate lossless and lossy.
     A disagreement is returned with the two timings (truncated to the steps
@@ -923,7 +923,7 @@ def check_consistency(
     this order, the first that settles the graph wins (2 and 3 only for a
     quasi-acyclic automaton and ``samples`` > 0):
 
-    1. quiescent at the start: no timing can move the graph;
+    1. quiescent at the start (no ``_Net.movers``): no timing can move the graph;
     2. the certificate ``Automaton.is_monotone``, computed once per
        automaton: every run on every graph ends in one quiescent
        configuration (the proof is in its docstring);
@@ -945,21 +945,21 @@ def check_consistency(
     check_counts(samples=samples, budget=budget)
     quasi = a.trace_length_bound() is not None
     net = _Net(a, g)
-    base = _run(net, itertools.repeat(net.full, budget), quasi)
-    if base.stabilized == 0:
-        # quiescent from the start: every timing gives this run's verdicts
+    if not net.movers:
+        # quiescent from the start, where ``_run`` stops at step 0: every timing gives its verdicts
         return ConsistencyVerdict(consistent=True, runs=1, comparisons=0)
     if quasi and samples and (a.is_monotone() or _one_outcome(net, samples)):
         return ConsistencyVerdict(consistent=True, runs=samples + 1, comparisons=samples * len(g.nodes))
-    return _sampled_consistency(net, base, samples, lossless_only, seed, budget)
+    return _sampled_consistency(net, quasi, samples, lossless_only, seed, budget)
 
 
-def _sampled_consistency(net: _Net, base: _Outcome, samples: int, lossless_only: bool, seed: int,
+def _sampled_consistency(net: _Net, quasi: bool, samples: int, lossless_only: bool, seed: int,
                          budget: int) -> ConsistencyVerdict:
-    """``check_consistency``'s sampled loop, against the synchronous run
-    ``base``."""
+    """``check_consistency``'s sampled loop: the synchronous run first, as
+    the reference, then the sampled timings against it, each extended to
+    quiescence when ``quasi`` (the automaton is quasi-acyclic)."""
     g = net.g
-    quasi = net.a.trace_length_bound() is not None
+    base = _run(net, itertools.repeat(net.full, budget), quasi)
 
     def timing(seed: int | None, lossless: bool, steps: int) -> TimingPrefix:
         """The prefix a run consumed, rebuilt for a witness: the synchronous

@@ -14,12 +14,12 @@ quasi-acyclic automaton and encode which sets of neighbor traces can drive a
 node along each trace.  ``compute_enables`` is the inductive closure of that
 driving relation over all of P(traces); for the formula itself a restricted
 closure is used (neighborhoods drawn from initialization-reachable traces).
-One pair closure, ``_pair_closure``, serves both.  The formula's per-trace
-families are pruned by a prefix-subsumption rule; the restriction and the
-pruning preserve the defined property while keeping the formula small enough to
-evaluate.  The construction assumes the input automaton's acceptance behavior
-is independent of lossless-asynchronous timing; that hypothesis is not
-checkable here and is taken on trust.
+One pair closure, ``_pair_closure``, serves both, and both keep its per-trace
+families: ``enables`` writes them, compile-down prunes them by prefix
+subsumption, which with the restriction preserves the defined property while
+keeping the formula small enough to evaluate.  The construction assumes the
+input automaton's acceptance behavior is independent of lossless-asynchronous
+timing; that hypothesis is not checkable here and is taken on trust.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
@@ -321,17 +321,18 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
 class EnablesSet:
     """Closure of the driving relation: (H, t) means a node starting at
     t's first state can traverse t while seeing its incoming neighbors
-    traverse exactly the traces in H.  ``mask_pairs`` holds them as (mask of
-    H, index of t) over the sorted ``traces``."""
+    traverse exactly the traces in H.  ``families[t]`` is ``_pair_closure``'s
+    family (see ``_Families``) of the sets H that drive trace t of the sorted
+    ``traces``, as masks over them; ``pairs`` decodes them when first read."""
 
     traces: tuple[Trace, ...]
-    mask_pairs: frozenset[tuple[int, int]]
+    families: tuple[int, ...]
     iterations_used: int
 
     @cached_property
     def pairs(self) -> frozenset[tuple[frozenset[Trace], Trace]]:
-        sets = {h: frozenset(self.traces[i] for i in _bits(h)) for h in {h for h, _ in self.mask_pairs}}
-        return frozenset((sets[h], self.traces[t]) for h, t in self.mask_pairs)
+        as_set = cache(lambda h: frozenset(self.traces[i] for i in _bits(h)))
+        return frozenset((as_set(h), t) for t, family in zip(self.traces, self.families) for h in _members(family))
 
 
 def _extension_choices(subs: Sequence[Sequence[int]], memo: dict[int, tuple[int, ...]],
@@ -499,8 +500,7 @@ def compute_enables(a: Automaton, max_rounds: int | None = None,
             f"the guard of {max_traces}; pass max_rounds for a bounded under-approximation"
         )
     families, iterations = _pair_closure(a, a.states, traces, max_rounds)
-    pairs = frozenset((h, t) for t, family in enumerate(families) for h in _members(family))
-    return EnablesSet(tuple(traces), pairs, iterations)
+    return EnablesSet(tuple(traces), tuple(families), iterations)
 
 
 def _pair_closure(a: Automaton, seeds: Sequence[str], traces: Sequence[Trace],

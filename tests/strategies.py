@@ -62,9 +62,11 @@ def make_automaton(
     max_states: int = 4,
     bits: int = 1,
     quasi_acyclic: bool = False,
+    guard_depth: int = 2,
 ) -> Automaton:
     """Random automaton; with ``quasi_acyclic`` every rule targets the source
-    state or a later one, which forbids every non-trivial cycle."""
+    state or a later one, which forbids every non-trivial cycle.  Guards nest
+    combinators at most ``guard_depth`` deep."""
     n = rng.randint(1, max_states)
     states = tuple(f"s{i}" for i in range(n))
 
@@ -75,7 +77,7 @@ def make_automaton(
     rules = {}
     for i, q in enumerate(states):
         guarded = [
-            TransitionRule(make_guard(rng, states), target(i))
+            TransitionRule(make_guard(rng, states, guard_depth), target(i))
             for _ in range(rng.randint(0, 3))
         ]
         rules[q] = tuple(guarded) + (TransitionRule(ELSE, target(i)),)
@@ -132,8 +134,8 @@ def pointed_digraphs(draw, max_nodes: int = 4, bits: int = 1):
 
 
 @st.composite
-def automata(draw, max_states: int = 4, bits: int = 1, quasi_acyclic: bool = False):
-    return make_automaton(random.Random(draw(seeds)), max_states, bits, quasi_acyclic)
+def automata(draw, max_states: int = 4, bits: int = 1, quasi_acyclic: bool = False, guard_depth: int = 2):
+    return make_automaton(random.Random(draw(seeds)), max_states, bits, quasi_acyclic, guard_depth)
 
 
 @st.composite

@@ -158,16 +158,24 @@ def rule_list_target(a, q, fronts):
     return a.states.index(next(r.target for r in a.rules[a.states[q]] if eval_guard(r.guard, hood)))
 
 
+def assert_step_is_the_first_matching_rule(a):
+    n = len(a.states)
+    assert a.index == {s: i for i, s in enumerate(a.states)}
+    for q in range(n):
+        for fronts in range(1 << n):
+            assert a.step(q, fronts) == rule_list_target(a, q, fronts), (q, fronts)
+            assert a.mask(s for i, s in enumerate(a.states) if fronts >> i & 1) == fronts
+
+
 class TestStep:
     def test_step_is_the_first_matching_rule(self):
         for seed in range(40):
-            a = make_automaton(random.Random(seed), max_states=5, bits=1)
-            n = len(a.states)
-            assert a.index == {s: i for i, s in enumerate(a.states)}
-            for q in range(n):
-                for fronts in range(1 << n):
-                    assert a.step(q, fronts) == rule_list_target(a, q, fronts), (seed, q, fronts)
-                    assert a.mask(s for i, s in enumerate(a.states) if fronts >> i & 1) == fronts
+            assert_step_is_the_first_matching_rule(make_automaton(random.Random(seed), max_states=5, bits=1))
+
+    @given(automata(max_states=5, guard_depth=3))
+    @settings(max_examples=60)
+    def test_step_is_the_first_matching_rule_on_deep_guards(self, a):
+        assert_step_is_the_first_matching_rule(a)
 
     @pytest.mark.parametrize("seed", [None, *range(6)])
     def test_memo_after_compile_down_fuzz_and_run(self, seed):

@@ -25,6 +25,7 @@ from automu.runtime import (
     timing_to_dict,
     timing_to_json,
 )
+from automu.transform import compute_enables
 from automu.zoo import (
     SAFE_ONE_SEXP,
     chain_graph,
@@ -161,6 +162,17 @@ class TestExitCodes:
         assert main(argv[:1] + devices + argv[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "must be >=" in captured.err
+
+    @pytest.mark.parametrize("command", ["compile-up", "eval", "equiv"])
+    def test_negative_bits(self, files, tmp_path, command, capsys):
+        constant_free = tmp_path / "free.sexp"
+        constant_free.write_text("(mu ((X0 (dia (var X0)))))")
+        operands = {"compile-up": ["--formula", str(constant_free)],
+                    "eval": ["--formula", str(constant_free), "--graph", files["chain.json"]],
+                    "equiv": ["--a", str(constant_free), "--b", files["safe_one.sexp"]]}[command]
+        assert main([command, *operands, "--bits", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: bits must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("flags", [["--sample", "-3"], ["--steps", "-3"], ["--sync", "--steps", "-3"]])
     def test_negative_step_count(self, files, flags, capsys):
@@ -487,6 +499,22 @@ class TestRoundTrips:
         assert len(out.read_text().splitlines()) == 96
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "ba187aad77cf3549a872baa522faf14170eee512c022833dc1a06e3045a970f1")
+
+    @pytest.mark.parametrize("name, rounds", [("sync_probe.json", None), ("safe_one.json", 1)])
+    def test_enables_writes_and_counts_the_decoded_pairs(self, tmp_path, capsys, name, rounds):
+        closure = compute_enables(parse_automaton((SAMPLES / name).read_text()), max_rounds=rounds)
+        traces = closure.traces
+        decoded = {(frozenset(traces[i] for i in range(len(traces)) if h >> i & 1), t)
+                   for t, family in zip(traces, closure.families)
+                   for h in range(1 << len(traces)) if family >> h & 1}
+        assert decoded == closure.pairs
+        out = tmp_path / "closure.jsonl"
+        bound = [] if rounds is None else ["--max-rounds", str(rounds)]
+        assert main(["enables", "--automaton", str(SAMPLES / name), *bound, "-o", str(out)]) == 0
+        assert capsys.readouterr().err == f"pairs: {len(closure.pairs)}  iterations: {closure.iterations_used}\n"
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert {(frozenset(map(tuple, row["H"])), tuple(row["t"])) for row in rows} == closure.pairs
+        assert len(rows) == len(closure.pairs)
 
     @pytest.mark.parametrize("argv", [["compile-down"], ["enables", "--max-rounds", "1"]])
     def test_closure_over_more_than_20_traces_is_refused(self, argv, tmp_path, capsys):

@@ -58,6 +58,11 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError, match="out of range"):
             parse_formula("(mu ((X0 (p 3))))", bits=2)
 
+    @pytest.mark.parametrize("text", ["(mu ((X0 true)))", "(mu ((X0 (p 0))))"])
+    def test_negative_bits_are_refused_first(self, text):
+        with pytest.raises(FormulaSyntaxError, match=r"^bits must be >= 0, got -1$"):
+            parse_formula(text, bits=-1)
+
     def test_inferred_bits(self):
         assert parse_formula("(mu ((X0 (p 3))))").bits == 4
 

@@ -66,6 +66,7 @@ from automu.zoo import (
     two_cycle_graph,
 )
 from strategies import automata, graphs, make_graph, seeds, systems
+from test_state_diagram import reference_reachable_traces
 from test_transform import SIX_VARIABLES
 
 
@@ -887,12 +888,17 @@ class TestExplorer:
         # five nodes and eleven edges: more than 30 configurations for the explorer
         a, g = formula_to_automaton(reach_one_formula()), make_graph(random.Random(6), 5, 1)
         assert a.is_monotone() and not proved(a, g, 30)
+        # and a graph quiescent from the start, under an automaton with no certificate
+        safe, quiet = safe_one_automaton(), single_node("0", self_loop=True).graph
+        assert is_quiescent(safe, quiet, initial_configuration(safe, quiet)) and not safe.is_monotone()
 
         def fail(*args):
-            raise AssertionError("a timing was drawn or a configuration explored")
+            raise AssertionError("a timing was drawn, a configuration explored or a run engine started")
 
-        with mock.patch.object(runtime, "_sample", fail), mock.patch.object(runtime, "_outcomes", fail):
+        with mock.patch.object(runtime, "_sample", fail), mock.patch.object(runtime, "_outcomes", fail), \
+                mock.patch.object(runtime, "_run", fail):
             verdict = check_consistency(a, g, samples=30, seed=7)
+            assert check_consistency(safe, quiet, samples=30) == ConsistencyVerdict(True, runs=1, comparisons=0)
         assert verdict == ConsistencyVerdict(consistent=True, runs=31, comparisons=30 * len(g.nodes))
         assert verdict == reference_consistency(a, g, 30, seed=7)
 
@@ -975,7 +981,7 @@ class TestCertificate:
 
     @given(automata(quasi_acyclic=True))
     def test_it_reads_the_states_of_the_initialized_traces(self, a):
-        assert _reachable_states(a) == {q for t in a.traces(a.init.values()) for q in t}
+        assert _reachable_states(a, a.init.values()) == {q for t in reference_reachable_traces(a) for q in t}
 
     @pytest.mark.parametrize("condition", list(FAILS_ONE_CONDITION))
     def test_each_condition_is_needed(self, condition):
