@@ -267,6 +267,20 @@ class Domain:
         return cls(m, width, edges, words, bits)
 
     @classmethod
+    def of_indices(cls, m: int, bits: int, indexed: Sequence[tuple[int, int]]) -> "Domain":
+        """The digraphs ``indexed_digraph(m, bits, mask, index)`` for the
+        (mask, index) pairs, bit j of every slice standing for the j-th."""
+        width = len(indexed)
+        words: dict[str, int] = {}
+        edges: dict[tuple[int, int], int] = {}
+        for j, (mask, index) in enumerate(indexed):
+            for v, w in enumerate(labeling(m, bits, index)):
+                words[w] = words.get(w, 0) | 1 << v * width + j
+            for e in edge_pairs(m, mask):
+                edges[e] = edges.get(e, 0) | 1 << j
+        return cls(m, width, edges, words, bits)
+
+    @classmethod
     def of_block(cls, m: int, bits: int, block: int) -> "Domain":
         """The W = ``slice_width(m, bits)`` digraphs of m nodes with
         enumeration indices i in [block * W, (block + 1) * W), bit j of every
@@ -351,16 +365,29 @@ def node_set(g: Digraph, mask: int) -> frozenset[str]:
     return frozenset(v for i, v in enumerate(g.nodes) if mask >> i & 1)
 
 
-def random_digraph(rng: random.Random, max_nodes: int, bits: int) -> PointedDigraph:
-    """Sample a random pointed digraph: node count uniform in 1..max_nodes,
-    each of the m^2 directed edges present independently with probability 1/2,
-    labels uniform, point uniform."""
+def random_indices(rng: random.Random, max_nodes: int, bits: int) -> tuple[int, int, int, int]:
+    """Sample a random pointed digraph as ``(m, edge mask, labeling index,
+    point)``, the digraph being ``indexed_digraph(m, bits, mask, index)``
+    and the point a node index: node count uniform in 1..max_nodes, each of
+    the m^2 directed edges present independently with probability 1/2 (drawn
+    in row-major order, the order of the mask's bits), label bits uniform
+    (node by node, the labeling's digits), point uniform."""
     m = rng.randint(1, max_nodes)
-    nodes = tuple(f"n{i}" for i in range(m))
-    edges = frozenset((u, v) for u in nodes for v in nodes if rng.random() < 0.5)
-    labels = {v: "".join(rng.choice("01") for _ in range(bits)) for v in nodes}
-    g = Digraph(bits=bits, nodes=nodes, labels=labels, edges=edges)
-    return PointedDigraph(g, rng.choice(nodes))
+    mask = 0
+    for e in range(m * m):
+        if rng.random() < 0.5:
+            mask |= 1 << e
+    index = 0
+    for _ in range(bits * m):
+        index = index << 1 | (rng.choice("01") == "1")
+    return m, mask, index, rng.choice(range(m))
+
+
+def random_digraph(rng: random.Random, max_nodes: int, bits: int) -> PointedDigraph:
+    """The pointed digraph ``random_indices`` draws."""
+    m, mask, index, point = random_indices(rng, max_nodes, bits)
+    g = indexed_digraph(m, bits, mask, index)
+    return PointedDigraph(g, g.nodes[point])
 
 
 def backward_bisimilar(a: PointedDigraph, b: PointedDigraph) -> bool:

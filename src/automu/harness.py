@@ -26,6 +26,7 @@ from .graphs import (  # enumerate_digraphs and random_digraph are looked up her
     enumerate_digraphs,
     indexed_digraph,
     random_digraph,
+    random_indices,
     slice_width,
 )
 from .logic import MuSystem, holds_on, lfp
@@ -159,33 +160,35 @@ def equiv_exhaustive(d1: Device, d2: Device, max_nodes: int, jobs: int = 1) -> E
 def _sampled_slice(
     d1: Device, d2: Device, max_nodes: int, seeds: list[int]
 ) -> tuple[Counterexample | None, int]:
-    """Draw a digraph per seed and compare the devices at its point, in
-    batches of 1, 2, 4, ... samples so that an early disagreement stays
-    cheap; a batch's samples of one node count share one domain.  Return
-    the lowest disagreeing sample (or None) and the samples checked up to
-    it."""
+    """Draw a pointed digraph per seed and compare the devices at its point,
+    in batches of 1, 2, 4, ... samples so that an early disagreement stays
+    cheap.  A sample is drawn as integers (``random_indices``), and a
+    batch's samples of one node count share one domain packed from them;
+    only the reported counterexample is built as a ``Digraph``.  Return the
+    lowest disagreeing sample (or None) and the samples checked up to it."""
+    bits = d1.bits
     done, size = 0, 1
     while done < len(seeds):
-        batch = [random_digraph(random.Random(s), max_nodes, d1.bits)
-                 for s in seeds[done:done + size]]
+        batch = [random_indices(random.Random(s), max_nodes, bits) for s in seeds[done:done + size]]
         by_nodes: dict[int, list[int]] = {}  # m -> the batch positions of its samples
-        for i, p in enumerate(batch):
-            by_nodes.setdefault(len(p.graph.nodes), []).append(i)
+        for i, (m, _, _, _) in enumerate(batch):
+            by_nodes.setdefault(m, []).append(i)
         hits = []  # (batch position, verdicts) of each node count's lowest disagreement
-        for positions in by_nodes.values():
-            domain = Domain.of_digraphs([batch[i].graph for i in positions])
+        for m, positions in by_nodes.items():
+            domain = Domain.of_indices(m, bits, [batch[i][1:3] for i in positions])
             s1 = _accepting_mask(d1, domain)
             s2 = _accepting_mask(d2, domain)
             diff = s1 ^ s2
             for j, i in enumerate(positions):
-                p = batch[i]
-                at = p.graph.nodes.index(p.point) * domain.width + j
+                at = batch[i][3] * domain.width + j
                 if diff >> at & 1:
                     hits.append((i, bool(s1 >> at & 1), bool(s2 >> at & 1)))
                     break
         if hits:
             i, v1, v2 = min(hits)
-            return Counterexample(batch[i].graph, batch[i].point, v1, v2), done + i + 1
+            m, mask, index, point = batch[i]
+            g = indexed_digraph(m, bits, mask, index)
+            return Counterexample(g, g.nodes[point], v1, v2), done + i + 1
         done += len(batch)
         size = min(2 * size, 1 << graphs.MAX_SLICE_BITS)
     return None, len(seeds)

@@ -10,6 +10,12 @@ A ``MuSystem`` is a simultaneous least fixpoint mu(X0..Xk).(f0..fk); its
 meaning on a digraph is the least fixpoint of the monotone operator that
 reassigns every variable the value of its body, and the system holds at a
 node iff the node lands in the first component.
+
+Formulas are immutable, so a node may be shared.  The reader and the
+compile-down build through one hash-consing constructor (``_Interner``),
+which makes every structurally distinct subterm of their output one object;
+the walks (``_postorder``/``_fold``) visit each object once, so they cost
+O(distinct subterms) on such a DAG, while the printed form stays a tree.
 """
 
 from __future__ import annotations
@@ -103,6 +109,40 @@ _SYNTAX: dict[type, tuple[str, tuple[str, ...]]] = {
     Box: ("box", ("inner",)),
 }
 _CLASS_OF_HEAD = {head: cls for cls, (head, _) in _SYNTAX.items()}
+_COMPOUND = frozenset(cls for cls, (_, fields) in _SYNTAX.items() if fields)
+
+
+class _Interner:
+    """A hash-consing constructor (Ershov; Filliatre and Conchon):
+    ``make(cls, *fields)`` returns the one node of class ``cls`` over
+    ``fields`` that this constructor has built, building it on the first
+    request.  A leaf is keyed on its class and field, a compound node on its
+    class and the ids of its children, which must come from the same
+    constructor; built bottom-up, every structurally distinct subterm is
+    then one object, and no key hashes or compares a formula (both recurse
+    over it).  The table lives as long as the constructor, one per parse or
+    compile-down: the ids in its keys stay valid because the table holds the
+    nodes that own them."""
+
+    __slots__ = ("table",)
+
+    def __init__(self) -> None:
+        self.table: dict[tuple, Formula] = {}
+
+    def __call__(self, cls: type, *fields: object) -> Formula:
+        key = (cls, *map(id, fields)) if cls in _COMPOUND else (cls, *fields)
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = cls(*fields)
+        return node
+
+    def chain(self, cls: type, parts: Sequence[Formula]) -> Formula:
+        """``cls`` (``Or`` or ``And``) over the parts, associated to the left
+        and each intermediate node interned; no parts make its unit (false
+        for ``Or``, true for ``And``) and one part is itself."""
+        if not parts:
+            return self(FalseF if cls is Or else TrueF)
+        return reduce(lambda left, right: self(cls, left, right), parts)
 
 
 def _head(f: Formula) -> str:
@@ -123,8 +163,9 @@ def _postorder(
 ) -> Iterator[tuple[Formula, list[Formula]]]:
     """Every node object under the roots once, with its children, children
     first; nodes whose ids are in ``seen`` (which the walk extends) are
-    skipped.  The walk keeps its own stack, so a chain of any length is
-    fine."""
+    skipped.  A subterm shared by several parents, as in a hash-consed
+    system, is thus visited once, and a walk costs O(distinct subterms).
+    The walk keeps its own stack, so a chain of any length is fine."""
     seen = set() if seen is None else seen
     for root in roots:
         stack: list[tuple[Formula, list[Formula] | None]] = [(root, None)]
@@ -233,9 +274,9 @@ def _read(tokens: list[str], pos: int) -> tuple[object, int]:
     return tok, pos + 1
 
 
-def _formula_from_sexp(node: object) -> Formula:
+def _formula_from_sexp(node: object, make: _Interner) -> Formula:
     if node in ("true", "false"):
-        return _CLASS_OF_HEAD[node]()
+        return make(_CLASS_OF_HEAD[node])
     if isinstance(node, str):
         raise FormulaSyntaxError(f"bare atom {node!r}; did you mean (var {node})?")
     if not isinstance(node, list) or not node:
@@ -245,27 +286,29 @@ def _formula_from_sexp(node: object) -> Formula:
     if head in ("p", "not-p"):
         if len(args) != 1 or not isinstance(args[0], str) or not (args[0].isascii() and args[0].isdigit()):
             raise FormulaSyntaxError(f"({head} <int>) expected, got {node!r}")
-        return _CLASS_OF_HEAD[head](int(args[0]))
+        return make(_CLASS_OF_HEAD[head], int(args[0]))
     if head == "var":
         if len(args) != 1 or not isinstance(args[0], str):
             raise FormulaSyntaxError(f"(var NAME) expected, got {node!r}")
-        return Var(args[0])
+        return make(Var, args[0])
     if head in ("or", "and"):
         if len(args) < 2:
             raise FormulaSyntaxError(f"({head} ...) needs at least two arguments")
         # n-ary input desugars left-associatively
-        return reduce(_CLASS_OF_HEAD[head], [_formula_from_sexp(a) for a in args])
+        return make.chain(_CLASS_OF_HEAD[head], [_formula_from_sexp(a, make) for a in args])
     if head in ("dia", "box"):
         if len(args) != 1:
             raise FormulaSyntaxError(f"({head} <f>) takes exactly one argument")
-        return _CLASS_OF_HEAD[head](_formula_from_sexp(args[0]))
+        return make(_CLASS_OF_HEAD[head], _formula_from_sexp(args[0], make))
     raise FormulaSyntaxError(f"unknown operator {head!r}")
 
 
 def parse_formula(text: str, bits: int | None = None) -> MuSystem:
     """Parse ``(mu ((NAME <f>) ...))``; the first listed variable is the
     satisfaction component.  ``bits`` defaults to the smallest width that
-    covers every constant used."""
+    covers every constant used.  The bodies are hash-consed (``_Interner``,
+    one table per call): each structurally distinct subterm is one object,
+    so walks over the result cost O(distinct subterms)."""
     try:
         return _parse_formula(text, bits)
     except RecursionError:
@@ -281,11 +324,12 @@ def _parse_formula(text: str, bits: int | None) -> MuSystem:
         raise FormulaSyntaxError("expected (mu ((NAME <f>) ...))")
     names: list[str] = []
     bodies: list[Formula] = []
+    make = _Interner()
     for entry in sexp[1]:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise FormulaSyntaxError(f"expected (NAME <f>) pair, got {entry!r}")
         names.append(entry[0])
-        bodies.append(_formula_from_sexp(entry[1]))
+        bodies.append(_formula_from_sexp(entry[1], make))
     return MuSystem(bits=bits, vars=tuple(names), bodies=tuple(bodies))
 
 

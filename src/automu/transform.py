@@ -58,6 +58,7 @@ from .logic import (
     Or,
     TrueF,
     Var,
+    _Interner,
     _children,
     _fold,
     _head,
@@ -86,7 +87,10 @@ class NotFlattened(ValueError):
 def flatten(sys: MuSystem) -> MuSystem:
     """Equivalent system in which every modal operator is applied directly to
     a variable: each offending modal argument is moved into a fresh variable
-    of its own.  The first variable keeps its position."""
+    of its own.  The first variable keeps its position.  The rewrite walks
+    occurrences, not node ids: an argument a hash-consed parse shares gets a
+    fresh variable per occurrence, as on a tree, so the result does not
+    depend on what the input shares."""
     used = set(sys.vars)
     counter = 0
 
@@ -650,14 +654,6 @@ def _prune_family(family: list[int], extensions: Sequence[int]) -> list[int]:
     return kept
 
 
-def _or_all(parts: list[Formula]) -> Formula:
-    return reduce(Or, parts) if parts else FalseF()
-
-
-def _and_all(parts: list[Formula]) -> Formula:
-    return reduce(And, parts) if parts else TrueF()
-
-
 def _trace_var_names(traces: list[Trace]) -> dict[Trace, str]:
     names: dict[Trace, str] = {}
     taken = {"X0"}
@@ -684,6 +680,12 @@ def automaton_to_formula(a: Automaton) -> MuSystem:
     neighborhood description matches: every listed neighbor trace is
     witnessed by an incoming neighbor and every incoming neighbor matches a
     listed trace (an empty description requires in-degree 0).
+
+    The bodies are built through one hash-consing constructor
+    (``_Interner``): a trace's variable, each ``Box`` over a neighbor set's
+    disjunction and every other repeated subterm is one object, so the
+    system is a DAG whose walks cost O(distinct subterms); its printed form
+    is the same tree as before.
     """
     traces = sorted(a.traces(), key=lambda t: (len(t), t))
     names = _trace_var_names(traces)
@@ -691,25 +693,24 @@ def automaton_to_formula(a: Automaton) -> MuSystem:
     extensions = _prefix_masks(index)[1]
     families = {t: _prune_family(f, extensions) for t, f in _driver_closure(a).items()}
 
-    head = _or_all([Var(names[t]) for t in traces if t[-1] in a.accepting])
+    make = _Interner()  # every distinct subterm is built once
+    var = {t: make(Var, name) for t, name in names.items()}
 
-    bodies: list[Formula] = [head]
+    bodies: list[Formula] = [make.chain(Or, [var[t] for t in traces if t[-1] in a.accepting])]
     for t in traces:
         if len(t) == 1:
             words = sorted(w for w, q in a.init.items() if q == t[0])
-            body = _or_all([
-                _and_all([Const(i) if w[i] == "1" else NegConst(i) for i in range(a.bits)])
+            body = make.chain(Or, [
+                make.chain(And, [make(Const if w[i] == "1" else NegConst, i) for i in range(a.bits)])
                 for w in words
             ])
         else:
             options = []
             for h in families.get(t, []):
-                members = [index[i] for i in _bits(h)]
-                options.append(_and_all(
-                    [Dia(Var(names[m])) for m in members]
-                    + [Box(_or_all([Var(names[m]) for m in members]))]
-                ))
-            body = And(Var(names[(t[0],)]), _or_all(options))
+                members = [var[index[i]] for i in _bits(h)]
+                options.append(make.chain(And, [make(Dia, v) for v in members]
+                                          + [make(Box, make.chain(Or, members))]))
+            body = make(And, var[(t[0],)], make.chain(Or, options))
         bodies.append(body)
 
     return MuSystem(bits=a.bits, vars=("X0", *(names[t] for t in traces)), bodies=tuple(bodies))

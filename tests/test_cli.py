@@ -309,6 +309,22 @@ def test_fuzz_output_is_pinned(automaton, seed, capsys):
     assert code == (0 if automaton == "safe_one.json" else 1)
 
 
+@pytest.mark.parametrize("a, b, scan, golden, code", [
+    ("safe_one.sexp", "reach_one.sexp", ["--samples", "200", "--max-nodes", "4", "--seed", "0"],
+     "equiv_safe_one_reach_one_samples200_seed0.txt", 1),
+    ("safe_one.json", "safe_one.sexp", ["--samples", "500", "--seed", "3"],
+     "equiv_safe_one_samples500_seed3.txt", 0),
+])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sampled_equiv_output_is_pinned(a, b, scan, golden, code, jobs, capsys):
+    # the expected documents were written by the sampler that built a
+    # Digraph per sample, before samples were drawn as integers
+    got = main(["equiv", "--a", str(REPO / "samples" / a), "--b", str(REPO / "samples" / b), *scan,
+                "--jobs", jobs])
+    assert capsys.readouterr().out == (REPO / "tests" / "golden" / golden).read_text()
+    assert got == code
+
+
 # exit-code fuzzer: mutate the sample documents and feed them to the CLI
 
 _JUNK_VALUES = [None, True, 0, 1, -1, 7, 2.5, "", "1", "01", "x", "u->v", [], ["u"], [["u", "v"]],

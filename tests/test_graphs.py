@@ -22,6 +22,7 @@ from automu.graphs import (
     indexed_digraph,
     parse_digraph,
     random_digraph,
+    random_indices,
     slice_width,
 )
 from strategies import pointed_digraphs, seeds
@@ -218,6 +219,16 @@ class TestDomain:
                         gs.append(p.graph)
                 assert_domain_holds(Domain.of_digraphs(gs), gs, list(range(width)), rng)
 
+    @pytest.mark.parametrize("bits", [0, 1, 2])
+    def test_indices_domain(self, bits):
+        # the digraphs of (edge mask, labeling index) pairs, as sampled equiv packs them
+        rng = random.Random(bits)
+        for m in range(1, 5):
+            for width in (1, 2, 7, 64):
+                pairs = [(rng.getrandbits(m * m), rng.getrandbits(bits * m)) for _ in range(width)]
+                gs = [indexed_digraph(m, bits, mask, index) for mask, index in pairs]
+                assert_domain_holds(Domain.of_indices(m, bits, pairs), gs, list(range(width)), rng)
+
 
 class TestBisimulation:
     def test_identity(self):
@@ -306,3 +317,22 @@ class TestRandomDigraph:
     def test_valid(self, seed):
         p = random_digraph(random.Random(seed), 5, 2)
         assert p.point in p.graph.nodes
+
+    @given(seeds, st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60)
+    def test_draws_as_the_digraph_sampler_did(self, seed, max_nodes, bits):
+        # the sampler that built names and label strings as it drew: the same
+        # digraph, and the generator left in the same state
+        old = random.Random(seed)
+        m = old.randint(1, max_nodes)
+        nodes = tuple(f"n{i}" for i in range(m))
+        edges = frozenset((u, v) for u in nodes for v in nodes if old.random() < 0.5)
+        labels = {v: "".join(old.choice("01") for _ in range(bits)) for v in nodes}
+        expected = PointedDigraph(Digraph(bits=bits, nodes=nodes, labels=labels, edges=edges),
+                                  old.choice(nodes))
+        new = random.Random(seed)
+        m, mask, index, point = random_indices(new, max_nodes, bits)
+        g = indexed_digraph(m, bits, mask, index)
+        assert PointedDigraph(g, g.nodes[point]) == expected
+        assert random_digraph(random.Random(seed), max_nodes, bits) == expected
+        assert new.random() == old.random()

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from automu.automata import parse_automaton
 from automu.graphs import Digraph, enumerate_digraphs
-from automu.logic import _compile, lfp, lfp_iterations, parse_formula
+from automu.harness import equiv_exhaustive, equiv_sampled
+from automu.logic import _compile, format_formula, lfp, lfp_iterations, parse_formula
 from automu.transform import automaton_to_formula
 from strategies import graphs, systems
+from test_logic import compiled_texts, tree_parse
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -116,3 +118,39 @@ def test_sixty_node_chain():
     got = lfp(system, g)
     assert got == lfp_iterations(system, g)[0]
     assert got["X"] == frozenset(g.nodes)
+
+
+# the interned front end: a parse shares every repeated subterm, and the
+# plan compiled from it is the one compiled from the reference reader's tree
+
+@pytest.mark.parametrize("name", ["down", "up-down"])
+def test_interned_plan_is_the_trees(name):
+    text = compiled_texts()[name]
+    assert _compile(parse_formula(text)) == _compile(tree_parse(text))
+
+
+@pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.sexp")), ids=lambda p: p.name)
+def test_interned_plan_of_samples(path):
+    assert _compile(parse_formula(path.read_text())) == _compile(tree_parse(path.read_text()))
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=0, max_value=2).flatmap(lambda bits: systems(bits=bits, max_vars=4)))
+def test_interned_plan_of_random_systems(system):
+    text = format_formula(system)
+    interned = parse_formula(text, bits=system.bits)
+    assert _compile(interned) == _compile(tree_parse(text, bits=system.bits)) == _compile(system)
+
+
+def test_equiv_of_an_interned_system_is_independent_of_jobs():
+    # the workers receive the system pickled, shared nodes and all
+    updown = parse_formula(compiled_texts()["up-down"])
+    flagship = parse_formula((SAMPLES / "safe_one.sexp").read_text())
+    for jobs in (1, 2):
+        assert equiv_exhaustive(updown, flagship, 2, jobs=jobs).to_dict() == {
+            "verdict": "equivalent", "checked": 132}
+        assert equiv_sampled(updown, flagship, 4, 200, seed=3, jobs=jobs).to_dict() == {
+            "verdict": "equivalent", "checked": 200}
+    reach = parse_formula((SAMPLES / "reach_one.sexp").read_text())
+    verdicts = [equiv_sampled(updown, reach, 4, 200, seed=0, jobs=jobs).to_dict() for jobs in (1, 2)]
+    assert verdicts[0] == verdicts[1] and verdicts[0]["verdict"] == "counterexample"

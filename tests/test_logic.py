@@ -1,21 +1,31 @@
+import functools
 import itertools
+import pickle
 import random
+from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+from automu.automata import parse_automaton
 from automu.graphs import BitWidthMismatch, Digraph, PointedDigraph, enumerate_digraphs
 from automu.logic import (
+    _CLASS_OF_HEAD,
     And,
     Box,
     Const,
     Dia,
     FalseF,
     FormulaSyntaxError,
+    MuSystem,
     NegConst,
     Or,
     TrueF,
     Var,
+    _lex,
+    _postorder,
+    _read,
     apply_once,
     approximants,
     eval_modal,
@@ -25,8 +35,86 @@ from automu.logic import (
     parse_formula,
     satisfies,
 )
+from automu.transform import automaton_to_formula, formula_to_automaton
 from automu.zoo import chain_graph, safe_one_formula, single_node
 from strategies import graphs, make_graph, seeds, systems
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def tree_parse(text: str, bits: int | None = None) -> MuSystem:
+    """The reader before hash-consing, kept as the reference the interned
+    ``parse_formula`` is tested against: a fresh node for every occurrence,
+    so each body is a tree."""
+
+    def build(node: object):
+        if node in ("true", "false"):
+            return _CLASS_OF_HEAD[node]()
+        if isinstance(node, str):
+            raise FormulaSyntaxError(f"bare atom {node!r}; did you mean (var {node})?")
+        if not isinstance(node, list) or not node:
+            raise FormulaSyntaxError(f"malformed formula {node!r}")
+        head = node[0]
+        args = node[1:]
+        if head in ("p", "not-p"):
+            if len(args) != 1 or not isinstance(args[0], str) or not (args[0].isascii() and args[0].isdigit()):
+                raise FormulaSyntaxError(f"({head} <int>) expected, got {node!r}")
+            return _CLASS_OF_HEAD[head](int(args[0]))
+        if head == "var":
+            if len(args) != 1 or not isinstance(args[0], str):
+                raise FormulaSyntaxError(f"(var NAME) expected, got {node!r}")
+            return Var(args[0])
+        if head in ("or", "and"):
+            if len(args) < 2:
+                raise FormulaSyntaxError(f"({head} ...) needs at least two arguments")
+            return reduce(_CLASS_OF_HEAD[head], [build(a) for a in args])
+        if head in ("dia", "box"):
+            if len(args) != 1:
+                raise FormulaSyntaxError(f"({head} <f>) takes exactly one argument")
+            return _CLASS_OF_HEAD[head](build(args[0]))
+        raise FormulaSyntaxError(f"unknown operator {head!r}")
+
+    try:
+        tokens = _lex(text)
+        sexp, pos = _read(tokens, 0)
+        if pos != len(tokens):
+            raise FormulaSyntaxError(f"trailing input after formula: {tokens[pos]!r}")
+        if not (isinstance(sexp, list) and len(sexp) == 2 and sexp[0] == "mu" and isinstance(sexp[1], list)):
+            raise FormulaSyntaxError("expected (mu ((NAME <f>) ...))")
+        names, bodies = [], []
+        for entry in sexp[1]:
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+                raise FormulaSyntaxError(f"expected (NAME <f>) pair, got {entry!r}")
+            names.append(entry[0])
+            bodies.append(build(entry[1]))
+        return MuSystem(bits=bits, vars=tuple(names), bodies=tuple(bodies))
+    except RecursionError:
+        raise FormulaSyntaxError("formula nested too deeply") from None
+
+
+@functools.cache
+def compiled_texts() -> dict[str, str]:
+    """The printed compile-down of the flagship automaton and of the
+    compile-up of the flagship formula."""
+    down = automaton_to_formula(parse_automaton((SAMPLES / "safe_one.json").read_text()))
+    up = formula_to_automaton(parse_formula((SAMPLES / "safe_one.sexp").read_text()))
+    return {"down": format_formula(down), "up-down": format_formula(automaton_to_formula(up))}
+
+
+def node_objects(sys: MuSystem) -> int:
+    return sum(1 for _ in _postorder(sys.bodies))
+
+
+def distinct_subterms(sys: MuSystem) -> int:
+    """Structurally distinct subterms of the bodies, by value numbering: a
+    node's number is that of its class with its leaf field or its children's
+    numbers."""
+    numbers: dict[tuple, int] = {}
+    number: dict[int, int] = {}  # id of a node -> its number
+    for f, kids in _postorder(sys.bodies):
+        key = (type(f), *[number[id(k)] for k in kids]) if kids else (type(f), *vars(f).values())
+        number[id(f)] = numbers.setdefault(key, len(numbers))
+    return len(numbers)
 
 
 def g(bits, nodes, labels, edges):
@@ -104,6 +192,101 @@ class TestParsing:
         assert sys.bits == 3
         assert format_formula(sys).count("(or ") == 2999
         assert lfp(sys, g(3, ["u", "v"], {"u": "001", "v": "000"}, [("u", "v")]))["X"] == {"u", "v"}
+
+
+ERRORS = [
+    ("", "unexpected end of input"),
+    ("(mu ((X true))", "unbalanced '('"),
+    (")", "unbalanced ')'"),
+    ("(mu ((X true)))) x", "trailing input after formula: ')'"),
+    ("(nu ((X true)))", "expected (mu ((NAME <f>) ...))"),
+    ("(mu (X true))", "expected (NAME <f>) pair, got 'X'"),
+    ("(mu ((X y)))", "bare atom 'y'; did you mean (var y)?"),
+    ("(mu ((X ())))", "malformed formula []"),
+    ("(mu ((X (p 1 2))))", "(p <int>) expected, got ['p', '1', '2']"),
+    ("(mu ((X (not-p x))))", "(not-p <int>) expected, got ['not-p', 'x']"),
+    ("(mu ((X (var (a)))))", "(var NAME) expected, got ['var', ['a']]"),
+    ("(mu ((X (or true))))", "(or ...) needs at least two arguments"),
+    ("(mu ((X (dia true false))))", "(dia <f>) takes exactly one argument"),
+    ("(mu ((X (not true))))", "unknown operator 'not'"),
+    ("(mu ((X ((p 0)))))", "unknown operator ['p', '0']"),
+    ("(mu ((X (or (var X) (dia (var Z))))))", "unknown variable 'Z' in body of 'X'"),
+    ("(mu ((X true) (X false)))", "duplicate variable name"),
+    ("(mu ())", "a system needs at least one variable"),
+    ("(mu ((X " + "(dia " * 3000 + "true" + ")" * 3000 + ")))", "formula nested too deeply"),
+]
+
+
+class TestInternedReader:
+    """``parse_formula`` builds each structurally distinct subterm once."""
+
+    @pytest.mark.parametrize("name, objects, tree", [("down", 262, 1344), ("up-down", 467, 3037)])
+    def test_one_object_per_distinct_subterm(self, name, objects, tree):
+        text = compiled_texts()[name]
+        interned, reference = parse_formula(text), tree_parse(text)
+        assert node_objects(reference) == tree
+        assert node_objects(interned) == distinct_subterms(interned) == distinct_subterms(reference) == objects
+
+    def test_compile_down_is_interned(self):
+        # the construction shares as the reader does
+        down = automaton_to_formula(parse_automaton((SAMPLES / "safe_one.json").read_text()))
+        assert node_objects(down) == distinct_subterms(down) == 262
+
+    @pytest.mark.parametrize("name", ["down", "up-down"])
+    def test_format_round_trips_byte_for_byte(self, name):
+        text = compiled_texts()[name]
+        assert format_formula(parse_formula(text)) == text
+
+    @pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.sexp")), ids=lambda p: p.name)
+    def test_samples_print_as_their_trees(self, path):
+        text = path.read_text()
+        assert format_formula(parse_formula(text)) == format_formula(tree_parse(text))
+        assert parse_formula(text) == tree_parse(text)
+
+    @given(systems(bits=2, max_vars=4))
+    @settings(max_examples=50)
+    def test_random_systems_print_as_their_trees(self, sys):
+        text = format_formula(sys)
+        interned = parse_formula(text, bits=sys.bits)
+        assert interned == tree_parse(text, bits=sys.bits) == sys
+        assert format_formula(interned) == text
+        assert node_objects(interned) == distinct_subterms(interned)
+
+    def test_nary_intermediate_nodes_are_shared(self):
+        sys = parse_formula("(mu ((X (or (p 0) (var X) (p 1))) (Y (and (or (p 0) (var X)) (p 1)))))")
+        assert sys.bodies[0].left is sys.bodies[1].left
+        assert node_objects(sys) == 6
+
+    def test_leaves_of_different_kinds_are_never_merged(self):
+        sys = parse_formula("(mu ((X (and (or (p 1) (not-p 1)) (or true false))) (Y (or (var X) (var Y)))"
+                            " (Z (and (or (p 1) (not-p 1)) (or (var X) (var Y))))))")
+        x, y, z = sys.bodies
+        assert (type(x.left.left), type(x.left.right)) == (Const, NegConst)
+        assert (type(x.right.left), type(x.right.right)) == (TrueF, FalseF)
+        assert (y.left.name, y.right.name) == ("X", "Y")
+        assert z.left is x.left and z.right is y
+        assert node_objects(sys) == 11
+
+    def test_a_repeated_leaf_is_one_object(self):
+        body = parse_formula("(mu ((X (and (p 1) (p 1)))))").bodies[0]
+        assert body.left is body.right
+
+    def test_tables_are_per_parse(self):
+        text = "(mu ((X (or (p 0) (var X)))))"
+        assert parse_formula(text).bodies[0] is not parse_formula(text).bodies[0]
+
+    def test_pickling_keeps_the_sharing(self):
+        sys = parse_formula(compiled_texts()["up-down"])
+        copy = pickle.loads(pickle.dumps(sys))
+        assert node_objects(copy) == 467
+        assert format_formula(copy) == compiled_texts()["up-down"]
+
+    @pytest.mark.parametrize("text, message", ERRORS, ids=[m for _, m in ERRORS])
+    def test_error_messages_are_the_reference_readers(self, text, message):
+        for read in (parse_formula, tree_parse):
+            with pytest.raises(FormulaSyntaxError) as caught:
+                read(text)
+            assert str(caught.value) == message
 
 
 class TestEvalModal:

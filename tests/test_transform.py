@@ -50,6 +50,7 @@ from automu.zoo import (
 )
 from strategies import make_automaton, seeds, systems
 from test_kernel import BENCHMARK_FORMULAS, SAMPLES
+from test_logic import tree_parse
 
 SIX_VARIABLES = ("(mu ((X (or (dia (and (var Y) (var Z))) (box (or (var Y) (p 0))))) "
                  "(Y (or (p 0) (dia (var Z)))) (Z (or (not-p 0) (box (dia (var X)))))))")
@@ -237,6 +238,43 @@ class TestSymbolicCompileUp:
         sys = MuSystem(bits=0, vars=names, bodies=tuple(Dia(Var(n)) for n in names))
         with pytest.raises(SizeGuardExceeded, match=f"{3 ** 14} entries"):
             formula_to_automaton(sys)
+
+
+def _compile_up_outcome(sys: MuSystem) -> str:
+    try:
+        return automaton_to_json(formula_to_automaton(sys))
+    except SizeGuardExceeded as e:
+        return f"refused: {e}"
+
+
+class TestCompileUpOfSharedInput:
+    """``flatten`` walks occurrences, so a modal argument the parse shares
+    still gets one fresh variable per occurrence, as on a tree."""
+
+    SHARED = "(mu ((X (and (dia (or (p 0) (var X))) (box (or (p 0) (var X)))))))"
+
+    def test_shared_modal_argument(self):
+        sys = parse_formula(self.SHARED)
+        assert sys.bodies[0].left.inner is sys.bodies[0].right.inner
+        assert flatten(sys).vars == ("X", "Y0", "Y1")
+        assert format_formula(flatten(sys)) == format_formula(flatten(tree_parse(self.SHARED)))
+        assert _compile_up_outcome(sys) == _compile_up_outcome(tree_parse(self.SHARED))
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_FORMULAS))
+    def test_benchmark_formulas(self, name):
+        text = BENCHMARK_FORMULAS[name]
+        assert _compile_up_outcome(parse_formula(text)) == _compile_up_outcome(tree_parse(text))
+
+    @settings(max_examples=60)
+    @given(systems(bits=1, max_vars=2, depth=2))
+    def test_random_systems(self, sys):
+        # the first body's argument appears under both a diamond and a box
+        f = sys.bodies[0]
+        sys = MuSystem(bits=sys.bits, vars=sys.vars, bodies=(And(Dia(f), Box(f)), *sys.bodies[1:]))
+        text = format_formula(sys)
+        interned = parse_formula(text, bits=sys.bits)
+        assume(sys.bits + len(flatten(interned).vars) <= 6)
+        assert _compile_up_outcome(interned) == _compile_up_outcome(tree_parse(text, bits=sys.bits))
 
 
 class TestPinnedClosure:
