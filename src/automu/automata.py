@@ -7,12 +7,14 @@ finitely as an ordered list of guarded rules per state, with first-match
 semantics and a mandatory unconditional ``else`` rule at the end.
 
 An automaton owns its state encoding: bit i of a state mask stands for
-``states[i]``.  ``step`` is the transition function on that encoding, one
-memo per state from the neighborhood mask to the target, filled from the
-rule list by the one guard evaluator, ``_decide``, which the state diagram
-runs on regions of neighborhoods (``eval_guard`` is the tests' reference);
-``delta`` is the same function on state names, and the run engine, the
-synchronous kernel and the trace closure all read the encoding.
+``states[i]``.  ``region`` is the one walk over a state's rules, first match
+wins, on a region of neighborhoods (the states a neighborhood holds, those
+it may hold, and no other), with the one guard evaluator, ``_decide``
+(``eval_guard`` is the tests' reference).  ``step``, the transition function
+on that encoding, is ``region`` on one neighborhood, memoized per state from
+the neighborhood mask to the target; the state diagram and the synchronous
+kernel split regions until ``region`` decides them.  ``delta`` is ``step``
+on state names, and the run engine and the trace closure read the encoding.
 
 Also here: the trace algebra (first / last / pushlast / popfirst) used by the
 asynchronous run semantics, and the state diagram behind quasi-acyclicity (no
@@ -33,7 +35,6 @@ or samples.
 from __future__ import annotations
 
 import graphlib
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
@@ -152,20 +153,20 @@ def _decide(guard: Guard, inn: int, free: int, masks: dict[frozenset[str], int])
     the bitmask of each state set the guard names): True or False when it
     is so on all of the region, else None with the undecided states it
     depends on."""
-    kind = _GUARD_SYNTAX[type(guard)][0]
-    if kind == "subseteq":
+    cls = type(guard)
+    if cls is SubsetEq:
         outside = ~masks[guard.states]
         depends = free & outside
         return (False, 0) if inn & outside else (not depends or None, depends)
-    if kind == "supseteq":
+    if cls is SupsetEq:
         depends = masks[guard.states] & ~inn
         return (False, 0) if depends & ~free else (not depends or None, depends)
-    if kind == "not":
+    if cls is NotGuard:
         holds, depends = _decide(guard.inner, inn, free, masks)
         return (None if holds is None else not holds), depends
-    if kind == "else":
+    if cls is Else:
         return True, 0
-    decisive = kind == "or"  # a part with this value settles the whole
+    decisive = cls is OrGuard  # a part with this value settles the whole
     undecided = 0
     for part in guard.parts:
         holds, depends = _decide(part, inn, free, masks)
@@ -307,13 +308,34 @@ class Automaton:
     def step(self, q: int, fronts: int) -> int:
         """The transition function on the state encoding: the target of state
         ``q`` on the neighborhood whose states are the bits of ``fronts``.  A
-        miss of ``step_memo[q]`` is filled from the rule list: the first rule
-        of q whose guard ``_decide`` finds true on that one neighborhood wins."""
+        miss of ``step_memo[q]`` is filled by ``region`` on the region that
+        is that one neighborhood, which always decides it."""
         target = self.step_memo[q].get(fronts)
-        if target is None:  # else ends the list
-            rule = next(r for r in self.rules[self.states[q]] if _decide(r.guard, fronts, 0, self._cache["masks"])[0])
-            target = self.step_memo[q][fronts] = self.index[rule.target]
+        if target is None:
+            target = self.step_memo[q][fronts] = self.region(q, fronts, 0)[0]
         return target
+
+    def region(self, q: int, inn: int, free: int) -> tuple[int, int, int]:
+        """The one walk over the rules of state ``q``, first match wins, on
+        the region of neighborhoods that hold the states in ``inn``, may hold
+        those in ``free`` and hold no other: ``(target, 0, 0)`` when the
+        first rule that ``_decide`` does not find false on all of the region
+        holds on all of it, else ``(-1, split, targets)`` with ``split`` a
+        state of ``free`` that rule depends on and ``targets`` the mask of
+        the targets of every rule that may fire in the region."""
+        masks, index = self._cache["masks"], self.index
+        split = targets = 0
+        for rule in self.rules[self.states[q]]:
+            holds, depends = _decide(rule.guard, inn, free, masks)
+            if holds is False:
+                continue
+            if holds and not split:
+                return index[rule.target], 0, 0
+            split = split or depends & -depends
+            targets |= 1 << index[rule.target]
+            if holds:  # no later rule fires; else ends the list
+                break
+        return -1, split, targets
 
     def delta(self, q: str, neighbors: Iterable[str]) -> str:
         """Evaluate the transition function on state names: ``step`` on
@@ -336,38 +358,31 @@ class Automaton:
     def _successors(self, q: str, within: frozenset[str]) -> frozenset[str]:
         """{ delta(q, N) != q : N subset of ``within`` }, memoized per (q,
         ``within``).  The neighborhoods are split one state at a time into
-        regions (DPLL style) on which ``_decide`` settles every guard.  A
-        region records its first rule's target when that rule holds on all of
-        it and no earlier one can, and is split no further once every rule
-        that may fire on it has a target already found.  More than
-        2^SUBSET_ENUMERATION_GUARD regions raise ``AutomatonTooLarge``."""
+        regions (DPLL style), each walked by ``region``: a decided region
+        records its target, and an undecided one is split on its ``split``
+        state only while some rule that may fire on it has a target not yet
+        found.  More than 2^SUBSET_ENUMERATION_GUARD regions raise
+        ``AutomatonTooLarge``."""
         memo = self._cache.setdefault("successors", {})
         if (q, within) in memo:
             return memo[q, within]
-        found = {q}  # a self-loop is not recorded
+        i = self.index[q]
+        found = 1 << i  # a self-loop is not recorded
         regions = [(0, self.mask(within))]  # (states in N, states not yet decided)
-        for count in itertools.count(1):
-            if not regions:
-                memo[q, within] = frozenset(found - {q})
-                return memo[q, within]
-            if count > 1 << SUBSET_ENUMERATION_GUARD:
+        budget = 1 << SUBSET_ENUMERATION_GUARD
+        while regions:
+            budget -= 1
+            if budget < 0:
                 raise AutomatonTooLarge(f"state diagram: the rules of state {q!r} split into more than "
                                         f"2^{SUBSET_ENUMERATION_GUARD} neighborhood regions")
             inn, free = regions.pop()
-            split, new = 0, False
-            for rule in self.rules[q]:
-                holds, depends = _decide(rule.guard, inn, free, self._cache["masks"])
-                if holds is False:
-                    continue
-                if holds and not split:  # the first rule that can fire fires on all of it
-                    found.add(rule.target)
-                    break
-                split = split or depends & -depends
-                new = new or rule.target not in found
-                if holds:
-                    break
-            if new:
-                regions += [(inn, free & ~split), (inn | split, free & ~split)]
+            target, split, targets = self.region(i, inn, free)
+            if not split:
+                found |= 1 << target
+            elif targets & ~found:
+                regions += [(inn, free ^ split), (inn | split, free ^ split)]
+        memo[q, within] = frozenset(self.states[t] for t in _bits(found ^ 1 << i))
+        return memo[q, within]
 
     def trace_length_bound(self) -> int | None:
         """The number of states in the longest trace, or None when the trace

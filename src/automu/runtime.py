@@ -43,17 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .automata import (
-    _GUARD_SYNTAX,
-    Automaton,
-    Guard,
-    NotQuasiAcyclic,
-    Trace,
-    _bits,
-    _guard_parts,
-    trace_popfirst,
-    trace_pushlast,
-)
+from .automata import Automaton, NotQuasiAcyclic, Trace, _bits, trace_popfirst, trace_pushlast
 from .graphs import BitWidthMismatch, Digraph, Domain, Edge, PointedDigraph, node_set, random_digraph
 
 
@@ -658,98 +648,29 @@ def async_run(
     )
 
 
-_ANY, _ALL, _NOT, _AND, _OR, _TRUE = range(6)
-
-
-@dataclass(frozen=True)
-class _Kernel:
-    """An automaton's rules compiled once into bitwise ops over has[q], the
-    domain nodes with an incoming neighbour in state q.  Guard slot i is op
-    ``(i, code, args)``: args is a mask of states for _ANY/_ALL and a tuple
-    of earlier slots otherwise.  ``rules[q]`` are q's rules as (slot, target
-    state), first match wins, and ``ops[q]`` the ops they read, in slot
-    order."""
-
-    init: dict[str, int]  # label -> initial state
-    accepting: int  # a mask of states
-    slots: int
-    ops: tuple[tuple[tuple[int, int, int | tuple[int, ...]], ...], ...]
-    rules: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _compile_kernel(a: Automaton) -> _Kernel:
-    index = a.index
-    keys: dict[tuple, int] = {}
-    ops: list[tuple[int, int, int | tuple[int, ...]]] = []
-    reads: list[int] = []  # slot -> the slots it is computed from, itself included, as a mask
-
-    def intern(code: int, args: int | tuple[int, ...]) -> int:
-        if (code, args) not in keys:
-            mask = 1 << len(ops)
-            for x in args if isinstance(args, tuple) else ():
-                mask |= reads[x]
-            keys[code, args] = len(ops)
-            ops.append((len(ops), code, args))
-            reads.append(mask)
-        return keys[code, args]
-
-    def guard_slot(guard: Guard) -> int:
-        """subseteq(A) is "no neighbour outside A", supseteq(B) "a neighbour
-        in every state of B"; the combinators fold their parts' slots."""
-        slot: dict[int, int] = {}
-        for g in reversed(_guard_parts(guard)):  # every part before its whole
-            kind = _GUARD_SYNTAX[type(g)][0]
-            if kind == "subseteq":
-                slot[id(g)] = intern(_NOT, (intern(_ANY, (1 << len(index)) - 1 ^ a.mask(g.states)),))
-            elif kind == "supseteq":
-                slot[id(g)] = intern(_ALL, a.mask(g.states))
-            elif kind == "not":
-                slot[id(g)] = intern(_NOT, (slot[id(g.inner)],))
-            elif kind == "else":
-                slot[id(g)] = intern(_TRUE, ())
-            else:
-                parts = tuple(sorted({slot[id(p)] for p in g.parts}))
-                slot[id(g)] = intern(_AND if kind == "and" else _OR, parts)
-        return slot[id(guard)]
-
-    rules = tuple(tuple((guard_slot(r.guard), index[r.target]) for r in a.rules[q]) for q in a.states)
-    per_state = []
-    for lst in rules:
-        mask = 0
-        for slot, _ in lst:
-            mask |= reads[slot]
-        per_state.append(tuple(op for op in ops if mask >> op[0] & 1))
-    return _Kernel(
-        init={w: index[q] for w, q in a.init.items()},
-        accepting=a.mask(a.accepting),
-        slots=len(ops),
-        ops=tuple(per_state),
-        rules=rules,
-    )
-
-
 def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
     """The domain nodes that visit an accepting state in the synchronous
     run, on every digraph of the domain at once.  Each occupied state q
-    holds the mask of the nodes in q; a step computes the guards its rules
-    read once for all nodes from has[q], and moves q's nodes by a
-    first-match fold over them.  The run is deterministic over finitely
-    many configurations, so it is simulated until the whole configuration
-    repeats or for |Q|^m configurations, whichever comes first: each
-    digraph's own run has by then shown every configuration it ever reaches,
-    and acceptance is decided exactly.  (Digraphs whose runs cycle with
-    different periods repeat jointly only after the lcm of the periods.)"""
-    kernel = a._cache.get("kernel")
-    if kernel is None:
-        kernel = a._cache["kernel"] = _compile_kernel(a)
-    full, dia, accepting = domain.full, domain.dia, kernel.accepting
+    holds the mask of the nodes in q.  A step splits each such mask, DPLL
+    style, by ``Automaton.region``: a part whose region is undecided is cut
+    on ``dia`` of the nodes in the split state, into the nodes with an
+    in-neighbour in it and the rest, until each part's region is decided
+    and the part moves to its target.  The regions are memoized per (q,
+    states in, states undecided) in ``a._cache``.  The run is deterministic
+    over finitely many configurations, so it is simulated until the whole
+    configuration repeats or for |Q|^m configurations, whichever comes
+    first: each digraph's own run has by then shown every configuration it
+    ever reaches, and acceptance is decided exactly.  (Digraphs whose runs
+    cycle with different periods repeat jointly only after the lcm of the
+    periods.)"""
+    memo = a._cache.setdefault("regions", {})
+    dia, accepting = domain.dia, a.mask(a.accepting)
     states: dict[int, int] = {}  # occupied state -> its nodes
     for w, nodes in domain.words.items():
-        q = kernel.init[w]
+        q = a.index[a.init[w]]
         states[q] = states.get(q, 0) | nodes
     visited = 0
     seen: set[frozenset[tuple[int, int]]] = set()
-    vals = [0] * kernel.slots
     configurations = len(a.states) ** domain.m  # of one digraph
     while True:
         for q, nodes in states.items():
@@ -759,51 +680,32 @@ def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
         if key in seen or len(seen) + 1 == configurations:
             return visited
         seen.add(key)
-        has = [(1 << q, dia(nodes)) for q, nodes in states.items()]
-        occupied = sum(q for q, _ in has)
-        fresh = [False] * kernel.slots  # computed in this step
+        has = {1 << q: dia(nodes) for q, nodes in states.items()}  # nodes with an in-neighbour in q
+        occupied = sum(has)
         new: dict[int, int] = {}
-        for q, rest in states.items():
-            for i, code, args in kernel.ops[q]:
-                if fresh[i]:
+        for q, nodes in states.items():
+            parts = [(nodes, 0, occupied)]  # (nodes, states in, states undecided)
+            while parts:
+                rest, inn, free = parts.pop()
+                region = memo.get((q, inn, free))
+                if region is None:
+                    region = memo[q, inn, free] = a.region(q, inn, free)
+                target, split, _ = region
+                if not split:
+                    new[target] = new.get(target, 0) | rest
                     continue
-                fresh[i] = True
-                if code == _ANY:
-                    v = 0
-                    for x, h in has:
-                        if args & x:
-                            v |= h
-                elif code == _ALL:
-                    v = 0 if args & ~occupied else full
-                    for x, h in has if v else ():
-                        if args & x:
-                            v &= h
-                elif code == _NOT:
-                    v = full ^ vals[args[0]]
-                elif code == _AND:
-                    v = full
-                    for x in args:
-                        v &= vals[x]
-                elif code == _OR:
-                    v = 0
-                    for x in args:
-                        v |= vals[x]
-                else:
-                    v = full
-                vals[i] = v
-            for slot, target in kernel.rules[q]:
-                fire = rest & vals[slot]
-                if fire:
-                    new[target] = new.get(target, 0) | fire
-                    rest ^= fire
-                    if not rest:
-                        break
+                near = rest & has[split]
+                if near:
+                    parts.append((near, inn | split, free ^ split))
+                if near != rest:
+                    parts.append((rest ^ near, inn, free ^ split))
         states = new
 
 
 def sync_accepting_nodes(a: Automaton, g: Digraph) -> frozenset[str]:
     """Nodes that visit an accepting state in the synchronous run: the W = 1
-    call of ``sync_accepting_mask``.  ``sync_step`` is the reference step."""
+    call of ``sync_accepting_mask``, its region splitting on one digraph.
+    The rule-list ``sync_step`` is the reference it is tested against."""
     if a.bits != g.bits:
         raise BitWidthMismatch(f"automaton is {a.bits}-bit, graph is {g.bits}-bit")
     return node_set(g, sync_accepting_mask(a, Domain.of_digraph(g)))

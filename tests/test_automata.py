@@ -177,6 +177,24 @@ class TestStep:
     def test_step_is_the_first_matching_rule_on_deep_guards(self, a):
         assert_step_is_the_first_matching_rule(a)
 
+    @given(automata(guard_depth=3), st.data())
+    @settings(max_examples=60)
+    def test_region_against_the_first_matching_rule(self, a, data):
+        # each state is out of, in or free in the region (at most 4 states,
+        # so at most 4 free); its neighborhoods hold inn and any part of free
+        n = len(a.states)
+        for q in range(n):
+            roles = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=n, max_size=n))
+            inn = sum(1 << s for s, role in enumerate(roles) if role == 1)
+            free = sum(1 << s for s, role in enumerate(roles) if role == 2)
+            reached = {rule_list_target(a, q, inn | sub) for sub in range(free + 1) if sub & ~free == 0}
+            target, split, targets = a.region(q, inn, free)
+            if split:
+                assert target == -1 and split & free == split and split & split - 1 == 0, (q, inn, free)
+                assert all(targets >> t & 1 for t in reached), (q, inn, free)
+            else:
+                assert reached == {target} and targets == 0, (q, inn, free)
+
     @pytest.mark.parametrize("seed", [None, *range(6)])
     def test_memo_after_compile_down_fuzz_and_run(self, seed):
         # compile-down's closure and the run engine fill the one memo

@@ -73,17 +73,17 @@ def block_digraph(m: int, bits: int, block: int, j: int) -> Digraph:
     return indexed_digraph(m, bits, *divmod(block * slice_width(m, bits) + j, 2 ** (bits * m)))
 
 
-def assert_blocks_match_graphs(d, blocks, positions=None) -> None:
+def assert_blocks_match_graphs(d, blocks, positions=None, reference=accepted_nodes) -> None:
     """On every digraph of every (m, block) in ``blocks`` (or at the given
     positions of each), the device's sliced acceptance agrees with
-    ``accepted_nodes`` on that one digraph."""
+    ``reference`` (by default ``accepted_nodes``) on that one digraph."""
     for m, block in blocks:
         width = slice_width(m, d.bits)
         got = _accepting_mask(d, Domain.of_block(m, d.bits, block))
         for j in range(width) if positions is None else positions:
             g = block_digraph(m, d.bits, block, j)
             sliced = {v for i, v in enumerate(g.nodes) if got >> i * width + j & 1}
-            assert sliced == accepted_nodes(d, g), g
+            assert sliced == reference(d, g), g
 
 
 def all_blocks(max_nodes: int, bits: int) -> list[tuple[int, int]]:
@@ -278,6 +278,8 @@ class TestSlicedScan:
         nodes = 3 if system.bits < 2 else 2
         for d in case:
             assert_blocks_match_graphs(d, all_blocks(nodes, d.bits))
+        # the wide domains' region splitting against the rule-list run, which splits nothing
+        assert_blocks_match_graphs(automaton, all_blocks(nodes, automaton.bits), reference=sync_step_accepting_nodes)
         assert equiv_exhaustive(system, automaton, nodes) == reference_verdict(system, automaton, nodes)
 
     def test_run_bound_on_mixed_periods(self):

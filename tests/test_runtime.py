@@ -136,7 +136,7 @@ class TestSyncAcceptance:
 
 
 def sync_step_accepting_nodes(a, g):
-    """The reference for the compiled kernel: ``sync_step`` until the state
+    """The reference for the synchronous kernel: ``sync_step`` until the state
     map repeats, collecting the nodes that were ever in an accepting state."""
     config = initial_configuration(a, g)
     visited = {v for v in g.nodes if config.node_state[v] in a.accepting}

@@ -14,7 +14,9 @@ from automu import automata
 from automu.automata import Automaton, AutomatonTooLarge, NotQuasiAcyclic, parse_automaton
 from automu.cli import main
 from automu.logic import parse_formula
+from automu.runtime import sync_accepting_nodes
 from automu.transform import _driver_closure, _reachable_traces, formula_to_automaton
+from automu.zoo import chain_graph
 from strategies import automata as random_automata
 from strategies import seeds
 from test_kernel import BENCHMARK_FORMULAS
@@ -131,7 +133,7 @@ def test_warm_caches_survive_pickling():
 
     def answers(a):
         return (a.traces(), a.traces(start=a.init.values()), a.state_diagram(within),
-                a.delta(a.states[0], within), _driver_closure(a))
+                a.delta(a.states[0], within), _driver_closure(a), sync_accepting_nodes(a, chain_graph()))
 
     warm = answers(a)
     b = pickle.loads(pickle.dumps(a))
