@@ -3,11 +3,13 @@
 Upward (``formula_to_automaton``): flatten the system so every modal operator
 applies directly to a variable, then build a powerset-state automaton whose
 states are the sets of atomic propositions (label constants and variables)
-already verified at a node.  A transition adds exactly the variables whose
-bodies hold shallowly of the current state and neighborhood, so states only
-grow along transitions and the result is quasi-acyclic by construction.  The
-rules say this symbolically: ``Dia X`` is the guard "not a subset of the
-states lacking X", ``Box X`` "a subset of the states containing X".
+already verified at a node, explored forward from the initialization states
+so that only the sets a node can reach are built.  A transition adds exactly
+the variables whose bodies hold shallowly of the current state and
+neighborhood, so states only grow along transitions and the result is
+quasi-acyclic by construction.  The rules say this symbolically: ``Dia X`` is
+the guard "not a subset of the states lacking X", ``Box X`` "a subset of the
+states containing X".
 
 Downward (``automaton_to_formula``): introduce one variable per trace of a
 quasi-acyclic automaton and encode which sets of neighbor traces can drive a
@@ -44,6 +46,7 @@ from .automata import (
     Trace,
     TransitionRule,
     _bits,
+    _decide,
     trace_pushlast,
 )
 from .logic import (
@@ -72,7 +75,7 @@ class SizeGuardExceeded(ValueError):
 
 
 MAX_ATOMS = 16          # powerset construction guard: constants + variables
-MAX_RULE_TABLE = 1 << 22  # total emitted rules across all states
+MAX_RULE_TABLE = 1 << 22  # total emitted rules across the reachable states
 MAX_ENABLES_TRACES = 12   # full closure guard: trace count
 
 
@@ -215,93 +218,159 @@ def _shallow_guards(nodes: list, bodies: Sequence[Formula], q: frozenset[str],
 _P_TOKEN = re.compile(r"^p\d+$")
 
 
+def _atom_system(sys: MuSystem) -> MuSystem:
+    """``flatten(sys)`` with every variable renamed to a fresh ``V<i>`` whose
+    name cannot be an atom of a state id: ``p<digits>`` would collide with a
+    constant, and a comma with the separator of the atoms (names carry no
+    meaning)."""
+    flat = flatten(sys)
+    fresh = (f"V{i}" for i in itertools.count() if f"V{i}" not in flat.vars)
+    renames = {x: next(fresh) for x in flat.vars if _P_TOKEN.match(x) or "," in x}
+    if not renames:
+        return flat
+
+    def rn(f: Formula, kids: list[Formula]) -> Formula:
+        return Var(renames.get(f.name, f.name)) if _head(f) == "var" else _rebuild(f, kids)
+
+    return MuSystem(
+        bits=flat.bits,
+        vars=tuple(renames.get(x, x) for x in flat.vars),
+        bodies=tuple(_fold(flat.bodies, rn)),
+    )
+
+
 def formula_to_automaton(sys: MuSystem) -> Automaton:
-    """Powerset-state automaton equivalent to the system.
+    """Powerset-state automaton equivalent to the system, over the states a
+    node can reach from its initialization state.
 
     States are subsets of {p0..p_{bits-1}} plus the (flattened) variables;
     a node's state records which of those atoms have been verified at it so
     far.  Initialization keeps the label constants; a transition on
     neighborhood S adds every variable whose body holds shallowly of
     (state, S); accepting states are those containing the first variable.
+    The states are R, the least set of subsets that holds the initialization
+    states and every successor of its members on neighborhoods drawn from it,
+    in the order of their bitmasks over the atoms: ``_reachable_states`` of
+    the automaton over all subsets, which no run ever leaves.
 
     Rules are symbolic: at state q each body becomes a guard over the
-    neighborhood (``_shallow_guards``).  Variables whose guard folds to true
-    are always added, those folding to false never; for the remaining open
-    variables one rule per subset, largest first, adds exactly that subset.
-    The table has sum over q of 2^|open(q)| <= 2^bits * 3^vars rules, checked
-    against ``MAX_RULE_TABLE`` before any rule is built.
+    neighborhood (``_shallow_guards``), whose ``dia`` and ``box`` guards name
+    states of R.  Variables whose guard folds to true are always added, those
+    folding to false never; for the remaining open variables one rule per
+    subset whose target is in R, largest first, adds exactly that subset.
+    The else rule adds only the always-added variables, and its target is in
+    R: on a neighborhood of one initialization state every open guard is
+    false.  The sum over R of the rules is checked against
+    ``MAX_RULE_TABLE`` before any rule is built.
+
+    R is found before any rule: bodies are flat, so a successor depends on a
+    neighborhood only through the variables some member holds (read by
+    ``dia``) and those some member lacks (read by ``box``).  Both are one
+    code, the or of the members' codes, so the codes of the neighborhoods
+    drawn from the states found so far are closed under or, and each state
+    found meets each code once.
     """
-    flat = flatten(sys)
-    if any(_P_TOKEN.match(x) for x in flat.vars):
-        # variable names of the form p<digits> would collide with constant
-        # atoms inside states; rename them (names carry no meaning)
-        fresh = (f"V{i}" for i in itertools.count() if f"V{i}" not in flat.vars)
-        renames = {x: next(fresh) for x in flat.vars if _P_TOKEN.match(x)}
-
-        def rn(f: Formula, kids: list[Formula]) -> Formula:
-            return Var(renames.get(f.name, f.name)) if _head(f) == "var" else _rebuild(f, kids)
-
-        flat = MuSystem(
-            bits=flat.bits,
-            vars=tuple(renames.get(x, x) for x in flat.vars),
-            bodies=tuple(_fold(flat.bodies, rn)),
-        )
-
-    consts = [f"p{i}" for i in range(flat.bits)]
-    atoms = consts + list(flat.vars)
+    flat = _atom_system(sys)
+    atoms = [f"p{i}" for i in range(flat.bits)] + list(flat.vars)
     if len(atoms) > MAX_ATOMS:
         raise SizeGuardExceeded(
             f"powerset construction over {len(atoms)} atoms exceeds the guard of {MAX_ATOMS}"
         )
-    order = {t: i for i, t in enumerate(atoms)}
-
-    def state_id(subset: frozenset[str]) -> str:
-        return "{" + ",".join(sorted(subset, key=order.__getitem__)) + "}"
-
-    subsets = [frozenset(x for i, x in enumerate(atoms) if mask >> i & 1) for mask in range(1 << len(atoms))]
-    ids = [state_id(q) for q in subsets]
-    box = {y: SubsetEq(frozenset(i for i, q in zip(ids, subsets) if y in q)) for y in flat.vars}
-    dia = {y: NotGuard(SubsetEq(frozenset(i for i, q in zip(ids, subsets) if y not in q)))
-           for y in flat.vars}
-
-    # per state: what every transition adds, and the guards of the open variables
+    n, bit = len(atoms), {x: 1 << i for i, x in enumerate(atoms)}
     nodes = list(_postorder(flat.bodies))
-    plan: list[tuple[frozenset[str], list[tuple[str, Guard]]]] = []
-    for q in subsets:
-        always, open_vars = set(q), []
-        for x, g in zip(flat.vars, _shallow_guards(nodes, flat.bodies, q, dia, box)):
-            if x not in q:
+
+    # A neighborhood's code has bit i when some member holds atom i and bit
+    # n + i when some member lacks it, for the variables under a dia or a
+    # box.  On codes, box y and the guard that dia y negates are subset
+    # guards that each exclude one bit; ``_decide`` reads them.
+    under = {"dia": 0, "box": 0}
+    for g, _ in nodes:
+        if _head(g) in under:
+            under[_head(g)] |= bit[g.inner.name]
+    code_box = {y: SubsetEq(frozenset({f"box {y}"})) for y in flat.vars}
+    code_dia = {y: NotGuard(SubsetEq(frozenset({f"dia {y}"}))) for y in flat.vars}
+    code_masks = {**{code_box[y].states: ~(bit[y] << n) for y in flat.vars},
+                  **{code_dia[y].inner.states: ~bit[y] for y in flat.vars}}
+
+    def plan(q: int) -> tuple[int, list[tuple[int, Guard]]]:
+        """The state every transition from q reaches at least (q and the
+        variables whose guard folds to true), and the variables still open
+        there with their guards over codes."""
+        always, open_vars = q, []
+        names = frozenset(atoms[i] for i in _bits(q))
+        for x, g in zip(flat.vars, _shallow_guards(nodes, flat.bodies, names, code_dia, code_box)):
+            if not q & bit[x]:
                 if g is True:
-                    always.add(x)
+                    always |= bit[x]
                 elif g is not False:
-                    open_vars.append((x, g))
-        plan.append((frozenset(always), open_vars))
-    total_rules = sum(1 << len(open_vars) for _, open_vars in plan)
+                    open_vars.append((bit[x], g))
+        return always, open_vars
+
+    plans: dict[int, tuple[int, list[tuple[int, Guard]]]] = {}  # R in the order found
+    codes, code_set, met = [0], {0}, []  # the empty neighborhood's code is 0
+
+    def reach(q: int) -> None:
+        plans[q] = plan(q)
+        met.append(0)  # how many codes q has met
+        code = q & under["dia"] | (~q & under["box"]) << n
+        more = dict.fromkeys(d | code for d in codes if d | code not in code_set)
+        codes.extend(more)
+        code_set.update(more)
+
+    words = ["".join(w) for w in itertools.product("01", repeat=flat.bits)]
+    init = {w: sum(1 << i for i, c in enumerate(w) if c == "1") for w in words}
+    for q in dict.fromkeys(init.values()):
+        reach(q)
+    while any(k < len(codes) for k in met):
+        for i, (always, open_vars) in enumerate(list(plans.values())):
+            todo, met[i] = codes[met[i]:], len(codes)
+            for c in todo:
+                t = always
+                for b, g in open_vars:
+                    if _decide(g, c, 0, code_masks)[0]:
+                        t |= b
+                if t not in plans:
+                    reach(t)
+
+    states = sorted(plans)
+    ids = {q: "{" + ",".join(atoms[i] for i in _bits(q)) + "}" for q in states}
+    over_r = {id(code_box[y]): SubsetEq(frozenset(ids[q] for q in states if q & bit[y])) for y in flat.vars}
+    over_r.update({id(code_dia[y]): NotGuard(SubsetEq(frozenset(ids[q] for q in states if not q & bit[y])))
+                   for y in flat.vars})
+
+    def guard(g: Guard) -> Guard:
+        """An and/or of code guards, over R."""
+        return over_r.get(id(g)) or type(g)(tuple(map(guard, g.parts)))
+
+    # the rule for the set of open variables that hold comes before every
+    # smaller one, so first-match picks exactly that set; sets of one size
+    # come in the order of ``itertools.combinations``
+    tables = []
+    for q in states:
+        always, open_vars = plans[q]
+        span = always | sum(b for b, _ in open_vars)
+        targets = [t for t in states if t != always and t & always == always and t | span == span]
+        targets.sort(key=lambda t: (-(t ^ always).bit_count(), tuple(_bits(t ^ always))))
+        tables.append((always, [(b, guard(g)) for b, g in open_vars], targets))
+    total_rules = sum(len(targets) + 1 for _, _, targets in tables)
     if total_rules > MAX_RULE_TABLE:
         raise SizeGuardExceeded(
             f"rule table of {total_rules} entries exceeds the guard of {MAX_RULE_TABLE}"
         )
-
-    # the rule for the set of open variables that hold comes before every
-    # smaller one, so first-match picks exactly that set
-    rules: dict[str, tuple[TransitionRule, ...]] = {}
-    for q_id, (base, open_vars) in zip(ids, plan):
-        rules[q_id] = tuple(
-            TransitionRule(AndGuard(tuple(g for _, g in chosen)),
-                           state_id(base.union(x for x, _ in chosen)))
-            for k in range(len(open_vars), 0, -1)
-            for chosen in itertools.combinations(open_vars, k)
-        ) + (TransitionRule(ELSE, state_id(base)),)
+    rules = {
+        ids[q]: tuple(TransitionRule(AndGuard(tuple(g for b, g in open_vars if t & b)), ids[t])
+                      for t in targets) + (TransitionRule(ELSE, ids[always]),)
+        for q, (always, open_vars, targets) in zip(states, tables)
+    }
 
     # every rule target contains its source, so the only cycles of the state
     # diagram are self-loops
-    words = ("".join(w) for w in itertools.product("01", repeat=flat.bits))
     return Automaton(
         bits=flat.bits,
-        states=tuple(ids),
-        init={w: state_id(frozenset(f"p{i}" for i, c in enumerate(w) if c == "1")) for w in words},
+        states=tuple(ids.values()),
+        init={w: ids[q] for w, q in init.items()},
         rules=rules,
-        accepting=frozenset(i for i, q in zip(ids, subsets) if flat.vars[0] in q),
+        accepting=frozenset(ids[q] for q in states if q & bit[flat.vars[0]]),
     )
 
 

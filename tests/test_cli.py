@@ -35,6 +35,7 @@ from automu.zoo import (
     two_cycle_graph,
 )
 from test_kernel import SAMPLES
+from test_logic import all_states_automaton
 from test_transform import SIX_VARIABLES
 
 REPO = Path(__file__).resolve().parent.parent
@@ -78,11 +79,10 @@ class TestExitCodes:
         assert "quasi-acyclic: true" in capsys.readouterr().out
 
     def test_compile_up_with_128_states_fuzzes(self, tmp_path, capsys):
-        # the state diagram is derived rule by rule, so neither fuzz nor
-        # check scans the 2^128 neighborhoods
-        (tmp_path / "six.sexp").write_text(SIX_VARIABLES)
+        # the all-states compile-up: the state diagram is derived rule by
+        # rule, so neither fuzz nor check scans the 2^128 neighborhoods
         up = str(tmp_path / "six.json")
-        assert main(["compile-up", "--formula", str(tmp_path / "six.sexp"), "--bits", "1", "-o", up]) == 0
+        Path(up).write_text(automaton_to_json(all_states_automaton(parse_formula(SIX_VARIABLES, bits=1))))
         assert main(["fuzz", "--automaton", up, "--max-nodes", "4", "--graphs", "5", "--samples", "5"]) == 0
         assert json.loads(capsys.readouterr().out) == {"verdict": "consistent_up_to_budget", "graphs_checked": 5}
         assert main(["check", "--automaton", up]) == 0

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from automu.automata import parse_automaton
+from automu import transform
+from automu.automata import ELSE, AndGuard, Automaton, Guard, NotGuard, SubsetEq, TransitionRule, parse_automaton
 from automu.graphs import BitWidthMismatch, Digraph, PointedDigraph, enumerate_digraphs
 from automu.logic import (
     _CLASS_OF_HEAD,
@@ -35,7 +36,13 @@ from automu.logic import (
     parse_formula,
     satisfies,
 )
-from automu.transform import automaton_to_formula, formula_to_automaton
+from automu.transform import (
+    SizeGuardExceeded,
+    _atom_system,
+    _shallow_guards,
+    automaton_to_formula,
+    formula_to_automaton,
+)
 from automu.zoo import chain_graph, safe_one_formula, single_node
 from strategies import graphs, make_graph, seeds, systems
 
@@ -90,6 +97,69 @@ def tree_parse(text: str, bits: int | None = None) -> MuSystem:
         return MuSystem(bits=bits, vars=tuple(names), bodies=tuple(bodies))
     except RecursionError:
         raise FormulaSyntaxError("formula nested too deeply") from None
+
+
+def all_states_automaton(sys: MuSystem) -> Automaton:
+    """The compile-up before it kept only the states reachable from
+    initialization, kept as the reference ``formula_to_automaton`` is tested
+    against: every subset of the atoms is a state, the ``dia`` and ``box``
+    guards name states among all of them, and each state has one rule per
+    subset of its open variables."""
+    flat = _atom_system(sys)
+    consts = [f"p{i}" for i in range(flat.bits)]
+    atoms = consts + list(flat.vars)
+    if len(atoms) > transform.MAX_ATOMS:
+        raise SizeGuardExceeded(
+            f"powerset construction over {len(atoms)} atoms exceeds the guard of {transform.MAX_ATOMS}"
+        )
+    order = {t: i for i, t in enumerate(atoms)}
+
+    def state_id(subset: frozenset[str]) -> str:
+        return "{" + ",".join(sorted(subset, key=order.__getitem__)) + "}"
+
+    subsets = [frozenset(x for i, x in enumerate(atoms) if mask >> i & 1) for mask in range(1 << len(atoms))]
+    ids = [state_id(q) for q in subsets]
+    box = {y: SubsetEq(frozenset(i for i, q in zip(ids, subsets) if y in q)) for y in flat.vars}
+    dia = {y: NotGuard(SubsetEq(frozenset(i for i, q in zip(ids, subsets) if y not in q)))
+           for y in flat.vars}
+
+    # per state: what every transition adds, and the guards of the open variables
+    nodes = list(_postorder(flat.bodies))
+    plan: list[tuple[frozenset[str], list[tuple[str, Guard]]]] = []
+    for q in subsets:
+        always, open_vars = set(q), []
+        for x, g in zip(flat.vars, _shallow_guards(nodes, flat.bodies, q, dia, box)):
+            if x not in q:
+                if g is True:
+                    always.add(x)
+                elif g is not False:
+                    open_vars.append((x, g))
+        plan.append((frozenset(always), open_vars))
+    total_rules = sum(1 << len(open_vars) for _, open_vars in plan)
+    if total_rules > transform.MAX_RULE_TABLE:
+        raise SizeGuardExceeded(
+            f"rule table of {total_rules} entries exceeds the guard of {transform.MAX_RULE_TABLE}"
+        )
+
+    # the rule for the set of open variables that hold comes before every
+    # smaller one, so first-match picks exactly that set
+    rules: dict[str, tuple[TransitionRule, ...]] = {}
+    for q_id, (base, open_vars) in zip(ids, plan):
+        rules[q_id] = tuple(
+            TransitionRule(AndGuard(tuple(g for _, g in chosen)),
+                           state_id(base.union(x for x, _ in chosen)))
+            for k in range(len(open_vars), 0, -1)
+            for chosen in itertools.combinations(open_vars, k)
+        ) + (TransitionRule(ELSE, state_id(base)),)
+
+    words = ("".join(w) for w in itertools.product("01", repeat=flat.bits))
+    return Automaton(
+        bits=flat.bits,
+        states=tuple(ids),
+        init={w: state_id(frozenset(f"p{i}" for i, c in enumerate(w) if c == "1")) for w in words},
+        rules=rules,
+        accepting=frozenset(i for i, q in zip(ids, subsets) if flat.vars[0] in q),
+    )
 
 
 @functools.cache

@@ -66,6 +66,7 @@ from automu.zoo import (
     two_cycle_graph,
 )
 from strategies import automata, graphs, make_graph, seeds, systems
+from test_logic import all_states_automaton
 from test_state_diagram import reference_reachable_traces
 from test_transform import SIX_VARIABLES
 
@@ -1000,7 +1001,7 @@ class TestCertificate:
         assert not cyclic.is_monotone()
 
     def test_the_guard_trips_before_any_neighborhood_is_listed(self):
-        a = formula_to_automaton(parse_formula(SIX_VARIABLES, bits=1))
+        a = all_states_automaton(parse_formula(SIX_VARIABLES, bits=1))
         assert len({q for t in a.traces(a.init.values()) for q in t}) == 26 > CERTIFICATE_GUARD
         g = make_graph(random.Random(6), 5, 1)
         with mock.patch.object(Automaton, "step", side_effect=AssertionError("a neighborhood was listed")):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from automu import automata
-from automu.automata import Automaton, AutomatonTooLarge, NotQuasiAcyclic, parse_automaton
+from automu.automata import Automaton, AutomatonTooLarge, NotQuasiAcyclic, automaton_to_json, parse_automaton
 from automu.cli import main
 from automu.logic import parse_formula
 from automu.runtime import sync_accepting_nodes
@@ -20,6 +20,7 @@ from automu.zoo import chain_graph
 from strategies import automata as random_automata
 from strategies import seeds
 from test_kernel import BENCHMARK_FORMULAS
+from test_logic import all_states_automaton
 from test_transform import SIX_VARIABLES
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -72,7 +73,9 @@ def sample(name: str) -> Automaton:
 
 
 def six_variables() -> Automaton:
-    return formula_to_automaton(parse_formula(SIX_VARIABLES, bits=1))
+    """The all-states compile-up of SIX_VARIABLES: 128 states, 26 of them
+    reachable from initialization."""
+    return all_states_automaton(parse_formula(SIX_VARIABLES, bits=1))
 
 
 @pytest.mark.parametrize("name", ["safe_one.json", "sync_probe.json"])
@@ -150,10 +153,9 @@ def test_region_budget_names_the_state(monkeypatch):
 class TestCommandsOn128States:
     @pytest.fixture
     def up(self, tmp_path):
-        (tmp_path / "six.sexp").write_text(SIX_VARIABLES)
-        path = str(tmp_path / "six.json")
-        assert main(["compile-up", "--formula", str(tmp_path / "six.sexp"), "--bits", "1", "-o", path]) == 0
-        return path
+        path = tmp_path / "six.json"
+        path.write_text(automaton_to_json(six_variables()))
+        return str(path)
 
     def test_check(self, up, capsys):
         assert main(["check", "--automaton", up]) == 0

@@ -1,16 +1,20 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
 
 from automu.automata import (
+    _GUARD_SYNTAX,
     ELSE,
     Automaton,
     AutomatonTooLarge,
+    Guard,
     NotQuasiAcyclic,
     TransitionRule,
+    _reachable_states,
     automaton_to_json,
     parse_automaton,
     trace_pushlast,
@@ -31,7 +35,7 @@ from automu.logic import (
     lfp,
     parse_formula,
 )
-from automu.runtime import initial_configuration, sync_accepting_nodes, sync_step
+from automu.runtime import fuzz_consistency, initial_configuration, sync_accepting_nodes, sync_step
 from automu.transform import (
     NotFlattened,
     SizeGuardExceeded,
@@ -48,9 +52,9 @@ from automu.zoo import (
     safe_one_formula,
     sync_probe_automaton,
 )
-from strategies import make_automaton, seeds, systems
+from strategies import make_automaton, make_system, seeds, systems
 from test_kernel import BENCHMARK_FORMULAS, SAMPLES
-from test_logic import tree_parse
+from test_logic import all_states_automaton, tree_parse
 
 SIX_VARIABLES = ("(mu ((X (or (dia (and (var Y) (var Z))) (box (or (var Y) (p 0))))) "
                  "(Y (or (p 0) (dia (var Z)))) (Z (or (not-p 0) (box (dia (var X)))))))")
@@ -158,11 +162,12 @@ class TestFormulaToAutomaton:
         assert equiv_exhaustive(a, sys, 2).equivalent
 
     def test_two_bit_system_with_sixteen_states(self):
-        # 16 states: quasi-acyclicity holds by construction instead of being
-        # re-derived by a scan over all 2^16 neighborhoods
+        # 16 subsets of the four atoms, 11 of them reachable from
+        # initialization: quasi-acyclicity holds by construction instead of
+        # being re-derived by a scan over all 2^11 neighborhoods
         sys = parse_formula("(mu ((X (and (dia (var Y)) (box (var Y)))) (Y (or (p 0) (p 1)))))", bits=2)
         a = formula_to_automaton(sys)
-        assert len(a.states) == 16
+        assert len(a.states) == 11
         members = {q: set(q.strip("{}").split(",")) - {""} for q in a.states}
         for q, rules in a.rules.items():
             assert all(members[q] <= members[rule.target] for rule in rules)
@@ -215,29 +220,44 @@ class TestSymbolicCompileUp:
         _assert_delta_is_shallow_step(a, flat, hoods)
 
     def test_rule_counts(self):
-        # one rule per subset of the variables still open at a state
+        # one rule per subset of the variables still open at a reachable
+        # state whose target is reachable
         counts = {name: sum(map(len, formula_to_automaton(parse_formula(f)).rules.values()))
                   for name, f in BENCHMARK_FORMULAS.items()}
-        assert counts == {"safe_one": 17, "reach_one": 5, "boxed_one": 12, "two_and": 11, "two_box": 9}
+        assert counts == {"safe_one": 17, "reach_one": 5, "boxed_one": 8, "two_and": 11, "two_box": 8}
 
     def test_six_variable_system_compiles_and_round_trips(self):
         sys = parse_formula(SIX_VARIABLES, bits=1)
         a = formula_to_automaton(sys)
-        assert len(flatten(sys).vars) == 6 and len(a.states) == 2 ** 7
+        assert len(flatten(sys).vars) == 6 and len(a.states) == 26
         assert sum(map(len, a.rules.values())) <= 2 * 3 ** 6
         verdict = equiv_exhaustive(a, sys, 3)
         assert verdict.equivalent and verdict.checked == 12420
 
+    def test_unreachable_rules_are_never_listed(self):
+        # 14 variables open at every state lacking them, 3^14 rules over all
+        # subsets; no neighbor ever holds one, so only the empty state is reachable
+        names = tuple(f"V{i}" for i in range(14))
+        sys = MuSystem(bits=0, vars=names, bodies=tuple(Dia(Var(n)) for n in names))
+        start = time.perf_counter()
+        a = formula_to_automaton(sys)
+        assert time.perf_counter() - start < 0.1
+        assert a.states == ("{}",) and a.rules == {"{}": (TransitionRule(ELSE, "{}"),)}
+
     def test_rule_guard_trips_before_any_rule_is_built(self, monkeypatch):
-        # 14 variables open at every state lacking them: 3^14 rules
+        # the reachable table of SIX_VARIABLES has 88 rules
         def no_rules(*args):
             raise AssertionError("a rule was built")
 
         monkeypatch.setattr(transform, "TransitionRule", no_rules)
-        names = tuple(f"V{i}" for i in range(14))
-        sys = MuSystem(bits=0, vars=names, bodies=tuple(Dia(Var(n)) for n in names))
-        with pytest.raises(SizeGuardExceeded, match=f"{3 ** 14} entries"):
-            formula_to_automaton(sys)
+        monkeypatch.setattr(transform, "MAX_RULE_TABLE", 87)
+        with pytest.raises(SizeGuardExceeded, match="rule table of 88 entries exceeds the guard of 87"):
+            formula_to_automaton(parse_formula(SIX_VARIABLES, bits=1))
+
+    def test_variable_names_with_a_comma(self):
+        # a comma separates the atoms of a state id, so such a name is renamed
+        sys = parse_formula("(mu ((a (var b)) (b true) (a,b (dia (var a)))))")
+        assert equiv_exhaustive(formula_to_automaton(sys), sys, 3).equivalent
 
 
 def _compile_up_outcome(sys: MuSystem) -> str:
@@ -277,6 +297,67 @@ class TestCompileUpOfSharedInput:
         assert _compile_up_outcome(interned) == _compile_up_outcome(tree_parse(text, bits=sys.bits))
 
 
+def _guard_within(g: Guard, keep: frozenset[str]) -> Guard:
+    """``g`` with every state set it names cut to ``keep``."""
+    attr = _GUARD_SYNTAX[type(g)][1]
+    if attr == "states":
+        return type(g)(g.states & keep)
+    if attr == "inner":
+        return type(g)(_guard_within(g.inner, keep))
+    if attr == "parts":
+        return type(g)(tuple(_guard_within(part, keep) for part in g.parts))
+    return g
+
+
+def restrict(a: Automaton) -> Automaton:
+    """``a`` on R, the states reachable from initialization: the states of R
+    in their order, the rules whose target is in R, and guards naming only
+    states of R."""
+    keep = _reachable_states(a, a.init.values())
+    return Automaton(
+        bits=a.bits,
+        states=tuple(q for q in a.states if q in keep),
+        init=a.init,
+        rules={q: tuple(TransitionRule(_guard_within(r.guard, keep), r.target)
+                        for r in a.rules[q] if r.target in keep)
+               for q in a.states if q in keep},
+        accepting=a.accepting & keep,
+    )
+
+
+# SIX_VARIABLES and the make_system seed whose compile-up has 256 states,
+# 14 of them reachable
+NAMED_SYSTEMS = {
+    **{name: (text, None) for name, text in BENCHMARK_FORMULAS.items()},
+    "SIX_VARIABLES": (SIX_VARIABLES, 1),
+    "seed_20": (format_formula(make_system(random.Random(20), 1, 3, 3)), 1),
+}
+
+
+class TestReachableCompileUp:
+    """Compile-up is the all-states construction restricted to the states
+    reachable from initialization, byte for byte, and decides as it does."""
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SYSTEMS))
+    def test_named_systems(self, name):
+        sys = parse_formula(*NAMED_SYSTEMS[name])
+        assert automaton_to_json(formula_to_automaton(sys)) == automaton_to_json(restrict(all_states_automaton(sys)))
+
+    @settings(max_examples=60)
+    @given(systems())
+    def test_random_systems(self, sys):
+        assume(sys.bits + len(flatten(sys).vars) <= 8)
+        assert automaton_to_json(formula_to_automaton(sys)) == automaton_to_json(restrict(all_states_automaton(sys)))
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_FORMULAS) + ["SIX_VARIABLES"])
+    def test_same_verdicts(self, name):
+        sys = parse_formula(*NAMED_SYSTEMS[name])
+        a, reference = formula_to_automaton(sys), all_states_automaton(sys)
+        assert equiv_exhaustive(a, sys, 3) == equiv_exhaustive(reference, sys, 3)
+        for seed in range(3):
+            assert fuzz_consistency(a, 4, 10, 10, seed=seed) == fuzz_consistency(reference, 4, 10, 10, seed=seed)
+
+
 class TestPinnedClosure:
     def test_probe_full_closure(self):
         closure = compute_enables(sync_probe_automaton())
@@ -301,8 +382,10 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# SHA-256 of compile-up output (automaton JSON) for the benchmark formulas at
-# the bit widths the benchmark compiles them at, and for SIX_VARIABLES
+# SHA-256 of the all-states compile-up (automaton JSON) of the benchmark
+# formulas at the bit widths the benchmark compiles them at, and of
+# SIX_VARIABLES; compile-up restricted to the reachable states prints the
+# same for the formulas whose every state is reachable
 UP_DIGESTS = {
     ("safe_one", 1): "7bd49db7553420307e1eba614f8e3282bfa064364fb345d9b664dee77536d506",
     ("reach_one", 1): "dbef18db77e63bf18252674203c329f2eb4cd6bfb94557b94bb8d99de6c589a2",
@@ -311,13 +394,23 @@ UP_DIGESTS = {
     ("two_box", 2): "f51a57f93977af7b7f6c32a066c4c817d967fd04bb27abd58f78108f1bcf5521",
 }
 
-# SHA-256 of compile-down of compile-up output (formula text) for the other
-# benchmark formulas; safe_one's is test_up_down_flagship
+# SHA-256 of compile-down of the all-states compile-up (formula text) for the
+# other benchmark formulas; safe_one's is test_up_down_flagship
 UP_DOWN_DIGESTS = {
     "reach_one": "e06eab362c828424386e0877db89b8a22778d99e448307c92f42f6612d9689b1",
     "boxed_one": "6e23c24a107f1e8b490229402ad5f31186a4ba4a49c2c180efd9c659ede868c7",
     "two_and": "c3ab985ec60a3cfd07636a2b685af2b323706363ecc0da0f068e71a6b19d3e66",
     "two_box": "efe7404505a6bb3ae71fc354e7ce3fdb0c1117e5a1937bb228b3feb3569f3549",
+}
+
+# the same for compile-up, where it differs from the all-states construction
+REACHABLE_UP_DIGESTS = {
+    ("boxed_one", 1): "de3a485e639079999a70955c41845dc8c3d318fb4e33089a8badd7b17e09b83f",
+    ("two_box", 2): "166a53a63ee5ac98e760d661e74b80726be97ca36ac825b0647d09c6f099c822",
+}
+REACHABLE_UP_DOWN_DIGESTS = {
+    "boxed_one": "4fb17de5cea15ea80d825b790e65aad835b4b53f18d560a5341c6d30d1ddb056",
+    "two_box": "8571183209d3746d694e8b2c6c2f1aeff25d9bdd53f5c4607d8849e618626afa",
 }
 
 
@@ -326,13 +419,23 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("name, bits", sorted(UP_DIGESTS))
     def test_compile_up(self, name, bits):
-        a = formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name], bits=bits))
+        a = all_states_automaton(parse_formula(BENCHMARK_FORMULAS[name], bits=bits))
         assert _sha256(automaton_to_json(a)) == UP_DIGESTS[name, bits]
 
+    @pytest.mark.parametrize("name, bits", sorted(UP_DIGESTS))
+    def test_compile_up_reachable(self, name, bits):
+        a = formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name], bits=bits))
+        assert _sha256(automaton_to_json(a)) == REACHABLE_UP_DIGESTS.get((name, bits), UP_DIGESTS[name, bits])
+
     def test_compile_up_six_variables(self):
-        a = formula_to_automaton(parse_formula(SIX_VARIABLES, bits=1))
+        a = all_states_automaton(parse_formula(SIX_VARIABLES, bits=1))
         assert _sha256(automaton_to_json(a)) == (
             "34f9c852e7692432c2ccf6c92a5cd8b0e885d7862cc78362012165a4bfa1b656")
+
+    def test_compile_up_six_variables_reachable(self):
+        text = automaton_to_json(formula_to_automaton(parse_formula(SIX_VARIABLES, bits=1)))
+        assert len(text) == 86376 and _sha256(text) == (
+            "a8c82c5a10566a5e5c107e0da18d8ff4aea8004365d7918c9a8636db79af25fd")
 
     def test_compile_down_flagship(self):
         a = parse_automaton((SAMPLES / "safe_one.json").read_text())
@@ -346,8 +449,13 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("name", sorted(UP_DOWN_DIGESTS))
     def test_up_down(self, name):
-        down = automaton_to_formula(formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name])))
+        down = automaton_to_formula(all_states_automaton(parse_formula(BENCHMARK_FORMULAS[name])))
         assert _sha256(format_formula(down)) == UP_DOWN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(UP_DOWN_DIGESTS))
+    def test_up_down_reachable(self, name):
+        down = automaton_to_formula(formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name])))
+        assert _sha256(format_formula(down)) == REACHABLE_UP_DOWN_DIGESTS.get(name, UP_DOWN_DIGESTS[name])
 
 
 def _is_base_pair(a, h, t):
