@@ -21,10 +21,11 @@ asynchronous run semantics, and the state diagram behind quasi-acyclicity (no
 cycles other than self-loops) and the trace sets.  Each state's successors
 are derived rule by rule, never by enumerating the 2^|Q| neighborhoods, and
 memoized per set of neighbor states; that scan survives only in
-``is_quasi_acyclic``, as the reference.  ``traces`` reads paths off the
-diagram within the one reachability fixpoint, ``_reachable_states``: from
-every state all paths, from the initialization states the traces
-compile-down drives.
+``is_quasi_acyclic``, as the reference.  ``state_diagram(start)`` is the one
+reachability fixpoint: the diagram on the states reachable from ``start``.
+From every state it is the whole diagram, which ``check`` reads; from the
+initialization states it holds every state a run visits, and the run
+engine's bound, the certificate and compile-down read it there.
 
 ``is_monotone`` is a certificate, over the states reachable from
 initialization, that the automaton gives the same verdicts under every
@@ -194,7 +195,7 @@ def _longest_path(diagram: dict) -> int | None:
             depth[q] = 1 + max((depth[q2] for q2 in diagram[q]), default=0)
     except graphlib.CycleError:
         return None
-    return max(depth.values())
+    return max(depth.values(), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,7 @@ class Automaton:
             dup = next(s for s in self.states if self.states.count(s) > 1)
             raise AutomatonFormatError(f"duplicate state id {dup!r}")
         object.__setattr__(self, "index", {q: i for i, q in enumerate(self.states)})
-        declared = self.index.keys()
+        declared = frozenset(self.index)
         words_ok = all(len(w) == self.bits and set(w) <= {"0", "1"} for w in self.init)
         # 2^bits distinct bit strings of length ``bits`` are all of them; a
         # nonempty init bounds ``bits`` by a key's length before 1 << bits is formed
@@ -291,11 +292,11 @@ class Automaton:
                     )
                 if rule.target not in declared:
                     raise AutomatonFormatError(f"state {q!r}: rule target {rule.target!r} undeclared")
-                named = [g.states for g in parts if _GUARD_SYNTAX[type(g)][1] == "states"]
+                named = [g.states for g in parts if _GUARD_SYNTAX[type(g)][1] == "states" and g.states not in masks]
                 bad = set().union(*named) - declared
                 if bad:
                     raise AutomatonFormatError(f"state {q!r}: guard references undeclared states {sorted(bad)!r}")
-                masks.update({s: self.mask(s) for s in named if s not in masks})
+                masks.update({s: self.mask(s) for s in named})
         object.__setattr__(self, "step_memo", [{} for _ in self.states])
 
     def mask(self, states: Iterable[str]) -> int:
@@ -348,12 +349,21 @@ class Automaton:
             raise KeyError(f"unknown state ids in neighborhood: {sorted(bad)!r}")
         return self.states[self.step(self.index[q], self.mask(ns))]
 
-    def state_diagram(self, within: Iterable[str] | None = None) -> dict[str, frozenset[str]]:
-        """Successor map { q -> { delta(q, N) != q : N subset of ``within`` } }
-        (``within`` defaults to all states): the state diagram without
-        self-loops, assembled from the per-state successors."""
-        key = frozenset(self.states if within is None else within)
-        return {q: self._successors(q, key) for q in self.states}
+    def state_diagram(self, start: Iterable[str] | None = None) -> dict[str, frozenset[str]]:
+        """R(``start``), the least set that holds ``start`` (default: every
+        state) and every successor of its members on neighborhoods drawn from
+        it, in ``states`` order, each state mapped to those successors: the
+        state diagram on R without self-loops.  The one state-level
+        reachability fixpoint, memoized per start set; from the
+        initialization states R holds every state a run can visit."""
+        key = frozenset(self.states if start is None else start)
+        memo = self._cache.setdefault("diagrams", {})
+        if key not in memo:
+            reach, more = None, key
+            while more != reach:
+                reach, more = more, more.union(*(self._successors(q, more) for q in more))
+            memo[key] = {q: self._successors(q, reach) for q in self.states if q in reach}
+        return memo[key]
 
     def _successors(self, q: str, within: frozenset[str]) -> frozenset[str]:
         """{ delta(q, N) != q : N subset of ``within`` }, memoized per (q,
@@ -384,21 +394,24 @@ class Automaton:
         memo[q, within] = frozenset(self.states[t] for t in _bits(found ^ 1 << i))
         return memo[q, within]
 
-    def trace_length_bound(self) -> int | None:
-        """The number of states in the longest trace, or None when the trace
-        set is infinite (the automaton is not quasi-acyclic)."""
-        if "bound" not in self._cache:
-            self._cache["bound"] = _longest_path(self.state_diagram())
-        return self._cache["bound"]
+    def trace_length_bound(self, start: Iterable[str] | None = None) -> int | None:
+        """The number of states in the longest trace from ``start`` (default:
+        every state), or None when that trace set is infinite: the longest
+        path of ``state_diagram(start)``, memoized per start set."""
+        key = frozenset(self.states if start is None else start)
+        memo = self._cache.setdefault("bounds", {})
+        if key not in memo:
+            memo[key] = _longest_path(self.state_diagram(key))
+        return memo[key]
 
     def is_monotone(self) -> bool:
         """A certificate that the automaton is timing-independent on every
         digraph: every run, under any timing, lossy or lossless, ends in the
         same quiescent configuration.  Memoized.
 
-        It is read over R, the states of ``traces(init states)``: every
-        state a node can be in, a set closed under step(q, F) for q in R and
-        F a subset of R.  Let <= be the reflexive-transitive closure of
+        It is read over R, the states of ``state_diagram(init states)``:
+        every state a node can be in, a set closed under step(q, F) for q in
+        R and F a subset of R.  Let <= be the reflexive-transitive closure of
         q -> step(q, F) on R.  The automaton is certified when it is
         quasi-acyclic (so <= is antisymmetric) and, for every q <= q2 in R
         and every F and F | {y} that are subsets of R:
@@ -438,7 +451,7 @@ class Automaton:
         More than CERTIFICATE_GUARD states in R returns False before the
         2^|R| neighborhoods are listed."""
         if "monotone" not in self._cache:
-            self._cache["monotone"] = self.trace_length_bound() is not None and _monotone(self)
+            self._cache["monotone"] = self.trace_length_bound(self.init.values()) is not None and _monotone(self)
         return self._cache["monotone"]
 
     def is_quasi_acyclic(self) -> bool:
@@ -457,20 +470,20 @@ class Automaton:
         return _longest_path({q: frozenset(found - {q}) for q, found in enumerate(diagram)}) is not None
 
     def traces(self, start: Iterable[str] | None = None) -> frozenset[Trace]:
-        """The paths from a state of ``start`` (default: every state) of the
-        state diagram within ``_reachable_states(start)``.  From every state
-        these are all paths of the state diagram, every length-1 trace
-        included; from the initialization states, the traces a node can
-        traverse in a run started there.  A trace that would revisit a state
-        raises ``NotQuasiAcyclic``: the set is then infinite."""
+        """The paths from a state of ``start`` (default: every state) of
+        ``state_diagram(start)``.  From every state these are all paths of
+        the state diagram, every length-1 trace included; from the
+        initialization states, the traces a node can traverse in a run
+        started there.  A trace that would revisit a state raises
+        ``NotQuasiAcyclic``: the set is then infinite."""
         key = frozenset(self.states if start is None else start)
         memo = self._cache.setdefault("traces", {})
         if key not in memo:
-            within = _reachable_states(self, key)
+            diagram = self.state_diagram(key)
             reach, frontier = set(), {(q,) for q in key}
             while frontier:  # one layer per trace length
                 reach |= frontier
-                frontier = {t + (q2,) for t in frontier for q2 in self._successors(t[-1], within)}
+                frontier = {t + (q2,) for t in frontier for q2 in diagram[t[-1]]}
                 if any(t[-1] in t[:-1] for t in frontier):
                     raise NotQuasiAcyclic("trace set is infinite: state diagram has a non-trivial cycle")
             memo[key] = frozenset(reach)
@@ -485,33 +498,22 @@ class Automaton:
         return all(b in diagram[a] for a, b in zip(t, t[1:]))  # no self-loops in it
 
 
-def _reachable_states(a: Automaton, start: Iterable[str]) -> frozenset[str]:
-    """The states of ``a.traces(start)``, without listing the traces: the
-    least set that holds ``start`` and every successor of its members on
-    neighborhoods drawn from it.  The one state-level reachability fixpoint."""
-    reach = frozenset(start)
-    while True:
-        more = reach.union(*(a._successors(q, reach) for q in reach))
-        if more == reach:
-            return reach
-        reach = more
-
-
 def _monotone(a: Automaton) -> bool:
     """The conditions of ``Automaton.is_monotone`` on a quasi-acyclic
     automaton, on masks: ``table[q][i]`` is step(q, subsets[i]), where bit
     k of i says states[k] is in the subset, and bit r of ``up[q]`` says
-    q <= r.  2 is checked for q2 a successor of q only, since the steps
-    generate <= and <= is transitive; 3 and 4 in one loop over F and y."""
-    reach = _reachable_states(a, a.init.values())
-    if len(reach) > CERTIFICATE_GUARD:
+    q <= r, the successors coming from the state diagram on R.  2 is
+    checked for q2 a successor of q only, since the steps generate <= and
+    <= is transitive; 3 and 4 in one loop over F and y."""
+    diagram = a.state_diagram(a.init.values())
+    if len(diagram) > CERTIFICATE_GUARD:
         return False
-    states = sorted(a.index[q] for q in reach)
+    states = [a.index[q] for q in diagram]
+    successors = {a.index[q]: [a.index[r] for r in found] for q, found in diagram.items()}
     subsets = [0]
     for q in states:
         subsets += [f | 1 << q for f in subsets]
     table = {q: [a.step(q, f) for f in subsets] for q in states}
-    successors = {q: set(row) - {q} for q, row in table.items()}
     up = {}
     for q in graphlib.TopologicalSorter(successors).static_order():  # successors first
         up[q] = 1 << q

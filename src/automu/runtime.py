@@ -491,7 +491,8 @@ class _Net:
         # most (longest trace - 1) times in total, buffers never exceed the
         # longest trace in length, and a move-free stretch of longest+2 steps
         # drains every buffer and forces the quiescence check to succeed
-        longest = self.a.trace_length_bound()
+        # (traces from initialization: no run leaves their states)
+        longest = self.a.trace_length_bound(self.a.init.values())
         if longest is None:
             raise NotQuasiAcyclic(
                 "cannot extend to quiescence: buffers of a non-quasi-acyclic automaton may grow forever"
@@ -626,10 +627,10 @@ def async_run(
 ) -> RunReport:
     """Simulate the run along a timing prefix.
 
-    With ``extend_until_quiescent`` (allowed only for quasi-acyclic automata)
-    the run continues past the prefix under the fully-active fair policy until
-    the configuration is quiescent, at which point every verdict is a
-    definitive yes/no.  Otherwise verdicts are yes/unknown at prefix end.
+    With ``extend_until_quiescent`` (allowed only for automata quasi-acyclic
+    on the states runs visit) the run continues past the prefix under the
+    fully-active fair policy until the configuration is quiescent, at which
+    point every verdict is a definitive yes/no.  Otherwise verdicts are yes/unknown at prefix end.
     A timing that does not match the graph raises ``RuntimeFormatError``.
     """
     net = _Net(a, g)
@@ -820,10 +821,10 @@ def check_consistency(
     A disagreement is returned with the two timings (truncated to the steps
     actually executed, hence replayable) and the node as witness.
 
-    For a quasi-acyclic automaton, every fair run ends quiescent and a graph
-    has finitely many reachable configurations.  The paths are tried in
-    this order, the first that settles the graph wins (2 and 3 only for a
-    quasi-acyclic automaton and ``samples`` > 0):
+    For an automaton quasi-acyclic on the states runs visit, every fair run
+    ends quiescent and a graph has finitely many reachable configurations.
+    The paths are tried in this order, the first that settles the graph
+    wins (2 and 3 only for such an automaton and ``samples`` > 0):
 
     1. quiescent at the start (no ``_Net.movers``): no timing can move the graph;
     2. the certificate ``Automaton.is_monotone``, computed once per
@@ -845,7 +846,7 @@ def check_consistency(
     if budget is None:
         budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
     check_counts(samples=samples, budget=budget)
-    quasi = a.trace_length_bound() is not None
+    quasi = a.trace_length_bound(a.init.values()) is not None
     net = _Net(a, g)
     if not net.movers:
         # quiescent from the start, where ``_run`` stops at step 0: every timing gives its verdicts

@@ -11,8 +11,8 @@ quasi-acyclic by construction.  The rules say this symbolically: ``Dia X`` is
 the guard "not a subset of the states lacking X", ``Box X`` "a subset of the
 states containing X".
 
-Downward (``automaton_to_formula``): introduce one variable per trace of a
-quasi-acyclic automaton and encode which sets of neighbor traces can drive a
+Downward (``automaton_to_formula``): introduce one variable per trace from the
+initialization states and encode which sets of neighbor traces can drive a
 node along each trace.  ``compute_enables`` is the inductive closure of that
 driving relation over all of P(traces); for the formula itself a restricted
 closure is used (neighborhoods drawn from initialization-reachable traces).
@@ -250,8 +250,8 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
     (state, S); accepting states are those containing the first variable.
     The states are R, the least set of subsets that holds the initialization
     states and every successor of its members on neighborhoods drawn from it,
-    in the order of their bitmasks over the atoms: ``_reachable_states`` of
-    the automaton over all subsets, which no run ever leaves.
+    in the order of their bitmasks over the atoms: ``state_diagram`` from
+    initialization of the automaton over all subsets, which no run leaves.
 
     Rules are symbolic: at state q each body becomes a guard over the
     neighborhood (``_shallow_guards``), whose ``dia`` and ``box`` guards name
@@ -650,11 +650,6 @@ def _pair_closure(a: Automaton, seeds: Sequence[str], traces: Sequence[Trace],
 # ---------------------------------------------------------------------------
 # automaton -> formula
 
-def _reachable_traces(a: Automaton) -> list[Trace]:
-    """The traces a node can traverse in a run started from initialization, sorted."""
-    return sorted(a.traces(start=a.init.values()))
-
-
 def _driver_closure(a: Automaton) -> dict[Trace, list[int]]:
     """Driving pairs restricted to what runs started from initialization can
     exhibit: node and neighbor traces begin at initialization states, and
@@ -662,8 +657,8 @@ def _driver_closure(a: Automaton) -> dict[Trace, list[int]]:
     to the full closure; conversely every neighbor-trace set arising in a
     synchronous run (on any digraph) is produced, which is exactly what the
     formula construction needs.  Neighbor sets are grouped by node trace, as
-    masks over ``_reachable_traces(a)``, lowest first."""
-    traces = _reachable_traces(a)
+    masks over the sorted traces from initialization, lowest first."""
+    traces = sorted(a.traces(a.init.values()))
     families, _ = _pair_closure(a, sorted(set(a.init.values())), traces)
     return {traces[t]: _members(family) for t, family in enumerate(families) if family}
 
@@ -742,7 +737,8 @@ def automaton_to_formula(a: Automaton) -> MuSystem:
     """Fixpoint system equivalent to a quasi-acyclic automaton whose behavior
     does not depend on lossless-asynchronous timing.
 
-    One variable per trace plus a lead acceptance variable.  The lead variable
+    One variable per trace from an initialization state (no run traverses
+    another) plus a lead acceptance variable.  The lead variable
     collects every trace ending in an accepting state; a length-1 trace holds
     where the node's label initializes to that state; a longer trace holds
     where the node initializes to its first state and some recorded
@@ -756,9 +752,9 @@ def automaton_to_formula(a: Automaton) -> MuSystem:
     system is a DAG whose walks cost O(distinct subterms); its printed form
     is the same tree as before.
     """
-    traces = sorted(a.traces(), key=lambda t: (len(t), t))
+    index = sorted(a.traces(a.init.values()))  # what the neighbor-set masks are over
+    traces = sorted(index, key=len)  # the variables: shorter first, then sorted
     names = _trace_var_names(traces)
-    index = _reachable_traces(a)  # what the neighbor-set masks are over
     extensions = _prefix_masks(index)[1]
     families = {t: _prune_family(f, extensions) for t, f in _driver_closure(a).items()}
 

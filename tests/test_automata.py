@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from automu.automata import (
     ELSE,
+    AndGuard,
     Automaton,
     AutomatonFormatError,
     AutomatonTooLarge,
@@ -83,6 +84,13 @@ class TestConstructionAndParsing:
         guard = OrGuard((SubsetEq(frozenset()), NotGuard(SupsetEq(frozenset({"zz"})))))
         with pytest.raises(AutomatonFormatError, match=r"undeclared states \['zz'\]"):
             tiny(rules={"q": (TransitionRule(guard, "q"), TransitionRule(ELSE, "q"))})
+
+    def test_undeclared_state_in_a_later_rules_nested_and_guard(self):
+        # the first rule's state set is already known when the second names it again
+        known = SubsetEq(frozenset({"q"}))
+        guard = AndGuard((known, NotGuard(SupsetEq(frozenset({"q", "zz"})))))
+        with pytest.raises(AutomatonFormatError, match=r"state 'q': guard references undeclared states \['zz'\]"):
+            tiny(rules={"q": (TransitionRule(known, "q"), TransitionRule(guard, "q"), TransitionRule(ELSE, "q"))})
 
     @given(automata(max_states=5))
     @settings(max_examples=50)

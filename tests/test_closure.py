@@ -119,13 +119,13 @@ def closure(a, seeds, universe, max_rounds=None):
 
 def restricted(a):
     """Seeds and universe of compile-down's closure."""
-    return sorted(set(a.init.values())), transform._reachable_traces(a)
+    return sorted(set(a.init.values())), sorted(a.traces(a.init.values()))
 
 
 def assert_same_prune(a):
     """``_prune_family`` on every family of compile-down's closure keeps what
     the reference keeps, in the same order."""
-    index = transform._reachable_traces(a)
+    index = sorted(a.traces(a.init.values()))
     extensions = transform._prefix_masks(index)[1]
     decode = decoder(index)
     for family in transform._driver_closure(a).values():

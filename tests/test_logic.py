@@ -290,7 +290,7 @@ ERRORS = [
 class TestInternedReader:
     """``parse_formula`` builds each structurally distinct subterm once."""
 
-    @pytest.mark.parametrize("name, objects, tree", [("down", 262, 1344), ("up-down", 467, 3037)])
+    @pytest.mark.parametrize("name, objects, tree", [("down", 251, 1327), ("up-down", 445, 3003)])
     def test_one_object_per_distinct_subterm(self, name, objects, tree):
         text = compiled_texts()[name]
         interned, reference = parse_formula(text), tree_parse(text)
@@ -300,7 +300,7 @@ class TestInternedReader:
     def test_compile_down_is_interned(self):
         # the construction shares as the reader does
         down = automaton_to_formula(parse_automaton((SAMPLES / "safe_one.json").read_text()))
-        assert node_objects(down) == distinct_subterms(down) == 262
+        assert node_objects(down) == distinct_subterms(down) == 251
 
     @pytest.mark.parametrize("name", ["down", "up-down"])
     def test_format_round_trips_byte_for_byte(self, name):
@@ -348,7 +348,7 @@ class TestInternedReader:
     def test_pickling_keeps_the_sharing(self):
         sys = parse_formula(compiled_texts()["up-down"])
         copy = pickle.loads(pickle.dumps(sys))
-        assert node_objects(copy) == 467
+        assert node_objects(copy) == 445
         assert format_formula(copy) == compiled_texts()["up-down"]
 
     @pytest.mark.parametrize("text, message", ERRORS, ids=[m for _, m in ERRORS])

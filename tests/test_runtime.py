@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from pathlib import Path
@@ -17,11 +18,11 @@ from automu.automata import (
     SubsetEq,
     SupsetEq,
     TransitionRule,
-    _reachable_states,
     parse_automaton,
     trace_pushlast,
 )
-from automu.graphs import Digraph, PointedDigraph, enumerate_digraphs, node_set
+from automu.cli import main
+from automu.graphs import Digraph, PointedDigraph, enumerate_digraphs, node_set, parse_digraph
 from automu.logic import parse_formula
 from automu.runtime import (
     DEFAULT_STARVATION_BOUND,
@@ -67,7 +68,7 @@ from automu.zoo import (
 )
 from strategies import automata, graphs, make_graph, seeds, systems
 from test_logic import all_states_automaton
-from test_state_diagram import reference_reachable_traces
+from test_state_diagram import reference_reachable_traces, scan_bound
 from test_transform import SIX_VARIABLES
 
 
@@ -457,7 +458,8 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 def reference_run(a, g, activations, extend_until_quiescent):
     """The run loop over ``async_step`` and ``is_quiescent`` on named
     configurations: the supplied activations, then the fully-active
-    extension up to its theoretical bound."""
+    extension up to its theoretical bound, whose longest trace is read off
+    the scanned states reachable from initialization."""
     config = initial_configuration(a, g)
     visited = {v: 0 if config.node_state[v] in a.accepting else None for v in g.nodes}
     traces = {v: (config.node_state[v],) for v in g.nodes}
@@ -468,7 +470,7 @@ def reference_run(a, g, activations, extend_until_quiescent):
         yield from activations
         if not extend_until_quiescent:
             return
-        longest = a.trace_length_bound()
+        longest = scan_bound(a, a.init.values())
         if longest is None:
             raise NotQuasiAcyclic("buffers may grow forever")
         budget = (len(g.nodes) * (longest + 1) + 2) * (longest + 2)
@@ -503,7 +505,7 @@ def reference_consistency(a, g, samples, lossless_only=False, seed=0, budget=Non
     recording the activations each run consumed."""
     if budget is None:
         budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
-    quasi = a.trace_length_bound() is not None
+    quasi = scan_bound(a, a.init.values()) is not None
 
     def run_prefix(activations, lossless, k):
         consumed = []
@@ -982,7 +984,7 @@ class TestCertificate:
 
     @given(automata(quasi_acyclic=True))
     def test_it_reads_the_states_of_the_initialized_traces(self, a):
-        assert _reachable_states(a, a.init.values()) == {q for t in reference_reachable_traces(a) for q in t}
+        assert a.state_diagram(a.init.values()).keys() == {q for t in reference_reachable_traces(a) for q in t}
 
     @pytest.mark.parametrize("condition", list(FAILS_ONE_CONDITION))
     def test_each_condition_is_needed(self, condition):
@@ -1019,3 +1021,38 @@ class TestCertificate:
         with uncertified():
             assert fuzz_consistency(a, 5, 20, seed=1, **kwargs) == verdict
         assert verdict.consistent
+
+
+class TestUnreachableCycle:
+    """``samples/unreachable_cycle.json``: its only non-trivial cycle,
+    c1 <-> c2, lies outside q0 and q1, the states reachable from
+    initialization.  ``check`` reads every state; runs, the certificate and
+    compile-down read only those a run can visit."""
+
+    path = SAMPLES / "unreachable_cycle.json"
+
+    def test_check_reads_every_state(self, capsys):
+        assert main(["check", "--automaton", str(self.path)]) == 1
+        assert "quasi-acyclic: false" in capsys.readouterr().out
+
+    def test_it_is_certified(self):
+        a = parse_automaton(self.path.read_text())
+        assert a.trace_length_bound() is None and a.trace_length_bound(a.init.values()) == 2
+        assert a.is_monotone()
+
+    def test_run_reaches_quiescence(self, capsys):
+        chain = SAMPLES / "chain.json"
+        assert main(["run", "--automaton", str(self.path), "--graph", str(chain), "--sample", "0"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["stabilized_at"] == 1
+        want = reference_run(parse_automaton(self.path.read_text()), parse_digraph(chain.read_text()), [], True)
+        assert got == json.loads(json.dumps(want.to_dict()))
+
+    def test_fuzz(self):
+        assert main(["fuzz", "--automaton", str(self.path)]) == 0
+
+    def test_compile_down_is_reach_one(self, tmp_path, capsys):
+        down = tmp_path / "down.sexp"
+        assert main(["compile-down", "--automaton", str(self.path), "-o", str(down)]) == 0
+        assert main(["equiv", "--a", str(down), "--b", str(SAMPLES / "reach_one.sexp"), "--max-nodes", "3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"verdict": "equivalent", "checked": 12420}

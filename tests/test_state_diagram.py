@@ -15,7 +15,7 @@ from automu.automata import Automaton, AutomatonTooLarge, NotQuasiAcyclic, autom
 from automu.cli import main
 from automu.logic import parse_formula
 from automu.runtime import sync_accepting_nodes
-from automu.transform import _driver_closure, _reachable_traces, formula_to_automaton
+from automu.transform import _driver_closure, formula_to_automaton
 from automu.zoo import chain_graph
 from strategies import automata as random_automata
 from strategies import seeds
@@ -27,7 +27,8 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def scan_diagram(a: Automaton, within) -> dict[str, frozenset[str]]:
-    """The reference: ``delta`` of every state on every subset of ``within``."""
+    """The reference: ``delta`` of every state on every subset of ``within``,
+    self-loops dropped."""
     within = sorted(within)
     out: dict[str, set[str]] = {q: set() for q in a.states}
     for mask in range(1 << len(within)):
@@ -50,6 +51,33 @@ def scan_paths(a: Automaton) -> set:
     return paths
 
 
+def scan_reachable(a: Automaton, start) -> dict[str, frozenset[str]]:
+    """R(``start``) by the scan alone, in ``states`` order, each state mapped
+    to its scanned successors on neighborhoods drawn from R."""
+    reach: set[str] = set()
+    grown = set(start)
+    while grown != reach:
+        reach = grown
+        diagram = scan_diagram(a, reach)
+        grown = reach.union(*(diagram[q] for q in reach))
+    return {q: diagram[q] for q in a.states if q in reach}
+
+
+def scan_bound(a: Automaton, start) -> int | None:
+    """The number of states on the longest path of ``scan_reachable(a,
+    start)``, or None when it has a cycle: a depth-first walk of its paths."""
+    diagram = scan_reachable(a, start)
+    longest, paths = 0, [(q,) for q in diagram]
+    while paths:
+        t = paths.pop()
+        longest = max(longest, len(t))
+        for q2 in diagram[t[-1]]:
+            if q2 in t:
+                return None
+            paths.append(t + (q2,))
+    return longest
+
+
 def reference_reachable_traces(a: Automaton) -> set:
     """Compile-down's reachable traces by the subset loop it used to run."""
     reach = {(q,) for q in a.init.values()}
@@ -63,9 +91,10 @@ def reference_reachable_traces(a: Automaton) -> set:
 
 def assert_agrees_with_the_scan(a: Automaton, rng: random.Random, samples: int = 3) -> None:
     assert a.state_diagram() == scan_diagram(a, a.states)
-    for _ in range(samples):
-        within = [s for s in a.states if rng.random() < 0.5]
-        assert a.state_diagram(within) == scan_diagram(a, within)
+    for start in [a.init.values()] + [[s for s in a.states if rng.random() < 0.5] for _ in range(samples)]:
+        want = scan_reachable(a, start)
+        assert a.state_diagram(start) == want and list(a.state_diagram(start)) == list(want)
+        assert a.trace_length_bound(start) == scan_bound(a, start)
 
 
 def sample(name: str) -> Automaton:
@@ -83,7 +112,7 @@ def test_samples(name):
     a = sample(name)
     assert_agrees_with_the_scan(a, random.Random(0))
     assert a.traces() == scan_paths(a)
-    assert _reachable_traces(a) == sorted(reference_reachable_traces(a))
+    assert a.traces(a.init.values()) == reference_reachable_traces(a)
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_FORMULAS))
@@ -91,7 +120,7 @@ def test_compile_up_outputs(name):
     a = formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name]))
     assert_agrees_with_the_scan(a, random.Random(1))
     assert a.traces() == scan_paths(a)
-    assert _reachable_traces(a) == sorted(reference_reachable_traces(a))
+    assert a.traces(a.init.values()) == reference_reachable_traces(a)
 
 
 @settings(max_examples=60)
@@ -117,7 +146,7 @@ def test_128_states_without_the_scan():
     a = six_variables()
     assert len(a.states) == 128
     assert len(a.traces()) == 1906 and a.trace_length_bound() == 6
-    assert len(_reachable_traces(a)) == 184
+    assert len(a.traces(a.init.values())) == 184
     with pytest.raises(AutomatonTooLarge):
         a.is_quasi_acyclic()  # the reference stays guarded
 
@@ -132,11 +161,11 @@ def test_reachable_pass_derives_only_the_last_states_it_reaches():
 def test_warm_caches_survive_pickling():
     # ``--jobs`` hands automata to its workers by pickling them
     a = sample("safe_one.json")
-    within = a.states[:3]
+    start = a.states[:3]
 
     def answers(a):
-        return (a.traces(), a.traces(start=a.init.values()), a.state_diagram(within),
-                a.delta(a.states[0], within), _driver_closure(a), sync_accepting_nodes(a, chain_graph()))
+        return (a.traces(), a.traces(start=a.init.values()), a.state_diagram(start),
+                a.delta(a.states[0], start), _driver_closure(a), sync_accepting_nodes(a, chain_graph()))
 
     warm = answers(a)
     b = pickle.loads(pickle.dumps(a))

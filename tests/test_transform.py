@@ -14,7 +14,6 @@ from automu.automata import (
     Guard,
     NotQuasiAcyclic,
     TransitionRule,
-    _reachable_states,
     automaton_to_json,
     parse_automaton,
     trace_pushlast,
@@ -313,7 +312,7 @@ def restrict(a: Automaton) -> Automaton:
     """``a`` on R, the states reachable from initialization: the states of R
     in their order, the rules whose target is in R, and guards naming only
     states of R."""
-    keep = _reachable_states(a, a.init.values())
+    keep = frozenset(a.state_diagram(a.init.values()))
     return Automaton(
         bits=a.bits,
         states=tuple(q for q in a.states if q in keep),
@@ -368,13 +367,13 @@ class TestPinnedClosure:
         assert (len(closure.pairs), closure.iterations_used) == (20480, 160)
 
     def test_flagship_compile_down_size(self):
-        assert len(format_formula(automaton_to_formula(safe_one_automaton()))) == 12247
+        assert len(format_formula(automaton_to_formula(safe_one_automaton()))) == 12062
 
     def test_up_down_round_trip(self):
         a = formula_to_automaton(safe_one_formula())
         assert sum(map(len, transform._driver_closure(a).values())) == 8340
         down = automaton_to_formula(a)
-        assert len(down.vars) == 23 and len(format_formula(down)) == 29893
+        assert len(down.vars) == 13 and len(format_formula(down)) == 29469
         assert equiv_exhaustive(down, safe_one_formula(), 2).equivalent
 
 
@@ -395,22 +394,21 @@ UP_DIGESTS = {
 }
 
 # SHA-256 of compile-down of the all-states compile-up (formula text) for the
-# other benchmark formulas; safe_one's is test_up_down_flagship
+# other benchmark formulas; safe_one's is test_up_down_flagship.  Compile-down
+# reads only the traces from initialization, so the restricted compile-up
+# compiles down to the same text
 UP_DOWN_DIGESTS = {
-    "reach_one": "e06eab362c828424386e0877db89b8a22778d99e448307c92f42f6612d9689b1",
-    "boxed_one": "6e23c24a107f1e8b490229402ad5f31186a4ba4a49c2c180efd9c659ede868c7",
-    "two_and": "c3ab985ec60a3cfd07636a2b685af2b323706363ecc0da0f068e71a6b19d3e66",
-    "two_box": "efe7404505a6bb3ae71fc354e7ce3fdb0c1117e5a1937bb228b3feb3569f3549",
+    "reach_one": "16af4b95d83b4f42c5050ccd5c34bf06c7c5ff9b13a4ad7791a788695a4fca25",
+    "boxed_one": "00fca4d5a5979b9dd0572a1dab6ea371e62b24740d33deef4dd40b8439eadcaf",
+    "two_and": "ed421c8fa984ec61caf3500a4a6eb7c94ed6dc78ad9fdd077004c1ad9996b0e7",
+    "two_box": "646e2c835e8db978b35e914c66cfbbcce8e244575a7fd116ae4a4acc74c30fcf",
 }
 
-# the same for compile-up, where it differs from the all-states construction
+# SHA-256 of compile-up (automaton JSON), where it differs from the
+# all-states construction
 REACHABLE_UP_DIGESTS = {
     ("boxed_one", 1): "de3a485e639079999a70955c41845dc8c3d318fb4e33089a8badd7b17e09b83f",
     ("two_box", 2): "166a53a63ee5ac98e760d661e74b80726be97ca36ac825b0647d09c6f099c822",
-}
-REACHABLE_UP_DOWN_DIGESTS = {
-    "boxed_one": "4fb17de5cea15ea80d825b790e65aad835b4b53f18d560a5341c6d30d1ddb056",
-    "two_box": "8571183209d3746d694e8b2c6c2f1aeff25d9bdd53f5c4607d8849e618626afa",
 }
 
 
@@ -440,12 +438,12 @@ class TestPinnedOutputs:
     def test_compile_down_flagship(self):
         a = parse_automaton((SAMPLES / "safe_one.json").read_text())
         assert _sha256(format_formula(automaton_to_formula(a))) == (
-            "dc02b4c7e5ba8c5e2777e59112aa212a19569f6d4bdbc8a59ee1fd05e2ca5943")
+            "688a50acfa9752653d97eeb38be5db17c4aa47f3a4fb0c4d0689744f03591da0")
 
     def test_up_down_flagship(self):
         down = automaton_to_formula(formula_to_automaton(safe_one_formula()))
         assert _sha256(format_formula(down)) == (
-            "f700da7679326e65941cc581de2ad8a1ed1d36fddad1b40b01142728dcb7636d")
+            "22be73df04d2baa399dea2eda7eb3ac1118c2e18c2a24e9ba3f28f2540135a21")
 
     @pytest.mark.parametrize("name", sorted(UP_DOWN_DIGESTS))
     def test_up_down(self, name):
@@ -455,7 +453,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("name", sorted(UP_DOWN_DIGESTS))
     def test_up_down_reachable(self, name):
         down = automaton_to_formula(formula_to_automaton(parse_formula(BENCHMARK_FORMULAS[name])))
-        assert _sha256(format_formula(down)) == REACHABLE_UP_DOWN_DIGESTS.get(name, UP_DOWN_DIGESTS[name])
+        assert _sha256(format_formula(down)) == UP_DOWN_DIGESTS[name]
 
 
 def _is_base_pair(a, h, t):
