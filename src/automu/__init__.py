@@ -54,6 +54,7 @@ from .logic import (
     lfp_iterations,
     parse_formula,
     satisfies,
+    share,
 )
 from .runtime import (
     Activation,

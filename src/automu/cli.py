@@ -17,7 +17,7 @@ from . import transform
 from .automata import Automaton, _bits, automaton_to_json, parse_automaton
 from .graphs import digraph_to_dict, parse_digraph
 from .harness import Device, equiv_exhaustive, equiv_sampled
-from .logic import MuSystem, format_formula, lfp, parse_formula
+from .logic import MuSystem, format_formula, lfp, parse_formula, share
 from .runtime import (
     async_run,
     fuzz_consistency,
@@ -127,7 +127,7 @@ def cmd_compile_down(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     system = transform.automaton_to_formula(automaton)
-    _write(args.output, format_formula(system))
+    _write(args.output, format_formula(share(system)))
     return 0
 
 

@@ -15,7 +15,8 @@ Formulas are immutable, so a node may be shared.  The reader and the
 compile-down build through one hash-consing constructor (``_Interner``),
 which makes every structurally distinct subterm of their output one object;
 the walks (``_postorder``/``_fold``) visit each object once, so they cost
-O(distinct subterms) on such a DAG, while the printed form stays a tree.
+O(distinct subterms) on such a DAG.  ``format_formula`` prints a tree;
+``share`` names each repeated subterm, so its printed form writes it once.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import attrgetter, is_
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
+from .automata import _bits
 from .graphs import BitWidthMismatch, Digraph, Domain, PointedDigraph, node_set
 
 
@@ -149,8 +152,18 @@ def _head(f: Formula) -> str:
     return _SYNTAX[type(f)][0]
 
 
-def _children(f: Formula) -> list[Formula]:
-    return [getattr(f, name) for name in _SYNTAX[type(f)][1]]
+def _getter(fields: tuple[str, ...]) -> Callable[[Formula], tuple[Formula, ...]]:
+    if not fields:
+        return lambda f: ()
+    get = attrgetter(*fields)
+    return get if len(fields) > 1 else lambda f: (get(f),)
+
+
+_CHILDREN = {cls: _getter(fields) for cls, (_, fields) in _SYNTAX.items()}
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    return _CHILDREN[type(f)](f)
 
 
 def _rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
@@ -159,32 +172,37 @@ def _rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
 
 
 def _postorder(
-    roots: Iterable[Formula], seen: set[int] | None = None
-) -> Iterator[tuple[Formula, list[Formula]]]:
+    roots: Iterable[Formula], seen: set[int] | None = None,
+    children: Callable[[Formula], Sequence[Formula]] | None = None,
+) -> Iterator[tuple[Formula, Sequence[Formula]]]:
     """Every node object under the roots once, with its children, children
     first; nodes whose ids are in ``seen`` (which the walk extends) are
     skipped.  A subterm shared by several parents, as in a hash-consed
     system, is thus visited once, and a walk costs O(distinct subterms).
-    The walk keeps its own stack, so a chain of any length is fine."""
+    ``children`` gives the nodes a node stands over (its subformulas unless
+    the caller says otherwise).  The walk keeps its own stack, so a chain of
+    any length is fine."""
     seen = set() if seen is None else seen
     for root in roots:
-        stack: list[tuple[Formula, list[Formula] | None]] = [(root, None)]
+        stack: list[tuple[Formula, Sequence[Formula] | None]] = [(root, None)]
         while stack:
             f, kids = stack.pop()
             if kids is not None:  # every child has been yielded
                 yield f, kids
             elif id(f) not in seen:
                 seen.add(id(f))
-                kids = _children(f)
+                kids = _CHILDREN[type(f)](f) if children is None else children(f)
                 stack.append((f, kids))
-                stack.extend([(k, None) for k in kids])
+                for k in kids:
+                    stack.append((k, None))
 
 
-def _fold(roots: Sequence[Formula], node: Callable[[Formula, list], object]) -> list:
+def _fold(roots: Sequence[Formula], node: Callable[[Formula, list], object],
+          children: Callable[[Formula], Sequence[Formula]] | None = None) -> list:
     """``node(f, the values of f's children)`` for every node f under the
     roots, children first; returns the roots' values."""
     value: dict[int, object] = {}  # id of a node -> its value
-    for f, kids in _postorder(roots):
+    for f, kids in _postorder(roots, children=children):
         value[id(f)] = node(f, [value[id(k)] for k in kids])
     return [value[id(root)] for root in roots]
 
@@ -333,17 +351,82 @@ def _parse_formula(text: str, bits: int | None) -> MuSystem:
     return MuSystem(bits=bits, vars=tuple(names), bodies=tuple(bodies))
 
 
+def _print(f: Formula, kids: list[str]) -> str:
+    """f's text given its children's texts."""
+    # a leaf's words after its head are its fields: (p 3), (var X), true
+    words = kids or [str(v) for v in vars(f).values()]
+    return f"({_head(f)} {' '.join(words)})" if words else _head(f)
+
+
 def format_formula(sys: MuSystem) -> str:
     """Render a system back to the s-expression format (round-trips through
-    parse_formula)."""
-
-    def fmt(f: Formula, kids: list[str]) -> str:
-        # a leaf's words after its head are its fields: (p 3), (var X), true
-        words = kids or [str(v) for v in vars(f).values()]
-        return f"({_head(f)} {' '.join(words)})" if words else _head(f)
-
-    entries = "\n  ".join(f"({x} {b})" for x, b in zip(sys.vars, _fold(sys.bodies, fmt)))
+    parse_formula).  Each body is printed as a tree: a subterm occurs in the
+    text as often as it occurs in the body; ``share`` names repeated ones."""
+    entries = "\n  ".join(f"({x} {b})" for x, b in zip(sys.vars, _fold(sys.bodies, _print)))
     return f"(mu (\n  {entries}\n))\n"
+
+
+def share(sys: MuSystem) -> MuSystem:
+    """An equivalent system that writes each repeated subterm once.
+
+    A compound subterm with two or more parents (a body counts as the parent
+    of its root) whose printed form is longer than a reference to it is
+    named: it becomes the body of a fresh variable, and every occurrence
+    becomes ``(var S<k>)``.  Naming ``S = t`` and writing ``S`` for ``t``
+    leaves the least solution unchanged (Bekic's lemma), and the compiled
+    kernel inlines such a variable again, so the plan is the one of the
+    unshared system.  Subterms are told apart by structure (value
+    numbering), not by object, so the result does not depend on what the
+    input shares.  Fresh names skip the declared ones, and the fresh
+    variables follow the declared ones in the order the walk finishes them."""
+    # value numbering: a node's number is that of its class with its leaf
+    # field or its children's numbers, so equal subterms share one number
+    # whatever the input shares; the first node with a number stands for it
+    numbers: dict[tuple, int] = {}
+    number: dict[int, int] = {}  # id of a node -> its number
+    built: list[tuple[Formula, Sequence[Formula], list[int]]] = []  # per number, children first
+    parents: list[int] = []
+    for f, kids in _postorder(sys.bodies):
+        nums = [number[id(k)] for k in kids]
+        key = (type(f), *nums) if kids else (type(f), *vars(f).values())
+        n = numbers.get(key)
+        if n is None:
+            n = numbers[key] = len(built)
+            built.append((f, kids, nums))
+            parents.append(0)
+            for k in nums:
+                parents[k] += 1
+        number[id(f)] = n
+    for body in sys.bodies:
+        parents[number[id(body)]] += 1
+
+    declared = set(sys.vars)
+    names: list[str] = []
+    bodies: list[Formula] = []
+    out: list[Formula] = []  # per number: the node as written
+    size: list[int] = []  # per number: the length of its text
+    counter = 0
+    for n, (f, kids, nums) in enumerate(built):
+        if not kids:
+            out.append(f)
+            size.append(len(_print(f, [])))
+            continue
+        parts = [out[k] for k in nums]
+        node = f if all(map(is_, parts, kids)) else type(f)(*parts)
+        length = len(_head(f)) + 2 + sum([size[k] for k in nums]) + len(nums)  # (head a b)
+        if parents[n] > 1:
+            while f"S{counter}" in declared:
+                counter += 1
+            ref = f"(var S{counter})"
+            if length > len(ref):
+                names.append(f"S{counter}")
+                bodies.append(node)
+                node, length = Var(names[-1]), len(ref)
+                counter += 1
+        out.append(node)
+        size.append(length)
+    return MuSystem(bits=sys.bits, vars=(*sys.vars, *names),
+                    bodies=(*(out[number[id(b)]] for b in sys.bodies), *bodies))
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +546,15 @@ _OPS = {"or": _OR, "and": _AND, "dia": _DIA, "box": _BOX}
 
 @dataclass(frozen=True)
 class _Stage:
-    """One strongly connected component of the variable dependencies.
+    """One strongly connected component of the dependencies of the variables
+    the kernel keeps (every kept variable lies on a cycle, so every such
+    stage is iterated until stable).
 
     ``members`` are variable positions and ``bodies`` the slots of their
     bodies; ``ops`` are ``(code, slot, left, right)`` for every compound slot
     whose deepest variable lies in this component, children first.  The
-    leading stage of a plan has no members and holds the variable-free ops."""
+    leading stage of a plan has no members, is not recursive and holds the
+    variable-free ops."""
 
     members: tuple[int, ...]
     bodies: tuple[int, ...]
@@ -478,10 +564,12 @@ class _Stage:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A system compiled once: every distinct subterm is one slot, and the
+    """A system compiled once: every variable no cycle needs is inlined
+    (``_inlined``), every distinct subterm of the result is one slot, and the
     stages come in dependency order, so each component is solved after the
     components it reads (Bekic's lemma; without alternation the least
-    fixpoint can be taken one component at a time)."""
+    fixpoint can be taken one component at a time).  ``var_slots`` holds
+    every variable's slot: a kept variable's own, an inlined one's body."""
 
     size: int
     leaves: tuple[tuple[int, str, int], ...]  # (slot, "true" | "false" | "p" | "not-p", bit)
@@ -489,11 +577,44 @@ class _Plan:
     stages: tuple[_Stage, ...]
 
 
+def _inlined(sys: MuSystem) -> int:
+    """The variables the kernel substitutes away, as a bitmask over positions.
+
+    Gauss elimination on the dependency masks: the variables are taken in
+    reverse declaration order, and one whose body, after the substitutions
+    already made, does not mention it is substituted into every body that
+    does.  By Bekic's lemma the least solution is unchanged, and each kept
+    variable mentions itself, so it lies on a cycle of the kept ones."""
+    position = {x: i for i, x in enumerate(sys.vars)}
+    under: dict[int, int] = {}  # id of a node -> the variables it mentions
+    for f, kids in _postorder(sys.bodies):
+        mask = 1 << position[f.name] if type(f) is Var else 0
+        for k in kids:
+            mask |= under[id(k)]
+        under[id(f)] = mask
+    deps = [under[id(b)] for b in sys.bodies]
+    readers = [0] * len(deps)  # readers[j]: the bodies that mention variable j
+    for k, mask in enumerate(deps):
+        for j in _bits(mask):
+            readers[j] |= 1 << k
+    inlined = 0
+    for i in reversed(range(len(deps))):
+        if deps[i] >> i & 1:
+            continue
+        inlined |= 1 << i
+        for k in _bits(readers[i]):
+            deps[k] = deps[k] & ~(1 << i) | deps[i]
+        for j in _bits(deps[i]):
+            readers[j] |= readers[i]
+    return inlined
+
+
 def _compile(sys: MuSystem) -> _Plan:
     position = {x: i for i, x in enumerate(sys.vars)}
+    inlined = _inlined(sys)
     keys: dict[tuple, int] = {}
     nodes: list[tuple] = []
-    var_masks: list[int] = []  # variable positions each slot mentions, as a bitmask
+    var_masks: list[int] = []  # kept variable positions each slot mentions, as a bitmask
 
     def intern(key: tuple, mask: int) -> int:
         if key not in keys:
@@ -501,6 +622,12 @@ def _compile(sys: MuSystem) -> _Plan:
             nodes.append(key)
             var_masks.append(mask)
         return keys[key]
+
+    # an inlined variable stands over its body, compiled where it is first read
+    expand = {x: (b,) for i, (x, b) in enumerate(zip(sys.vars, sys.bodies)) if inlined >> i & 1}
+
+    def children(f: Formula) -> Sequence[Formula]:
+        return expand.get(f.name, ()) if type(f) is Var else _CHILDREN[type(f)](f)
 
     def node_slot(f: Formula, args: list[int]) -> int:
         head = _head(f)
@@ -510,27 +637,28 @@ def _compile(sys: MuSystem) -> _Plan:
                 return args[0]
             return intern((_OPS[head], *args), var_masks[args[0]] | var_masks[args[-1]])
         if head == "var":
-            return intern(("var", position[f.name]), 1 << position[f.name])
+            return args[0] if args else intern(("var", position[f.name]), 1 << position[f.name])
         return intern((head, f.index if head in ("p", "not-p") else 0), 0)
 
     n = len(sys.vars)
-    bodies = _fold(sys.bodies, node_slot)
-    var_slots = tuple(intern(("var", i), 1 << i) for i in range(n))
+    bodies = _fold(sys.bodies, node_slot, children)
+    kept = [i for i in range(n) if not inlined >> i & 1]
+    var_slots = tuple(bodies[i] if inlined >> i & 1 else intern(("var", i), 1 << i) for i in range(n))
 
-    # transitive dependencies (Warshall over bitmasks); a component is the set
-    # of variables that reach each other, and a component's closed dependency
-    # set strictly contains that of every component it reads
-    reach = [var_masks[b] for b in bodies]
-    for k in range(n):
-        for i in range(n):
+    # transitive dependencies of the kept variables (Warshall over bitmasks);
+    # each reaches itself, so a component is a set of variables with equal
+    # reach sets, and a component's reach set strictly contains that of every
+    # component it reads
+    reach = {i: var_masks[bodies[i]] for i in kept}
+    for k in kept:
+        for i in kept:
             if reach[i] >> k & 1:
                 reach[i] |= reach[k]
-    closed = [reach[i] | 1 << i for i in range(n)]
-    component = [-1] * n
+    component: dict[int, int] = {}
     groups: list[tuple[int, ...]] = []
-    for i in sorted(range(n), key=lambda i: (closed[i].bit_count(), i)):
-        if component[i] < 0:
-            members = tuple(j for j in range(n) if closed[j] == closed[i] and reach[i] >> j & 1) or (i,)
+    for i in sorted(kept, key=lambda i: (reach[i].bit_count(), i)):
+        if i not in component:
+            members = tuple(j for j in kept if reach[j] == reach[i])
             for j in members:
                 component[j] = len(groups)
             groups.append(members)
@@ -550,7 +678,7 @@ def _compile(sys: MuSystem) -> _Plan:
         stages.append(_Stage(
             members=members,
             bodies=tuple(bodies[j] for j in members),
-            recursive=bool(reach[members[0]] >> members[0] & 1),
+            recursive=True,
             ops=tuple(stage_ops[c + 1]),
         ))
     return _Plan(
@@ -587,12 +715,10 @@ def _solve(plan: _Plan, domain: Domain) -> list[int]:
                 vals[dst] = full ^ dia(full ^ vals[a])
 
     for stage in plan.stages:
-        slots = [plan.var_slots[j] for j in stage.members]
         if not stage.recursive:
-            for slot, body in zip(slots, stage.bodies):
-                vals[slot] = vals[body]
             run(stage.ops)
             continue
+        slots = [plan.var_slots[j] for j in stage.members]
         while True:
             run(stage.ops)
             new = [vals[body] for body in stage.bodies]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from automu.automata import parse_automaton
 from automu.graphs import Digraph, enumerate_digraphs
 from automu.harness import equiv_exhaustive, equiv_sampled
-from automu.logic import _compile, format_formula, lfp, lfp_iterations, parse_formula
+from automu.logic import _compile, format_formula, lfp, lfp_iterations, parse_formula, share
 from automu.transform import automaton_to_formula
 from strategies import graphs, systems
 from test_logic import compiled_texts, tree_parse
@@ -118,6 +118,52 @@ def test_sixty_node_chain():
     got = lfp(system, g)
     assert got == lfp_iterations(system, g)[0]
     assert got["X"] == frozenset(g.nodes)
+
+
+# variable elimination: a variable whose body, after the substitutions
+# already made, does not mention it is inlined, and lfp still reports it
+
+def test_a_cycle_through_every_variable_keeps_one():
+    system = parse_formula(
+        "(mu ((X0 (dia (var X1))) (X1 (box (var X2))) (X2 (or (p 0) (dia (var X0))))))")
+    assert [stage.members for stage in _compile(system).stages] == [(), (0,)]
+    assert_agrees_up_to_3_nodes(system)
+
+
+def test_a_chain_of_definitions_is_inlined():
+    def chain_system(n):
+        defs = " ".join(f"(X{i} (or (p 0) (dia (var X{i + 1}))))" for i in range(n))
+        return parse_formula(f"(mu ({defs} (X{n} (box false))))", bits=1)
+
+    system = chain_system(6)
+    assert [stage.members for stage in _compile(system).stages] == [()]
+    assert_agrees_up_to_3_nodes(system)
+    # the inlining walk keeps its own stack, so a long chain is fine
+    got = lfp(chain_system(3000), chain(3, first_label="0"))
+    assert [got[f"X{i}"] for i in (3000, 2999, 2998, 2997, 0)] == [
+        frozenset({"n0"}), frozenset({"n1"}), frozenset({"n2"}), frozenset(), frozenset()]
+
+
+def test_a_fresh_variable_read_only_by_another():
+    # (dia (p 0)) occurs twice, both times inside the repeated conjunction
+    conj = "(and (dia (p 0)) (or (dia (p 0)) (box (var X0))))"
+    shared = share(parse_formula(f"(mu ((X0 (or {conj} (dia {conj})))))"))
+    assert format_formula(shared) == (
+        "(mu (\n"
+        "  (X0 (or (var S1) (dia (var S1))))\n"
+        "  (S0 (dia (p 0)))\n"
+        "  (S1 (and (var S0) (or (var S0) (box (var X0)))))\n"
+        "))\n")
+    assert [stage.members for stage in _compile(shared).stages] == [(), (0,)]
+    assert_agrees_up_to_3_nodes(shared)
+
+
+@pytest.mark.parametrize("name", ["down", "up-down"])
+def test_shared_plan_is_the_unshared_one(name):
+    system = parse_formula(compiled_texts()[name])
+    plan, shared = _compile(system), _compile(share(system))
+    assert (shared.size, shared.leaves, shared.stages) == (plan.size, plan.leaves, plan.stages)
+    assert shared.var_slots[:len(system.vars)] == plan.var_slots
 
 
 # the interned front end: a parse shares every repeated subterm, and the
