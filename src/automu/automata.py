@@ -29,16 +29,17 @@ engine's bound, the certificate and compile-down read it there.
 
 ``is_monotone`` is a certificate, over the states reachable from
 initialization, that the automaton gives the same verdicts under every
-timing on every digraph; ``check_consistency`` asks it before it explores
-or samples.
+timing on every digraph, checked on the same regions; ``check_consistency``
+and ``fuzz_consistency`` ask it before they explore or sample.
 """
 
 from __future__ import annotations
 
+import functools
 import graphlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 
 class AutomatonFormatError(ValueError):
@@ -58,8 +59,8 @@ class NotQuasiAcyclic(ValueError):
 # how many states the reference scan enumerates subsets of, and the log2 of
 # the neighborhood regions ``state_diagram`` may split one state's rules into
 SUBSET_ENUMERATION_GUARD = 20
-# the most states reachable from initialization that ``is_monotone`` lists
-# the 2^|R| neighborhoods of (about 0.2 s at 10 states, 4 times that at 12)
+# the most states reachable from initialization that ``is_monotone`` reads;
+# a state's split tree over R can still have 2^|R| leaves
 CERTIFICATE_GUARD = 10
 
 
@@ -448,8 +449,12 @@ class Automaton:
         accepting.  Every verdict is therefore the same under every timing,
         lossy or lossless.
 
-        More than CERTIFICATE_GUARD states in R returns False before the
-        2^|R| neighborhoods are listed."""
+        The subsets F of R are not listed: each state's step is split into
+        regions of neighborhoods, DPLL style (Davis, Logemann and Loveland
+        1962), until ``region`` decides each one, and 2 to 4 are checked
+        region against region (``_monotone``).  More than
+        CERTIFICATE_GUARD states in R returns False before any region is
+        walked."""
         if "monotone" not in self._cache:
             self._cache["monotone"] = self.trace_length_bound(self.init.values()) is not None and _monotone(self)
         return self._cache["monotone"]
@@ -500,20 +505,17 @@ class Automaton:
 
 def _monotone(a: Automaton) -> bool:
     """The conditions of ``Automaton.is_monotone`` on a quasi-acyclic
-    automaton, on masks: ``table[q][i]`` is step(q, subsets[i]), where bit
-    k of i says states[k] is in the subset, and bit r of ``up[q]`` says
-    q <= r, the successors coming from the state diagram on R.  2 is
-    checked for q2 a successor of q only, since the steps generate <= and
-    <= is transitive; 3 and 4 in one loop over F and y."""
+    automaton, on masks: bit r of ``up[q]`` says q <= r, the successors
+    coming from the state diagram on R.  1 is read off ``up``; 2 is checked
+    for q2 a successor of q only, since the steps generate <= and <= is
+    transitive; 3 and 4 per q and y, over the F that miss y.  The subsets F
+    of R are never listed: each state's step is one ``_split_tree`` over R,
+    and ``_cubes_hold`` walks two trees at once."""
     diagram = a.state_diagram(a.init.values())
     if len(diagram) > CERTIFICATE_GUARD:
         return False
     states = [a.index[q] for q in diagram]
     successors = {a.index[q]: [a.index[r] for r in found] for q, found in diagram.items()}
-    subsets = [0]
-    for q in states:
-        subsets += [f | 1 << q for f in subsets]
-    table = {q: [a.step(q, f) for f in subsets] for q in states}
     up = {}
     for q in graphlib.TopologicalSorter(successors).static_order():  # successors first
         up[q] = 1 << q
@@ -523,19 +525,78 @@ def _monotone(a: Automaton) -> bool:
     accepting = a.mask(a.accepting)
     if any(up[q] & ~accepting for q in states if accepting >> q & 1):
         return False
-    for q, row in table.items():
-        for q2 in successors[q]:
-            if not all(up[t] >> t2 & 1 for t, t2 in zip(row, table[q2])):
-                return False
-    for row in table.values():
-        for k, y in enumerate(states):
-            for i, f in enumerate(subsets):
-                if i >> k & 1:
-                    continue
-                t, t2 = row[i], row[i | 1 << k]
-                if f & down[y] and not up[t] >> t2 & 1 or f & up[y] and not up[t2] >> t & 1:
-                    return False
+
+    meets = {}  # target mask -> the states >= each of its states
+
+    def below(s: int, s2: int) -> bool:
+        """Every state of mask s is <= every state of mask s2."""
+        if s not in meets:
+            meets[s] = functools.reduce(int.__and__, (up[t] for t in _bits(s)))
+        return not s2 & ~meets[s]
+
+    within = sum(1 << q for q in states)
+    trees = {q: _split_tree(a, q, 0, within) for q in states}
+    if not all(_cubes_hold(trees[q], trees[q2], 0, 0, within, lambda s, s2, reach: below(s, s2))
+               for q in states for q2 in successors[q]):
+        return False
+    for y in states:
+        def raised_and_dropped(s: int, s2: int, reach: int, y: int = y) -> bool:
+            return (not reach & down[y] or below(s, s2)) and (not reach & up[y] or below(s2, s))
+
+        if not all(_cubes_hold(trees[q], trees[q], 1 << y, 0, within ^ 1 << y, raised_and_dropped)
+                   for q in states):
+            return False
     return True
+
+
+# a split tree: a target index, or (split, subtree without it, subtree with it, targets below)
+SplitTree = Union[int, tuple]
+
+
+def _split_tree(a: Automaton, q: int, inn: int, free: int) -> SplitTree:
+    """Step of state ``q`` on the neighborhoods that hold ``inn``, may hold
+    ``free`` and hold no other, as a tree: the target where ``region``
+    decides, else the trees of the two halves on either side of its split
+    state (DPLL style, as in ``_successors``, but never pruned), with the
+    mask of every target they reach."""
+    target, split, _ = a.region(q, inn, free)
+    if not split:
+        return target
+    out = _split_tree(a, q, inn, free ^ split)
+    held = _split_tree(a, q, inn | split, free ^ split)
+    return split, out, held, _reached(out) | _reached(held)
+
+
+def _reached(tree: SplitTree) -> int:
+    """The mask of the targets ``tree`` reaches."""
+    return 1 << tree if type(tree) is int else tree[3]
+
+
+def _restrict(tree: SplitTree, inn: int, free: int) -> SplitTree:
+    """The subtree of ``tree`` on the neighborhoods that hold ``inn`` and may
+    hold ``free``: every split on a state outside ``free`` is followed."""
+    while type(tree) is tuple and not tree[0] & free:
+        tree = tree[2] if tree[0] & inn else tree[1]
+    return tree
+
+
+def _cubes_hold(tree: SplitTree, tree2: SplitTree, y: int, inn: int, free: int,
+                holds: Callable[[int, int, int], bool]) -> bool:
+    """Whether ``holds(s, s2, reach)`` on every cube of neighborhoods F that
+    hold ``inn`` and may hold ``free``, split one state at a time: s is the
+    mask of the targets ``tree`` reaches on F, s2 that of ``tree2`` on
+    F | ``y``, and reach the states some F of the cube holds.  A cube that
+    ``holds`` rejects is split on a state one of the trees splits on; once
+    neither does, s and s2 are the one target each takes on the whole cube,
+    and a rejection is a counterexample."""
+    tree, tree2 = _restrict(tree, inn, free), _restrict(tree2, inn | y, free)
+    if holds(_reached(tree), _reached(tree2), inn | free):
+        return True
+    if type(tree) is int and type(tree2) is int:
+        return False
+    split = (tree if type(tree) is tuple else tree2)[0]
+    return (_cubes_hold(tree, tree2, y, inn, free ^ split, holds)
+            and _cubes_hold(tree, tree2, y, inn | split, free ^ split, holds))
 
 
 # ---------------------------------------------------------------------------

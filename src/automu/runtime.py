@@ -26,7 +26,12 @@ activation masks and the memoized ``Automaton.step``.  Before it samples,
 ``check_consistency`` asks the automaton's certificate
 ``Automaton.is_monotone``, which proves every graph consistent at once, and
 then runs the lossy explorer ``_outcomes`` on the same ``_Net``, which can
-prove one graph consistent; either way no engine runs.  ``async_step``,
+prove one graph consistent; either way no engine runs.  ``fuzz_consistency``
+settles what it can before that, from the integers a graph is drawn as
+(``random_indices``): a graph no node of which moves at the start
+(``_index_movers``, which shares ``_initial_targets`` with ``_Net``), and
+every graph that moves once the certificate holds.  Only the other graphs
+are built as a ``Digraph`` and a ``_Net``.  ``async_step``,
 ``is_quiescent``, ``sync_step`` and ``initial_configuration`` are the
 single-step API on named configurations and the reference the engine is
 tested against.
@@ -44,7 +49,18 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .automata import Automaton, NotQuasiAcyclic, Trace, _bits, trace_popfirst, trace_pushlast
-from .graphs import BitWidthMismatch, Digraph, Domain, Edge, PointedDigraph, node_set, random_digraph
+from .graphs import (
+    BitWidthMismatch,
+    Digraph,
+    Domain,
+    Edge,
+    PointedDigraph,
+    indexed_digraph,
+    labeling,
+    node_set,
+    random_digraph,  # not called here, but a module attribute the benchmark's tracer wraps by name
+    random_indices,
+)
 
 
 class RuntimeFormatError(ValueError):
@@ -446,6 +462,47 @@ class RunReport:
         }
 
 
+def _initial_targets(a: Automaton, init: Sequence[int], fronts: Sequence[int]) -> tuple[list[int], int]:
+    """Each node's target in its initial state ``init[v]`` on its initial
+    fronts ``fronts[v]`` (the mask of its in-neighbours' initial states,
+    a self-loop included), and the mask of the initial movers, the nodes
+    whose target is not their state.  With no movers every run stops at
+    step 0."""
+    memo = a.step_memo
+    targets, movers = [], 0
+    for v, (q, f) in enumerate(zip(init, fronts)):
+        t = memo[q].get(f)
+        if t is None:
+            t = a.step(q, f)
+        targets.append(t)
+        if t != q:
+            movers |= 1 << v
+    return targets, movers
+
+
+def _label_states(a: Automaton) -> list[int]:
+    """Per label, read as the integer its bits write in ``labeling``, the
+    index of the state it initializes a node in."""
+    return [a.index[a.init[labeling(1, a.bits, code)[0]]] for code in range(1 << a.bits)]
+
+
+def _index_movers(a: Automaton, label_states: list[int], m: int, mask: int, index: int) -> int:
+    """The initial movers of ``_Net(a, indexed_digraph(m, a.bits, mask,
+    index))``, from the integers alone: node v's label is its ``a.bits``
+    digits of ``index`` (node 0 most significant), and bit u·m + v of
+    ``mask`` is the edge u -> v."""
+    bits = a.bits
+    low_bits = (1 << bits) - 1
+    init = [label_states[index >> bits * (m - 1 - v) & low_bits] for v in range(m)]
+    fronts = [0] * m
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        u, v = divmod(low.bit_length() - 1, m)
+        fronts[v] |= 1 << init[u]
+    return _initial_targets(a, init, fronts)[1]
+
+
 class _Net:
     """An automaton and a graph compiled once for the run engine.  Nodes are
     indices in ``g.nodes`` order, edges indices in ``g.sorted_edges`` order
@@ -472,9 +529,10 @@ class _Net:
         self.bufs = [(self.init[u],) for u, _ in ends]
         self.traces = [(q,) for q in self.init]
         self.visited = [0 if self.accepting >> q & 1 else None for q in self.init]
-        self.target = [self.target_of(q, self.bufs, v) for v, q in enumerate(self.init)]
-        # the nodes that move when active; with none, every run stops at step 0
-        self.movers = sum(1 << v for v, q in enumerate(self.init) if self.target[v] != q)
+        fronts = [0] * n
+        for u, v in ends:
+            fronts[v] |= 1 << self.init[u]
+        self.target, self.movers = _initial_targets(a, self.init, fronts)
 
     def target_of(self, q: int, bufs: Sequence[tuple[int, ...]], w: int) -> int:
         """Node w's target in state q on the fronts of ``bufs``."""
@@ -842,6 +900,8 @@ def check_consistency(
     sampled loop would return: ``samples + 1`` runs and ``samples * n``
     comparisons, since every run of a quasi-acyclic automaton reaches
     quiescence and so compares all n nodes, and no two runs disagree.
+    ``fuzz_consistency`` takes paths 1 and 2 itself, on the integers a
+    graph is drawn as, and calls this for the graphs they leave.
     """
     if budget is None:
         budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
@@ -926,9 +986,24 @@ def _fuzz_slice(
     timings_per_graph: int,
     lossless_only: bool,
 ) -> tuple[FuzzWitness | None, int, int]:
+    """The first witness among the graphs of ``specs``, (graph seed, timing
+    seed) pairs, with the graphs checked and the comparisons up to it.  A
+    graph quiescent at the start and, with timings to sample, a moving graph
+    of a quasi-acyclic automaton that ``Automaton.is_monotone`` certifies
+    are settled from the drawn integers, with the verdict
+    ``check_consistency`` gives them; it checks the others.  The trace bound
+    is read at the first graph, as ``check_consistency`` reads it."""
+    bits, label_states = a.bits, _label_states(a)
+    quasi = bool(specs) and a.trace_length_bound(a.init.values()) is not None
     comparisons = 0
     for offset, (graph_seed, timing_seed) in enumerate(specs):
-        g = random_digraph(random.Random(graph_seed), max_nodes, a.bits).graph
+        m, mask, index, _ = random_indices(random.Random(graph_seed), max_nodes, bits)
+        if not _index_movers(a, label_states, m, mask, index):
+            continue  # quiescent at the start: no comparison
+        if quasi and timings_per_graph and a.is_monotone():
+            comparisons += timings_per_graph * m
+            continue
+        g = indexed_digraph(m, bits, mask, index)
         verdict = check_consistency(
             a, g, samples=timings_per_graph, lossless_only=lossless_only, seed=timing_seed,
         )
@@ -949,7 +1024,15 @@ def fuzz_consistency(
 ) -> FuzzVerdict:
     """check_consistency over ``graphs`` random digraphs.  Every graph runs
     off its own derived sub-seed, so the first inconsistent graph (by index),
-    ``graphs_checked`` and ``comparisons`` are the same at any job count."""
+    ``graphs_checked`` and ``comparisons`` are the same at any job count.
+
+    A graph is drawn as integers (``random_indices``), and the first two
+    paths of ``check_consistency`` are taken on them: a graph no node of
+    which moves at the start, or any graph once the certificate holds (with
+    ``timings_per_graph`` > 0), is settled without building it; every other
+    graph is built (``indexed_digraph``, as ``random_digraph`` builds it) and
+    checked by ``check_consistency``.  The verdict is the one a
+    ``check_consistency`` call per graph gives."""
     check_budget(max_nodes, jobs, graphs=graphs, timings_per_graph=timings_per_graph)
     rng = random.Random(seed)
     specs = [(rng.randrange(2**32), rng.randrange(2**32)) for _ in range(graphs)]

@@ -1,3 +1,4 @@
+import graphlib
 import itertools
 import json
 import math
@@ -22,7 +23,15 @@ from automu.automata import (
     trace_pushlast,
 )
 from automu.cli import main
-from automu.graphs import Digraph, PointedDigraph, enumerate_digraphs, node_set, parse_digraph
+from automu.graphs import (
+    Digraph,
+    PointedDigraph,
+    enumerate_digraphs,
+    indexed_digraph,
+    node_set,
+    parse_digraph,
+    random_digraph,
+)
 from automu.logic import parse_formula
 from automu.runtime import (
     DEFAULT_STARVATION_BOUND,
@@ -30,11 +39,15 @@ from automu.runtime import (
     Configuration,
     ConsistencyVerdict,
     ConsistencyWitness,
+    FuzzVerdict,
+    FuzzWitness,
     RunReport,
     RuntimeFormatError,
     TimingPrefix,
     TimingSampler,
     _draw,
+    _index_movers,
+    _label_states,
     _lane_masks,
     _Net,
     _outcomes,
@@ -66,7 +79,7 @@ from automu.zoo import (
     sync_probe_automaton,
     two_cycle_graph,
 )
-from strategies import automata, graphs, make_graph, seeds, systems
+from strategies import automata, graphs, make_automaton, make_graph, make_system, seeds, systems
 from test_logic import all_states_automaton
 from test_state_diagram import reference_reachable_traces, scan_bound
 from test_transform import SIX_VARIABLES
@@ -555,6 +568,66 @@ def engine_subjects():
 CERTIFIED = {"up(safe_one)", "up(reach_one)", "up(boxed_one)"}
 
 
+def reference_fuzz(a, max_nodes, graphs, timings_per_graph, lossless_only=False, seed=0):
+    """``fuzz_consistency`` as one loop over whole digraphs: every graph is
+    drawn by ``random_digraph`` and checked by ``check_consistency``."""
+    rng = random.Random(seed)
+    specs = [(rng.randrange(2**32), rng.randrange(2**32)) for _ in range(graphs)]
+    comparisons = 0
+    for i, (graph_seed, timing_seed) in enumerate(specs):
+        g = random_digraph(random.Random(graph_seed), max_nodes, a.bits).graph
+        verdict = check_consistency(a, g, samples=timings_per_graph, lossless_only=lossless_only,
+                                    seed=timing_seed)
+        comparisons += verdict.comparisons
+        if not verdict.consistent:
+            return FuzzVerdict(False, i + 1, comparisons, FuzzWitness(g, verdict.witness))
+    return FuzzVerdict(True, graphs, comparisons)
+
+
+def index_automata():
+    """Random automata of 0, 1 and 2 bits."""
+    return [make_automaton(random.Random(s), 4, bits, quasi_acyclic=s % 2 == 0)
+            for bits in (0, 1, 2) for s in range(3)]
+
+
+class TestIndexPath:
+    """``fuzz_consistency`` settles a graph from the integers ``random_indices``
+    draws when it is quiescent at the start or the automaton is certified."""
+
+    @pytest.mark.parametrize("a", list(engine_subjects().values()) + index_automata(),
+                             ids=list(engine_subjects()) + [f"a{i}" for i in range(9)])
+    def test_initial_movers_match_the_net(self, a):
+        label_states = _label_states(a)
+        for m in (1, 2, 3):
+            for mask in range(1 << m * m):
+                for index in range(1 << a.bits * m):
+                    want = _Net(a, indexed_digraph(m, a.bits, mask, index)).movers
+                    assert _index_movers(a, label_states, m, mask, index) == want, (m, mask, index)
+
+    @pytest.mark.parametrize("name", list(engine_subjects()))
+    def test_fuzz_matches_the_per_graph_loop(self, name):
+        a = engine_subjects()[name]
+        witnesses = 0
+        for timings, lossless_only in itertools.product((0, 20), (False, True)):
+            want = reference_fuzz(a, 4, 30, timings, lossless_only, seed=2)
+            for jobs in (1, 2):
+                assert fuzz_consistency(a, 4, 30, timings, lossless_only, seed=2, jobs=jobs) == want
+            witnesses += want.witness is not None
+        if name == "sync_probe.json":
+            assert witnesses  # the probe's witness comes out the same way
+
+    def test_a_settled_graph_is_never_built(self):
+        a = formula_to_automaton(reach_one_formula())
+        want = reference_fuzz(a, 5, 40, 20)
+        assert a.is_monotone() and want.comparisons > 0
+
+        def fail(*args):
+            raise AssertionError("a graph was built")
+
+        with mock.patch.object(runtime, "indexed_digraph", fail), mock.patch.object(runtime, "_Net", fail):
+            assert fuzz_consistency(a, 5, 40, 20) == want
+
+
 def engine_graphs(bits):
     """Every digraph of at most 2 nodes, then 3- to 5-node samples."""
     yield from enumerate_digraphs(2, bits)
@@ -961,9 +1034,67 @@ FAILS_ONE_CONDITION = {
 }
 
 
+def reference_monotone(a):
+    """``Automaton.is_monotone`` on a table of step over every subset F of
+    R, the states of ``state_diagram(init states)``, under the same guard:
+    ``table[q][i]`` is step(q, subsets[i]), where bit k of i says the k-th
+    state of R is in the subset, and bit r of ``up[q]`` says q <= r.  2 is
+    checked for q2 a successor of q only; 3 and 4 in one loop over F and y."""
+    if a.trace_length_bound(a.init.values()) is None:
+        return False
+    diagram = a.state_diagram(a.init.values())
+    if len(diagram) > CERTIFICATE_GUARD:
+        return False
+    states = [a.index[q] for q in diagram]
+    successors = {a.index[q]: [a.index[r] for r in found] for q, found in diagram.items()}
+    subsets = [0]
+    for q in states:
+        subsets += [f | 1 << q for f in subsets]
+    table = {q: [a.step(q, f) for f in subsets] for q in states}
+    up = {}
+    for q in graphlib.TopologicalSorter(successors).static_order():  # successors first
+        up[q] = 1 << q
+        for r in successors[q]:
+            up[q] |= up[r]
+    down = {y: sum(1 << x for x in states if up[x] >> y & 1) for y in states}
+    accepting = a.mask(a.accepting)
+    if any(up[q] & ~accepting for q in states if accepting >> q & 1):
+        return False
+    for q, row in table.items():
+        for q2 in successors[q]:
+            if not all(up[t] >> t2 & 1 for t, t2 in zip(row, table[q2])):
+                return False
+    for row in table.values():
+        for k, y in enumerate(states):
+            for i, f in enumerate(subsets):
+                if i >> k & 1:
+                    continue
+                t, t2 = row[i], row[i | 1 << k]
+                if f & down[y] and not up[t] >> t2 & 1 or f & up[y] and not up[t2] >> t & 1:
+                    return False
+    return True
+
+
 class TestCertificate:
     def test_which_subjects_are_certified(self):
         assert {name for name, a in engine_subjects().items() if a.is_monotone()} == CERTIFIED
+
+    def test_it_equals_the_table_on_the_subjects(self):
+        for a in [*engine_subjects().values(), *FAILS_ONE_CONDITION.values()]:
+            assert a.is_monotone() == reference_monotone(a)
+
+    @given(automata(quasi_acyclic=True))
+    @settings(max_examples=200)
+    def test_it_equals_the_table_on_any_automaton(self, a):
+        assert a.is_monotone() == reference_monotone(a)
+
+    def test_it_equals_the_table_on_compile_ups(self):
+        verdicts = set()
+        for s in range(60):
+            a = formula_to_automaton(make_system(random.Random(s), 1, 3, 3))
+            assert a.is_monotone() == reference_monotone(a), s
+            verdicts.add(a.is_monotone())
+        assert verdicts == {False, True}
 
     @pytest.mark.parametrize("name", sorted(CERTIFIED))
     def test_certified_subjects_have_one_outcome_on_every_graph(self, name):
@@ -1006,7 +1137,8 @@ class TestCertificate:
         a = all_states_automaton(parse_formula(SIX_VARIABLES, bits=1))
         assert len({q for t in a.traces(a.init.values()) for q in t}) == 26 > CERTIFICATE_GUARD
         g = make_graph(random.Random(6), 5, 1)
-        with mock.patch.object(Automaton, "step", side_effect=AssertionError("a neighborhood was listed")):
+        with mock.patch.object(Automaton, "step", side_effect=AssertionError("a neighborhood was listed")), \
+                mock.patch.object(Automaton, "region", side_effect=AssertionError("a region was walked")):
             assert not a.is_monotone()
         verdict, path = consistency_path(a, g, 12, seed=3)
         assert path in ("explored", "sampled")
