@@ -10,27 +10,32 @@ An automaton owns its state encoding: bit i of a state mask stands for
 ``states[i]``.  ``region`` is the one walk over a state's rules, first match
 wins, on a region of neighborhoods (the states a neighborhood holds, those
 it may hold, and no other), with the one guard evaluator, ``_decide``
-(``eval_guard`` is the tests' reference).  ``step``, the transition function
-on that encoding, is ``region`` on one neighborhood, memoized per state from
-the neighborhood mask to the target; the state diagram and the synchronous
-kernel split regions until ``region`` decides them.  ``delta`` is ``step``
-on state names, and the run engine and the trace closure read the encoding.
+(``eval_guard`` is the tests' reference).  Its one memo is ``region_memo``.
+Regions are split, DPLL style, from the root where every state may be held,
+and a walk over the neighborhoods drawn from a set follows only the out
+branch of a split on a state outside it: each state's regions form one tree,
+which the state diagram, the certificate and the synchronous kernel share.
+``step``, the transition function on the encoding, is ``region`` on one
+neighborhood, memoized per state from the neighborhood mask to the target.
+``delta`` is ``step`` on state names, and the run engine and the trace
+closure read the encoding.
 
 Also here: the trace algebra (first / last / pushlast / popfirst) used by the
 asynchronous run semantics, and the state diagram behind quasi-acyclicity (no
 cycles other than self-loops) and the trace sets.  Each state's successors
-are derived rule by rule, never by enumerating the 2^|Q| neighborhoods, and
-memoized per set of neighbor states; that scan survives only in
-``is_quasi_acyclic``, as the reference.  ``state_diagram(start)`` is the one
-reachability fixpoint: the diagram on the states reachable from ``start``.
-From every state it is the whole diagram, which ``check`` reads; from the
-initialization states it holds every state a run visits, and the run
-engine's bound, the certificate and compile-down read it there.
+are read off its region tree, never by enumerating the 2^|Q| neighborhoods;
+that scan survives only in ``is_quasi_acyclic``, as the reference.
+``state_diagram(start)`` is the one reachability fixpoint: the diagram on
+the states reachable from ``start``.  From every state it is the whole
+diagram, which ``check`` reads; from the initialization states it holds
+every state a run visits, and the run engine's bound, the certificate and
+compile-down read it there.
 
 ``is_monotone`` is a certificate, over the states reachable from
 initialization, that the automaton gives the same verdicts under every
-timing on every digraph, checked on the same regions; ``check_consistency``
-and ``fuzz_consistency`` ask it before they explore or sample.
+timing on every digraph, checked on the same region trees;
+``check_consistency`` and ``fuzz_consistency`` ask it before they explore or
+sample.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class NotQuasiAcyclic(ValueError):
 # the neighborhood regions ``state_diagram`` may split one state's rules into
 SUBSET_ENUMERATION_GUARD = 20
 # the most states reachable from initialization that ``is_monotone`` reads;
-# a state's split tree over R can still have 2^|R| leaves
+# a state's region tree over R can still have 2^|R| leaves
 CERTIFICATE_GUARD = 10
 
 
@@ -254,6 +259,8 @@ class Automaton:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     # step's memo: per state index, neighborhood mask -> target index
     step_memo: list[dict[int, int]] = field(init=False, repr=False, compare=False)
+    # region's memo: (state index, states in, states undecided) -> its walk
+    region_memo: dict[tuple[int, int, int], tuple[int, int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bits < 0:
@@ -299,6 +306,7 @@ class Automaton:
                     raise AutomatonFormatError(f"state {q!r}: guard references undeclared states {sorted(bad)!r}")
                 masks.update({s: self.mask(s) for s in named})
         object.__setattr__(self, "step_memo", [{} for _ in self.states])
+        object.__setattr__(self, "region_memo", {})
 
     def mask(self, states: Iterable[str]) -> int:
         """The state mask of a set of state names."""
@@ -324,7 +332,15 @@ class Automaton:
         first rule that ``_decide`` does not find false on all of the region
         holds on all of it, else ``(-1, split, targets)`` with ``split`` a
         state of ``free`` that rule depends on and ``targets`` the mask of
-        the targets of every rule that may fire in the region."""
+        the targets of every rule that may fire in the region.  Memoized in
+        ``region_memo``."""
+        out = self.region_memo.get((q, inn, free))
+        if out is None:
+            out = self.region_memo[q, inn, free] = self._region(q, inn, free)
+        return out
+
+    def _region(self, q: int, inn: int, free: int) -> tuple[int, int, int]:
+        """``region`` without its memo."""
         masks, index = self._cache["masks"], self.index
         split = targets = 0
         for rule in self.rules[self.states[q]]:
@@ -367,19 +383,15 @@ class Automaton:
         return memo[key]
 
     def _successors(self, q: str, within: frozenset[str]) -> frozenset[str]:
-        """{ delta(q, N) != q : N subset of ``within`` }, memoized per (q,
-        ``within``).  The neighborhoods are split one state at a time into
-        regions (DPLL style), each walked by ``region``: a decided region
-        records its target, and an undecided one is split on its ``split``
-        state only while some rule that may fire on it has a target not yet
-        found.  More than 2^SUBSET_ENUMERATION_GUARD regions raise
-        ``AutomatonTooLarge``."""
-        memo = self._cache.setdefault("successors", {})
-        if (q, within) in memo:
-            return memo[q, within]
-        i = self.index[q]
+        """{ delta(q, N) != q : N subset of ``within`` }, read off q's region
+        tree: a decided region records its target, and an undecided one is
+        split on its ``split`` state, only while some rule that may fire on
+        it has a target not yet found, and into its out half only when that
+        state is outside ``within``.  More than 2^SUBSET_ENUMERATION_GUARD
+        regions raise ``AutomatonTooLarge``."""
+        i, drawn = self.index[q], self.mask(within)
         found = 1 << i  # a self-loop is not recorded
-        regions = [(0, self.mask(within))]  # (states in N, states not yet decided)
+        regions = [(0, (1 << len(self.states)) - 1)]  # (states in N, states not yet decided)
         budget = 1 << SUBSET_ENUMERATION_GUARD
         while regions:
             budget -= 1
@@ -391,9 +403,10 @@ class Automaton:
             if not split:
                 found |= 1 << target
             elif targets & ~found:
-                regions += [(inn, free ^ split), (inn | split, free ^ split)]
-        memo[q, within] = frozenset(self.states[t] for t in _bits(found ^ 1 << i))
-        return memo[q, within]
+                regions.append((inn, free ^ split))
+                if split & drawn:
+                    regions.append((inn | split, free ^ split))
+        return frozenset(self.states[t] for t in _bits(found ^ 1 << i))
 
     def trace_length_bound(self, start: Iterable[str] | None = None) -> int | None:
         """The number of states in the longest trace from ``start`` (default:
@@ -449,10 +462,9 @@ class Automaton:
         accepting.  Every verdict is therefore the same under every timing,
         lossy or lossless.
 
-        The subsets F of R are not listed: each state's step is split into
-        regions of neighborhoods, DPLL style (Davis, Logemann and Loveland
-        1962), until ``region`` decides each one, and 2 to 4 are checked
-        region against region (``_monotone``).  More than
+        The subsets F of R are not listed: 2 to 4 are checked on cubes of
+        them against two states' region trees at once (``_monotone``), split
+        DPLL style (Davis, Logemann and Loveland 1962).  More than
         CERTIFICATE_GUARD states in R returns False before any region is
         walked."""
         if "monotone" not in self._cache:
@@ -509,8 +521,8 @@ def _monotone(a: Automaton) -> bool:
     coming from the state diagram on R.  1 is read off ``up``; 2 is checked
     for q2 a successor of q only, since the steps generate <= and <= is
     transitive; 3 and 4 per q and y, over the F that miss y.  The subsets F
-    of R are never listed: each state's step is one ``_split_tree`` over R,
-    and ``_cubes_hold`` walks two trees at once."""
+    of R are never listed: ``_cubes_hold`` walks two states' region trees
+    at once, over cubes of subsets of R."""
     diagram = a.state_diagram(a.init.values())
     if len(diagram) > CERTIFICATE_GUARD:
         return False
@@ -535,68 +547,56 @@ def _monotone(a: Automaton) -> bool:
         return not s2 & ~meets[s]
 
     within = sum(1 << q for q in states)
-    trees = {q: _split_tree(a, q, 0, within) for q in states}
-    if not all(_cubes_hold(trees[q], trees[q2], 0, 0, within, lambda s, s2, reach: below(s, s2))
+    if not all(_cubes_hold(a, q, q2, 0, within, lambda s, s2, reach: below(s, s2))
                for q in states for q2 in successors[q]):
         return False
     for y in states:
         def raised_and_dropped(s: int, s2: int, reach: int, y: int = y) -> bool:
             return (not reach & down[y] or below(s, s2)) and (not reach & up[y] or below(s2, s))
 
-        if not all(_cubes_hold(trees[q], trees[q], 1 << y, 0, within ^ 1 << y, raised_and_dropped)
-                   for q in states):
+        if not all(_cubes_hold(a, q, q, 1 << y, within, raised_and_dropped) for q in states):
             return False
     return True
 
 
-# a split tree: a target index, or (split, subtree without it, subtree with it, targets below)
-SplitTree = Union[int, tuple]
+def _descend(a: Automaton, q: int, left: int, inn: int, free: int, within: int) -> tuple[int, int, int]:
+    """The region of state ``q``'s tree that holds the cube of neighborhoods
+    that hold ``inn`` and may hold ``free``, from the one whose states not
+    yet split are ``left`` (a split on a state outside ``free`` is
+    followed): its states not yet split, its split state (0 when decided)
+    and the targets it may reach, cut to ``within``, which the cube is drawn
+    from and which is closed under step."""
+    while True:
+        target, split, targets = a.region(q, inn & ~left, left)
+        if not split:
+            return left, 0, 1 << target
+        if split & free:
+            return left, split, targets & within
+        left ^= split
 
 
-def _split_tree(a: Automaton, q: int, inn: int, free: int) -> SplitTree:
-    """Step of state ``q`` on the neighborhoods that hold ``inn``, may hold
-    ``free`` and hold no other, as a tree: the target where ``region``
-    decides, else the trees of the two halves on either side of its split
-    state (DPLL style, as in ``_successors``, but never pruned), with the
-    mask of every target they reach."""
-    target, split, _ = a.region(q, inn, free)
-    if not split:
-        return target
-    out = _split_tree(a, q, inn, free ^ split)
-    held = _split_tree(a, q, inn | split, free ^ split)
-    return split, out, held, _reached(out) | _reached(held)
-
-
-def _reached(tree: SplitTree) -> int:
-    """The mask of the targets ``tree`` reaches."""
-    return 1 << tree if type(tree) is int else tree[3]
-
-
-def _restrict(tree: SplitTree, inn: int, free: int) -> SplitTree:
-    """The subtree of ``tree`` on the neighborhoods that hold ``inn`` and may
-    hold ``free``: every split on a state outside ``free`` is followed."""
-    while type(tree) is tuple and not tree[0] & free:
-        tree = tree[2] if tree[0] & inn else tree[1]
-    return tree
-
-
-def _cubes_hold(tree: SplitTree, tree2: SplitTree, y: int, inn: int, free: int,
+def _cubes_hold(a: Automaton, q: int, q2: int, y: int, within: int,
                 holds: Callable[[int, int, int], bool]) -> bool:
-    """Whether ``holds(s, s2, reach)`` on every cube of neighborhoods F that
-    hold ``inn`` and may hold ``free``, split one state at a time: s is the
-    mask of the targets ``tree`` reaches on F, s2 that of ``tree2`` on
-    F | ``y``, and reach the states some F of the cube holds.  A cube that
-    ``holds`` rejects is split on a state one of the trees splits on; once
-    neither does, s and s2 are the one target each takes on the whole cube,
-    and a rejection is a counterexample."""
-    tree, tree2 = _restrict(tree, inn, free), _restrict(tree2, inn | y, free)
-    if holds(_reached(tree), _reached(tree2), inn | free):
-        return True
-    if type(tree) is int and type(tree2) is int:
-        return False
-    split = (tree if type(tree) is tuple else tree2)[0]
-    return (_cubes_hold(tree, tree2, y, inn, free ^ split, holds)
-            and _cubes_hold(tree, tree2, y, inn | split, free ^ split, holds))
+    """Whether ``holds(s, s2, reach)`` on every cube of neighborhoods F
+    drawn from ``within`` without ``y``: s is the mask of the targets state
+    ``q`` may reach on F, s2 that of ``q2`` on F | ``y``, and reach the
+    states some F of the cube holds.  A cube that ``holds`` rejects is split
+    on a state one of the two region trees splits on; once neither does, s
+    and s2 are the one target each takes on the whole cube, and a rejection
+    is a counterexample."""
+    root = (1 << len(a.states)) - 1
+    cubes = [(0, within ^ y, root, root)]
+    while cubes:
+        inn, free, left, left2 = cubes.pop()
+        left, split, s = _descend(a, q, left, inn, free, within)
+        left2, split2, s2 = _descend(a, q2, left2, inn | y, free, within)
+        if holds(s, s2, inn | free):
+            continue
+        if not (split or split2):
+            return False
+        split = split or split2
+        cubes += [(inn, free ^ split, left, left2), (inn | split, free ^ split, left, left2)]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -711,19 +711,19 @@ def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
     """The domain nodes that visit an accepting state in the synchronous
     run, on every digraph of the domain at once.  Each occupied state q
     holds the mask of the nodes in q.  A step splits each such mask, DPLL
-    style, by ``Automaton.region``: a part whose region is undecided is cut
-    on ``dia`` of the nodes in the split state, into the nodes with an
-    in-neighbour in it and the rest, until each part's region is decided
-    and the part moves to its target.  The regions are memoized per (q,
-    states in, states undecided) in ``a._cache``.  The run is deterministic
+    style, by ``Automaton.region`` from the root of q's region tree: a part
+    whose region is undecided is cut on ``dia`` of the nodes in the split
+    state, into the nodes with an in-neighbour in it and the rest (all of
+    them, when no node is in that state), until each part's region is
+    decided and the part moves to its target.  The run is deterministic
     over finitely many configurations, so it is simulated until the whole
     configuration repeats or for |Q|^m configurations, whichever comes
     first: each digraph's own run has by then shown every configuration it
     ever reaches, and acceptance is decided exactly.  (Digraphs whose runs
     cycle with different periods repeat jointly only after the lcm of the
     periods.)"""
-    memo = a._cache.setdefault("regions", {})
-    dia, accepting = domain.dia, a.mask(a.accepting)
+    dia, accepting, memo = domain.dia, a.mask(a.accepting), a.region_memo
+    root = (1 << len(a.states)) - 1
     states: dict[int, int] = {}  # occupied state -> its nodes
     for w, nodes in domain.words.items():
         q = a.index[a.init[w]]
@@ -740,24 +740,22 @@ def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
             return visited
         seen.add(key)
         has = {1 << q: dia(nodes) for q, nodes in states.items()}  # nodes with an in-neighbour in q
-        occupied = sum(has)
         new: dict[int, int] = {}
         for q, nodes in states.items():
-            parts = [(nodes, 0, occupied)]  # (nodes, states in, states undecided)
+            parts = [(nodes, 0, root)]  # (nodes, states in, states undecided)
             while parts:
                 rest, inn, free = parts.pop()
-                region = memo.get((q, inn, free))
-                if region is None:
-                    region = memo[q, inn, free] = a.region(q, inn, free)
-                target, split, _ = region
-                if not split:
-                    new[target] = new.get(target, 0) | rest
-                    continue
-                near = rest & has[split]
-                if near:
-                    parts.append((near, inn | split, free ^ split))
-                if near != rest:
-                    parts.append((rest ^ near, inn, free ^ split))
+                target, split, _ = memo.get((q, inn, free)) or a.region(q, inn, free)
+                while split:  # the nodes near split go in, the rest out
+                    free ^= split
+                    near = rest & has.get(split, 0)
+                    if near == rest:
+                        inn |= split
+                    elif near:
+                        parts.append((near, inn | split, free))
+                        rest ^= near
+                    target, split, _ = memo.get((q, inn, free)) or a.region(q, inn, free)
+                new[target] = new.get(target, 0) | rest
         states = new
 
 

@@ -154,7 +154,7 @@ def test_128_states_without_the_scan():
 def test_reachable_pass_derives_only_the_last_states_it_reaches():
     a = six_variables()
     reach = a.traces(start=a.init.values())
-    derived = {q for q, _ in a._cache["successors"]}
+    derived = {a.states[q] for q, _, _ in a.region_memo}
     assert derived == {t[-1] for t in reach} and len(derived) == 26
 
 
