@@ -32,10 +32,12 @@ every state a run visits, and the run engine's bound, the certificate and
 compile-down read it there.
 
 ``is_monotone`` is a certificate, over the states reachable from
-initialization, that the automaton gives the same verdicts under every
-timing on every digraph, checked on the same region trees;
-``check_consistency`` and ``fuzz_consistency`` ask it before they explore or
-sample.
+initialization and the fronts a node in each of them can read (Front),
+that the automaton gives the same verdicts under every timing on every
+digraph.  It walks each state's region tree once, cut to its Front, and
+certifies the flagship ``samples/safe_one.json`` as well as compile-ups of
+least fixpoints; ``check_consistency`` and ``fuzz_consistency`` ask it
+before they explore or sample.
 """
 
 from __future__ import annotations
@@ -426,47 +428,69 @@ class Automaton:
         It is read over R, the states of ``state_diagram(init states)``:
         every state a node can be in, a set closed under step(q, F) for q in
         R and F a subset of R.  Let <= be the reflexive-transitive closure of
-        q -> step(q, F) on R.  The automaton is certified when it is
-        quasi-acyclic (so <= is antisymmetric) and, for every q <= q2 in R
-        and every F and F | {y} that are subsets of R:
+        q -> step(q, F) on R, up(F) the states >= some member of F, and
+        F ⊑ G (Egli-Milner) when every member of F is <= some member of G
+        and every member of G is >= some member of F.  Front, the fronts a
+        node in each state of R can read, is the least map from R to subsets
+        of R in which
+
+        - Front(i) holds up(I) for each initialization state i, I the set
+          of them;
+        - Front(t) holds up(F) when step(q, F) = t != q for an F that is a
+          subset of Front(q).
+
+        The automaton is certified when it is quasi-acyclic on R (so <= is
+        a partial order) and
 
         1. accepting states are upward closed under <=;
-        2. step(q, F) <= step(q2, F);
-        3. step(q, F) <= step(q, F | {y}) when some x in F has x <= y;
-        4. step(q, F | {y}) <= step(q, F) when some z in F has y <= z.
+        2. step(s, F) <= q for every s <= q in R, every F ⊆ Front(s) and
+           every G ⊆ Front(q) with step(q, G) = q and F ⊑ G.
 
-        3 adds a state above a member of F, 4 drops one below another
-        member.  Together they generate the Egli-Milner order on front sets
-        (F ⊑ G when every member of F is <= some member of G and every
-        member of G is >= some member of F: add all of G, then drop the rest
-        of F), so step is monotone in that order, as both ``dia`` and ``box``
-        guards of a least fixpoint are.  Least-fixpoint approximants only
-        grow: this is the chaotic-iteration argument for monotone operators
-        (Cousot and Cousot 1977).
+        Least-fixpoint approximants only grow, and ``dia`` and ``box``
+        guards are monotone in ⊑: this is the chaotic-iteration argument
+        for monotone operators (Cousot and Cousot 1977).  2 asks it only of
+        the front sets runs can produce.  The conditions it replaces,
+        step(q, F) <= step(q2, F) for q <= q2 and step monotone in ⊑, both
+        over every subset of R, imply it: step(s, F) <= step(q, F) <=
+        step(q, G) = q.  The converse fails on the flagship
+        ``safe_one.json``: step(q2, {q3}) = q3 and step(q4, {q3}) = q4 are
+        incomparable, but Front(q4) = {q4, q5}.
 
-        Proof.  Take a quiescent configuration Y that some run on a digraph
-        reaches, and any run on the same digraph.  By induction over
-        single-entity steps, every node state of that run is <= the node's
-        state in Y, and every buffer entry is <= its writer's.  Initially
-        every node v is in its initialization state, the first state of
-        v's trace in the run to Y, and a trace is a <=-chain, so it is
-        <= Y_v; each buffer holds its writer's initial state.  A pop removes
-        an entry; a push copies its writer's new state.  A move takes v from
-        s <= Y_v to step(s, F), where F holds the fronts f_u of v's incoming
-        buffers, each f_u <= Y_u.  Every buffer is nonempty, so F ⊑ G =
-        {Y_u}, and step(s, F) <= step(Y_v, F) <= step(Y_v, G) = Y_v, by 2,
-        then 3 and 4, then Y's quiescence.  So any two quiescent
-        configurations that runs reach are each <= the other, and they are
-        equal.  A node's trace is a <=-chain that ends at its final state,
-        so by 1 it visited an accepting state iff that final state is
-        accepting.  Every verdict is therefore the same under every timing,
-        lossy or lossless.
+        Lemma (Front is sound).  In any run, every front of a node in state
+        q is in Front(q).  A buffer is never empty and holds states of its
+        writer's trace in order: a pop moves the front to a later entry and
+        a push appends the writer's new state.  So a front only moves up its
+        writer's trace, a <=-chain.  At the start every node is in its
+        initialization state and every front is an initialization state, so
+        while the node stays there its fronts are in up(I).  A node that
+        moves from q to t != q reads fronts F ⊆ Front(q), by induction, and
+        from then on each of its fronts is >= the one it read, so in up(F),
+        a subset of Front(t).
 
-        The subsets F of R are not listed: 2 to 4 are checked on cubes of
-        them against two states' region trees at once (``_monotone``), split
-        DPLL style (Davis, Logemann and Loveland 1962).  More than
-        CERTIFICATE_GUARD states in R returns False before any region is
-        walked."""
+        Proof (one quiescent configuration).  Take a quiescent configuration
+        Y that some run on a digraph reaches, and any run on the same
+        digraph.  By induction over single-entity steps, every node state of
+        that run is <= the node's state in Y, and every buffer entry is <=
+        its writer's.  Initially every node v is in its initialization
+        state, the first state of v's trace in the run to Y, and a trace is
+        a <=-chain, so it is <= Y_v; each buffer holds its writer's initial
+        state.  A pop removes an entry; a push copies its writer's new
+        state.  A move takes v from s <= Y_v to step(s, F), where F holds
+        the fronts f_u of v's incoming buffers, each f_u <= Y_u, and F is a
+        subset of Front(s) by the lemma.  Every buffer is nonempty, so
+        F ⊑ G = {Y_u}.  G is a subset of Front(Y_v), by the lemma on the run
+        to Y, and step(Y_v, G) = Y_v, by Y's quiescence, so step(s, F) <=
+        Y_v by 2.  So any two quiescent configurations that runs reach are
+        each <= the other, and they are equal.  A node's trace is a
+        <=-chain that ends at its final state, so by 1 it visited an
+        accepting state iff that final state is accepting.  Every verdict is
+        therefore the same under every timing, lossy or lossless.
+
+        The subsets of R are not listed: Front and 2 are read off each
+        state's region tree, cut to its Front, as cubes of neighborhoods
+        (``_monotone``), split DPLL style (Davis, Logemann and Loveland
+        1962).  More than CERTIFICATE_GUARD states in R returns False before
+        any region is walked."""
         if "monotone" not in self._cache:
             self._cache["monotone"] = self.trace_length_bound(self.init.values()) is not None and _monotone(self)
         return self._cache["monotone"]
@@ -518,85 +542,94 @@ class Automaton:
 def _monotone(a: Automaton) -> bool:
     """The conditions of ``Automaton.is_monotone`` on a quasi-acyclic
     automaton, on masks: bit r of ``up[q]`` says q <= r, the successors
-    coming from the state diagram on R.  1 is read off ``up``; 2 is checked
-    for q2 a successor of q only, since the steps generate <= and <= is
-    transitive; 3 and 4 per q and y, over the F that miss y.  The subsets F
-    of R are never listed: ``_cubes_hold`` walks two states' region trees
-    at once, over cubes of subsets of R."""
+    coming from the state diagram on R, and bit x of ``down[y]`` says
+    x <= y.  1 is read off ``up``.  Front comes from each state's decided
+    regions cut to its Front (``_leaves``), taken predecessors first, so
+    that each Front is whole before its state is walked: a region of q
+    with target t != q adds up(inn | free) to Front(t).  2 pairs, for each
+    q, the regions of q that keep q (the G side) with those of every s <= q
+    whose target is not <= q (the F side); a pair that holds some F ⊑ G
+    (``_paired``) is a counterexample."""
     diagram = a.state_diagram(a.init.values())
     if len(diagram) > CERTIFICATE_GUARD:
         return False
-    states = [a.index[q] for q in diagram]
     successors = {a.index[q]: [a.index[r] for r in found] for q, found in diagram.items()}
+    order = list(graphlib.TopologicalSorter(successors).static_order())  # successors first
     up = {}
-    for q in graphlib.TopologicalSorter(successors).static_order():  # successors first
+    for q in order:
         up[q] = 1 << q
         for r in successors[q]:
             up[q] |= up[r]
-    down = {y: sum(1 << x for x in states if up[x] >> y & 1) for y in states}
+    down = {y: sum(1 << x for x in order if up[x] >> y & 1) for y in order}
     accepting = a.mask(a.accepting)
-    if any(up[q] & ~accepting for q in states if accepting >> q & 1):
+    if any(up[q] & ~accepting for q in order if accepting >> q & 1):
         return False
 
-    meets = {}  # target mask -> the states >= each of its states
+    @functools.cache
+    def above(mask: int) -> int:
+        """up(mask)."""
+        return functools.reduce(int.__or__, (up[x] for x in _bits(mask)), 0)
 
-    def below(s: int, s2: int) -> bool:
-        """Every state of mask s is <= every state of mask s2."""
-        if s not in meets:
-            meets[s] = functools.reduce(int.__and__, (up[t] for t in _bits(s)))
-        return not s2 & ~meets[s]
+    @functools.cache
+    def below(mask: int) -> int:
+        """The states <= some state of mask."""
+        return functools.reduce(int.__or__, (down[y] for y in _bits(mask)), 0)
 
-    within = sum(1 << q for q in states)
-    if not all(_cubes_hold(a, q, q2, 0, within, lambda s, s2, reach: below(s, s2))
-               for q in states for q2 in successors[q]):
-        return False
-    for y in states:
-        def raised_and_dropped(s: int, s2: int, reach: int, y: int = y) -> bool:
-            return (not reach & down[y] or below(s, s2)) and (not reach & up[y] or below(s2, s))
-
-        if not all(_cubes_hold(a, q, q, 1 << y, within, raised_and_dropped) for q in states):
-            return False
+    starts = a.mask(a.init.values())
+    front = {q: above(starts) if starts >> q & 1 else 0 for q in order}
+    leaves = {}
+    for q in reversed(order):
+        leaves[q] = _leaves(a, q, front[q])
+        for inn, free, t in leaves[q]:
+            if t != q:
+                front[t] |= above(inn | free)
+    for q in order:
+        keeps = [(inn, free) for inn, free, t in leaves[q] if t == q]
+        for s in _bits(down[q]):
+            for inn, free, t in leaves[s]:
+                if not up[t] >> q & 1 and any(_paired(inn, free, g, g_free, above, below) for g, g_free in keeps):
+                    return False
     return True
 
 
-def _descend(a: Automaton, q: int, left: int, inn: int, free: int, within: int) -> tuple[int, int, int]:
-    """The region of state ``q``'s tree that holds the cube of neighborhoods
-    that hold ``inn`` and may hold ``free``, from the one whose states not
-    yet split are ``left`` (a split on a state outside ``free`` is
-    followed): its states not yet split, its split state (0 when decided)
-    and the targets it may reach, cut to ``within``, which the cube is drawn
-    from and which is closed under step."""
-    while True:
-        target, split, targets = a.region(q, inn & ~left, left)
-        if not split:
-            return left, 0, 1 << target
-        if split & free:
-            return left, split, targets & within
-        left ^= split
-
-
-def _cubes_hold(a: Automaton, q: int, q2: int, y: int, within: int,
-                holds: Callable[[int, int, int], bool]) -> bool:
-    """Whether ``holds(s, s2, reach)`` on every cube of neighborhoods F
-    drawn from ``within`` without ``y``: s is the mask of the targets state
-    ``q`` may reach on F, s2 that of ``q2`` on F | ``y``, and reach the
-    states some F of the cube holds.  A cube that ``holds`` rejects is split
-    on a state one of the two region trees splits on; once neither does, s
-    and s2 are the one target each takes on the whole cube, and a rejection
-    is a counterexample."""
-    root = (1 << len(a.states)) - 1
-    cubes = [(0, within ^ y, root, root)]
+def _leaves(a: Automaton, q: int, within: int) -> list[tuple[int, int, int]]:
+    """The decided regions of state ``q``'s tree cut to the neighborhoods
+    drawn from ``within``, as cubes ``(inn, free, target)``: the
+    neighborhoods that hold ``inn`` and may hold ``free``, both subsets of
+    ``within``, on all of which q steps to ``target``.  A cube is walked
+    from the region its parent split into, whose states not yet split are
+    ``left``: a split on a state of the cube's ``free`` makes two cubes, and
+    a split on any other state is followed into the half the cube lies in,
+    so every region is read once."""
+    out = []
+    cubes = [(0, within, (1 << len(a.states)) - 1)]
     while cubes:
-        inn, free, left, left2 = cubes.pop()
-        left, split, s = _descend(a, q, left, inn, free, within)
-        left2, split2, s2 = _descend(a, q2, left2, inn | y, free, within)
-        if holds(s, s2, inn | free):
-            continue
-        if not (split or split2):
-            return False
-        split = split or split2
-        cubes += [(inn, free ^ split, left, left2), (inn | split, free ^ split, left, left2)]
-    return True
+        inn, free, left = cubes.pop()
+        target, split, _ = a.region(q, inn & ~left, left)
+        if not split:
+            out.append((inn, free, target))
+        elif split & free:
+            cubes += [(inn, free ^ split, left ^ split), (inn | split, free ^ split, left ^ split)]
+        else:
+            cubes.append((inn, free, left ^ split))
+    return out
+
+
+def _paired(inn: int, free: int, g_inn: int, g_free: int,
+            above: Callable[[int], int], below: Callable[[int], int]) -> bool:
+    """Whether some F of the cube (``inn``, ``free``) and some G of the cube
+    (``g_inn``, ``g_free``) have F ⊑ G.  Such pairs are closed under union,
+    so the largest pair under the two cubes' tops is the greatest fixpoint
+    that drops from F each state not <= a state of G (``below``) and from G
+    each state not >= a state of F (``above``); a pair exists iff that one
+    still holds both ``inn`` sets."""
+    f, g = inn | free, g_inn | g_free
+    while True:
+        f2 = f & below(g)
+        g2 = g & above(f2)
+        if (f2, g2) == (f, g):
+            return not (inn & ~f or g_inn & ~g)
+        f, g = f2, g2
 
 
 # ---------------------------------------------------------------------------

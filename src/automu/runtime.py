@@ -30,11 +30,12 @@ prove one graph consistent; either way no engine runs.  ``fuzz_consistency``
 settles what it can before that, from the integers a graph is drawn as
 (``random_indices``): a graph no node of which moves at the start
 (``_index_movers``, which shares ``_initial_targets`` with ``_Net``), and
-every graph that moves once the certificate holds.  Only the other graphs
-are built as a ``Digraph`` and a ``_Net``.  ``async_step``,
-``is_quiescent``, ``sync_step`` and ``initial_configuration`` are the
-single-step API on named configurations and the reference the engine is
-tested against.
+every graph that moves once the certificate holds, as it does for the
+flagship ``samples/safe_one.json`` and the compile-ups of the criterion-4
+formulas.  Only the other graphs are built as a ``Digraph`` and a
+``_Net``.  ``async_step``, ``is_quiescent``, ``sync_step`` and
+``initial_configuration`` are the single-step API on named configurations
+and the reference the engine is tested against.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from automu.transform import formula_to_automaton
 from automu.zoo import safe_one_formula
 from strategies import automata, make_system, seeds
 from test_harness import block_digraph
-from test_runtime import reference_monotone, sync_step_accepting_nodes
+from test_runtime import reference_front_monotone, sync_step_accepting_nodes
 from test_transform import SIX_VARIABLES
 
 
@@ -51,7 +51,7 @@ def assert_order_independent(a: Automaton, rng: random.Random) -> None:
     b = parse_automaton(text)
     if len(b.states) <= 12:  # the reference scan lists 2^|Q| neighborhoods
         assert (forward["diagrams"][-1] is not None) == b.is_quasi_acyclic()
-    assert forward["monotone"] == reference_monotone(b)
+    assert forward["monotone"] == reference_front_monotone(b)
     for (m, block), got in zip(blocks(b.bits), forward["kernel"]):
         width = slice_width(m, b.bits)
         for j in range(width) if width <= 64 else rng.sample(range(width), 16):
