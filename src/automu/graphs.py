@@ -34,8 +34,9 @@ class Digraph:
     """Immutable labeled digraph.
 
     Invariants (checked on construction): the node list is nonempty and free
-    of duplicates, every node has a label of exactly ``bits`` characters from
-    ``{'0','1'}``, and every edge endpoint is a declared node.
+    of duplicates, no node id contains ``->``, every node has a label of
+    exactly ``bits`` characters from ``{'0','1'}``, and every edge endpoint
+    is a declared node.
     """
 
     bits: int
@@ -51,6 +52,9 @@ class Digraph:
         if len(set(self.nodes)) != len(self.nodes):
             dup = next(n for n in self.nodes if self.nodes.count(n) > 1)
             raise GraphFormatError(f"duplicate node id {dup!r}")
+        arrow = next((n for n in self.nodes if "->" in n), None)
+        if arrow is not None:  # a timing document names the edge (u, v) "u->v"
+            raise GraphFormatError(f"node id {arrow!r} contains '->', which timing documents use to name an edge")
         declared = set(self.nodes)
         if set(self.labels) != declared:
             odd = set(self.labels) ^ declared

@@ -14,10 +14,12 @@ this collapses to the synchronous semantics, where each buffer always holds
 exactly the writer's current state.
 
 Runs are infinite in principle; here they are replaced by finite timing
-prefixes plus quiescence detection.  A configuration is quiescent when a
-fully-active step changes nothing and every buffer holds exactly its writer's
-state; quiescence is absorbing under any timing, so verdicts at quiescence
-are definitive.
+prefixes plus quiescence detection.  The prefixes come from
+``TimingSampler``, which draws each step by its definition: one ``random()``
+per entity that is not starved.  A configuration is quiescent when a
+fully-active step changes nothing and every buffer holds exactly its
+writer's state; quiescence is absorbing under any timing, so verdicts at
+quiescence are definitive.
 
 ``async_run`` and ``check_consistency``'s sampled loop run on one engine,
 ``_run``, over an automaton and a graph compiled once into indices
@@ -40,16 +42,14 @@ and the reference the engine is tested against.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .automata import Automaton, NotQuasiAcyclic, Trace, _bits, trace_popfirst, trace_pushlast
+from .automata import Automaton, NotQuasiAcyclic, Trace, trace_popfirst, trace_pushlast
 from .graphs import (
     BitWidthMismatch,
     Digraph,
@@ -234,79 +234,33 @@ def is_quiescent(a: Automaton, g: Digraph, c: Configuration) -> bool:
 # ---------------------------------------------------------------------------
 # timing sampler
 
-_MAX_BLOCK = 64  # the most steps drawn in one call, so a large starvation bound draws no further ahead
-# a translation of bytes to the digits "1" (active) and "0": bit 53 of a
-# 64-bit lane, set iff its draw is inactive, is bit 5 of the lane's second
-# most significant byte
-_ACTIVE_DIGIT = bytes(0x30 if b & 0x20 else 0x31 for b in range(256))
-
-
-@functools.lru_cache(maxsize=64)
-def _lane_masks(lanes: int, threshold: int) -> tuple[int, int, int, int]:
-    """Over ``lanes`` 64-bit lanes: in each, the bits of the first word
-    ``random()`` keeps, the 26 bits of the second word it keeps once
-    shifted down, and the bias that carries the lane's 53-bit draw into bit
-    53 iff the draw is >= threshold; and the number of lanes."""
-    rep = ((1 << 64 * lanes) - 1) // ((1 << 64) - 1)
-    return 0xFFFFFFE0 * rep, 0x3FFFFFF * rep, ((1 << 53) - threshold) * rep, lanes
-
-
-def _draw(rng: random.Random, k: int, masks: tuple[int, int, int, int]) -> int:
-    """k draws of ``rng.random() < p`` from one ``getrandbits`` call, with
-    ``masks`` from ``_lane_masks`` for threshold ceil(p * 2^53) and at
-    least k lanes, as a mask whose bit i is draw i.  random() reads two
-    32-bit words w0 and w1 and returns ((w0 >> 5) * 2^26 + (w1 >> 6)) / 2^53,
-    so it is below p iff that 53-bit integer is below the threshold.
-    getrandbits(64 k) reads the same words in the same order, least
-    significant first: 64-bit lane i holds draw i's w0 low and w1 high, and
-    all lanes are compared at once (the masks repeat per lane, so the bias
-    is cut to k lanes by a shift)."""
-    if not k:
-        return 0
-    first, second, bias, lanes = masks
-    r = rng.getrandbits(64 * k)
-    x = ((r & first) << 21 | r >> 38 & second) + (bias >> 64 * (lanes - k))
-    return int(x.to_bytes(8 * k, "big")[1::8].translate(_ACTIVE_DIGIT), 2)
-
-
 def _sample(g: Digraph, p_active: float, starvation_bound: int, lossless: bool,
             rng: random.Random) -> Iterator[int]:
     """The sampler's steps as masks (see ``TimingSampler``).  An entity is
-    starved when it was inactive in each of the last K-1 steps.  When the
-    longest any entity has been inactive is i < K-1 steps, none can starve
-    in the next K-1-i, so those are drawn at once, from one call."""
-    n, size = len(g.nodes), len(g.nodes) + len(g.edges)
-    full = (1 << size) - 1
-    # for the largest draw; random() < p iff its 53-bit integer < ceil(p * 2^53)
-    masks = _lane_masks(size * max(1, min(starvation_bound - 1, _MAX_BLOCK)), math.ceil(p_active * 2**53))
+    starved when it was inactive in each of the last K-1 steps: none is
+    before K-1 steps exist, and every one is at each step when K = 1."""
+    n = len(g.nodes)
+    entities = [1 << i for i in range(n + len(g.edges))]
+    full = (1 << len(entities)) - 1
     # (the edges into a node, as entity bits, and the node's bit)
     deliver = [(into << n, 1 << v) for v, into in enumerate(g.in_edges) if into] if lossless else ()
     recent: deque[int] = deque(maxlen=starvation_bound - 1)
+    draw = rng.random
     while True:
-        # the longest idle stretch: one less than the latest steps needed to activate every entity
-        seen, idle = 0, len(recent)
-        for i, on in enumerate(reversed(recent)):
-            seen |= on
-            if seen == full:
-                idle = i
-                break
-        if idle < recent.maxlen:
-            steps = min(recent.maxlen - idle, _MAX_BLOCK)
-            block = _draw(rng, size * steps, masks)
-        else:
-            starved = full & ~seen
-            steps, block = 1, _draw(rng, size - starved.bit_count(), masks)
-            for i in _bits(starved):  # a starved entity is active and took no draw
-                low = block & (1 << i) - 1
-                block = (block ^ low) << 1 | 1 << i | low
-        for _ in range(steps):
-            on = block & full
-            block >>= size
-            for into, node in deliver:
-                if on & into:
-                    on |= node
-            recent.append(on)
-            yield on
+        starved = 0
+        if len(recent) == recent.maxlen:
+            starved = full
+            for on in recent:
+                starved &= ~on
+        on = starved  # a starved entity is active and takes no draw
+        for bit in entities:
+            if not starved & bit and draw() < p_active:
+                on |= bit
+        for into, node in deliver:
+            if on & into:
+                on |= node
+        recent.append(on)
+        yield on
 
 
 class TimingSampler:
@@ -319,12 +273,13 @@ class TimingSampler:
     as well; edge activations are never removed.
 
     The entities are indexed: the nodes in ``g.nodes`` order, then the edges
-    in sorted order, which is also the order of the random draws: each entity
-    that is not starved is active iff ``random() < p_active``, and a starved
-    one takes no draw.  ``next_bits`` gives a step as a mask whose bit i is
-    entity i, and ``next_step`` wraps the same step into an ``Activation``.
-    Both read one stream, ``_sample``, which ``check_consistency`` runs the
-    engine on directly.
+    in sorted order, which is also the order of the random draws.  Each step
+    takes one ``random()`` per entity that is not starved, which is active
+    iff the draw is below ``p_active``; a starved one takes no draw.
+    ``next_bits`` gives a step as a mask whose bit i is entity i, and
+    ``next_step`` wraps the same step into an ``Activation``.  Both read one
+    stream, ``_sample``, which ``check_consistency`` runs the engine on
+    directly.
     """
 
     def __init__(

@@ -199,6 +199,16 @@ class TestExitCodes:
         assert main(["eval", "--formula", files["safe_one.sexp"], "--graph", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_arrow_in_node_id(self, files, tmp_path, capsys):
+        graph = tmp_path / "arrow.json"
+        graph.write_text(json.dumps({"bits": 1, "nodes": ["a->b", "c"], "labels": {"a->b": "1", "c": "0"},
+                                     "edges": [["a->b", "c"], ["c", "c"]]}))
+        for argv in (["run", "--automaton", files["safe_one.json"], "--graph", str(graph)],
+                     ["eval", "--formula", files["safe_one.sexp"], "--graph", str(graph)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "'a->b'" in err and "Traceback" not in err
+
 
 def _timing_doc():
     return timing_to_dict(sample_timing(chain_graph(), steps=4, seed=0))

@@ -59,6 +59,11 @@ class TestParsing:
         with pytest.raises(GraphFormatError, match="duplicate node id"):
             parse_digraph('{"bits": 0, "nodes": ["u", "u"], "labels": {"u": ""}, "edges": []}')
 
+    def test_arrow_in_node_id(self):
+        # a timing document names the edge (u, v) "u->v", so it could not name this graph's edges
+        with pytest.raises(GraphFormatError, match="node id 'a->b' contains '->'"):
+            parse_digraph('{"bits": 0, "nodes": ["c", "a->b"], "labels": {"a->b": "", "c": ""}, "edges": []}')
+
     def test_missing_label(self):
         with pytest.raises(GraphFormatError, match="labels"):
             parse_digraph('{"bits": 1, "nodes": ["u", "v"], "labels": {"u": "1"}, "edges": []}')
