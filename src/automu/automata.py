@@ -16,7 +16,7 @@ and a walk over the neighborhoods drawn from a set follows only the out
 branch of a split on a state outside it: each state's regions form one tree,
 which the state diagram, the certificate and the synchronous kernel share.
 ``step``, the transition function on the encoding, is ``region`` on one
-neighborhood, memoized per state from the neighborhood mask to the target.
+neighborhood, read from the same memo.
 ``delta`` is ``step`` on state names, and the run engine and the trace
 closure read the encoding.
 
@@ -259,8 +259,6 @@ class Automaton:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the state encoding: state name -> i, bit i of a state mask
     index: dict[str, int] = field(init=False, repr=False, compare=False)
-    # step's memo: per state index, neighborhood mask -> target index
-    step_memo: list[dict[int, int]] = field(init=False, repr=False, compare=False)
     # region's memo: (state index, states in, states undecided) -> its walk
     region_memo: dict[tuple[int, int, int], tuple[int, int, int]] = field(init=False, repr=False, compare=False)
 
@@ -307,7 +305,6 @@ class Automaton:
                 if bad:
                     raise AutomatonFormatError(f"state {q!r}: guard references undeclared states {sorted(bad)!r}")
                 masks.update({s: self.mask(s) for s in named})
-        object.__setattr__(self, "step_memo", [{} for _ in self.states])
         object.__setattr__(self, "region_memo", {})
 
     def mask(self, states: Iterable[str]) -> int:
@@ -319,13 +316,10 @@ class Automaton:
 
     def step(self, q: int, fronts: int) -> int:
         """The transition function on the state encoding: the target of state
-        ``q`` on the neighborhood whose states are the bits of ``fronts``.  A
-        miss of ``step_memo[q]`` is filled by ``region`` on the region that
-        is that one neighborhood, which always decides it."""
-        target = self.step_memo[q].get(fronts)
-        if target is None:
-            target = self.step_memo[q][fronts] = self.region(q, fronts, 0)[0]
-        return target
+        ``q`` on the neighborhood whose states are the bits of ``fronts``:
+        ``region`` on the region that is that one neighborhood, which always
+        decides it."""
+        return self.region(q, fronts, 0)[0]
 
     def region(self, q: int, inn: int, free: int) -> tuple[int, int, int]:
         """The one walk over the rules of state ``q``, first match wins, on

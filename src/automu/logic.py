@@ -553,12 +553,11 @@ class _Stage:
     ``members`` are variable positions and ``bodies`` the slots of their
     bodies; ``ops`` are ``(code, slot, left, right)`` for every compound slot
     whose deepest variable lies in this component, children first.  The
-    leading stage of a plan has no members, is not recursive and holds the
+    leading stage of a plan has no members, so it is run once, and holds the
     variable-free ops."""
 
     members: tuple[int, ...]
     bodies: tuple[int, ...]
-    recursive: bool
     ops: tuple[tuple[int, int, int, int], ...]
 
 
@@ -673,12 +672,11 @@ def _compile(sys: MuSystem) -> _Plan:
             stage_ops[depth[slot]].append((key[0], slot, key[1], key[-1]))
         else:
             depth.append(0)
-    stages = [_Stage((), (), False, tuple(stage_ops[0]))]
+    stages = [_Stage((), (), tuple(stage_ops[0]))]
     for c, members in enumerate(groups):
         stages.append(_Stage(
             members=members,
             bodies=tuple(bodies[j] for j in members),
-            recursive=True,
             ops=tuple(stage_ops[c + 1]),
         ))
     return _Plan(
@@ -715,7 +713,7 @@ def _solve(plan: _Plan, domain: Domain) -> list[int]:
                 vals[dst] = full ^ dia(full ^ vals[a])
 
     for stage in plan.stages:
-        if not stage.recursive:
+        if not stage.members:
             run(stage.ops)
             continue
         slots = [plan.var_slots[j] for j in stage.members]

@@ -295,9 +295,6 @@ class TimingSampler:
         if starvation_bound < 1:
             raise ValueError("starvation_bound must be >= 1")
         self.g = g
-        self.p_active = p_active
-        self.starvation_bound = starvation_bound
-        self.lossless = lossless
         self._masks = _sample(g, p_active, starvation_bound, lossless, random.Random(seed))
 
     def __iter__(self) -> Iterator[Activation]:
@@ -374,7 +371,8 @@ def parse_timing(text: str) -> TimingPrefix:
         if not isinstance(step, dict) or "nodes" not in step or "edges" not in step:
             raise RuntimeFormatError(f"step #{i} needs 'nodes' and 'edges'")
         for part in ("nodes", "edges"):
-            if not (isinstance(step[part], dict) and all(on in (0, 1) for on in step[part].values())):
+            # a JSON true is an int subclass, not the integer 1
+            if not (isinstance(step[part], dict) and all(type(on) is int and on in (0, 1) for on in step[part].values())):
                 raise RuntimeFormatError(f"step #{i}: '{part}' must map ids to 0 or 1")
         edges = {}
         for key, on in step["edges"].items():
@@ -424,12 +422,9 @@ def _initial_targets(a: Automaton, init: Sequence[int], fronts: Sequence[int]) -
     a self-loop included), and the mask of the initial movers, the nodes
     whose target is not their state.  With no movers every run stops at
     step 0."""
-    memo = a.step_memo
     targets, movers = [], 0
     for v, (q, f) in enumerate(zip(init, fronts)):
-        t = memo[q].get(f)
-        if t is None:
-            t = a.step(q, f)
+        t = a.step(q, f)
         targets.append(t)
         if t != q:
             movers |= 1 << v
@@ -464,8 +459,7 @@ class _Net:
     indices in ``g.nodes`` order, edges indices in ``g.sorted_edges`` order
     (the sampler's), states the automaton's own encoding; a step's
     activation is a mask of entities, bit v for node v and bit n + j for
-    edge j.  The engine reads ``Automaton.step``'s memo rows inline and
-    calls ``step`` on a miss."""
+    edge j.  The engine reads each target from ``Automaton.step``."""
 
     def __init__(self, a: Automaton, g: Digraph):
         if a.bits != g.bits:
@@ -495,8 +489,7 @@ class _Net:
         fronts = 0
         for j in self.incoming[w]:
             fronts |= 1 << bufs[j][0]
-        t = self.a.step_memo[q].get(fronts)
-        return self.a.step(q, fronts) if t is None else t
+        return self.a.step(q, fronts)
 
     def extension(self, bufs: list[tuple[int, ...]]) -> Iterator[int]:
         """The fully-active steps that follow a run's supplied ones, until
@@ -578,7 +571,7 @@ def _run(net: _Net, steps: Iterable[int], extend_until_quiescent: bool) -> _Outc
     movers = net.movers
     if not movers:
         return _Outcome(visited, 0, 0, state, bufs, traces)
-    accepting, memo, transition = net.accepting, net.a.step_memo, net.a.step
+    accepting, transition = net.accepting, net.a.step
     incoming, outgoing, out_bits, reader = net.incoming, net.outgoing, net.out_bits, net.reader
     edge0 = len(state)  # the bit of edge 0
     target = net.target[:]
@@ -623,10 +616,7 @@ def _run(net: _Net, steps: Iterable[int], extend_until_quiescent: bool) -> _Outc
             q, fronts = state[w], 0
             for j in incoming[w]:
                 fronts |= 1 << bufs[j][0]
-            t = memo[q].get(fronts)
-            if t is None:
-                t = transition(q, fronts)
-            target[w] = t
+            t = target[w] = transition(q, fronts)
             movers = movers | low if t != q else movers & ~low
         if not (movers or long):
             return _Outcome(visited, step, step, state, bufs, traces)
@@ -678,7 +668,7 @@ def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
     ever reaches, and acceptance is decided exactly.  (Digraphs whose runs
     cycle with different periods repeat jointly only after the lcm of the
     periods.)"""
-    dia, accepting, memo = domain.dia, a.mask(a.accepting), a.region_memo
+    dia, accepting, region = domain.dia, a.mask(a.accepting), a.region
     root = (1 << len(a.states)) - 1
     states: dict[int, int] = {}  # occupied state -> its nodes
     for w, nodes in domain.words.items():
@@ -701,7 +691,7 @@ def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
             parts = [(nodes, 0, root)]  # (nodes, states in, states undecided)
             while parts:
                 rest, inn, free = parts.pop()
-                target, split, _ = memo.get((q, inn, free)) or a.region(q, inn, free)
+                target, split, _ = region(q, inn, free)
                 while split:  # the nodes near split go in, the rest out
                     free ^= split
                     near = rest & has.get(split, 0)
@@ -710,7 +700,7 @@ def sync_accepting_mask(a: Automaton, domain: Domain) -> int:
                     elif near:
                         parts.append((near, inn | split, free))
                         rest ^= near
-                    target, split, _ = memo.get((q, inn, free)) or a.region(q, inn, free)
+                    target, split, _ = region(q, inn, free)
                 new[target] = new.get(target, 0) | rest
         states = new
 

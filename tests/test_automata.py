@@ -212,7 +212,7 @@ class TestStep:
         fuzz_consistency(a, max_nodes=3, graphs=8, timings_per_graph=4, seed=7)
         g = chain_graph()
         async_run(a, g, sample_timing(g, steps=6, seed=3))
-        filled = [(q, fronts, target) for q, row in enumerate(a.step_memo) for fronts, target in row.items()]
+        filled = [(q, fronts, target) for (q, fronts, free), (target, _, _) in a.region_memo.items() if not free]
         assert filled
         for q, fronts, target in filled:
             assert target == rule_list_target(a, q, fronts), (q, fronts)

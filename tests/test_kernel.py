@@ -63,7 +63,7 @@ def test_random_systems(case):
 def test_non_recursive_chain_runs_each_component_once():
     system = parse_formula(
         "(mu ((X0 (dia (var X1))) (X1 (box (var X2))) (X2 (p 0))))", bits=1)
-    assert not any(stage.recursive for stage in _compile(system).stages)
+    assert not any(stage.members for stage in _compile(system).stages)
     g = chain(3)
     assert lfp(system, g) == lfp_iterations(system, g)[0] == {
         "X2": frozenset({"n0"}),
@@ -76,7 +76,7 @@ def test_self_loop_diamond_stays_empty():
     system = parse_formula("(mu ((X (dia (var X)))))", bits=1)
     cycle = Digraph(bits=1, nodes=("u", "v"), labels={"u": "1", "v": "0"},
                     edges=frozenset({("u", "v"), ("v", "u"), ("u", "u")}))
-    assert [stage.recursive for stage in _compile(system).stages] == [False, True]
+    assert [bool(stage.members) for stage in _compile(system).stages] == [False, True]
     assert lfp(system, cycle) == lfp_iterations(system, cycle)[0] == {"X": frozenset()}
 
 

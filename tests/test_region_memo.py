@@ -1,24 +1,28 @@
 """The one region memo, ``Automaton.region_memo``: what the state diagram,
 the certificate and the synchronous kernel answer does not depend on which
-of them fills it first, and no region is derived twice."""
+of them fills it first, and no region is derived twice, by them or by
+``step`` in the run engine and compile-down."""
 
 import collections
 import random
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
 
-from automu.automata import Automaton, automaton_to_json, parse_automaton
+from automu.automata import Automaton, AutomatonTooLarge, automaton_to_json, parse_automaton
 from automu.graphs import Domain, slice_width
 from automu.harness import equiv_exhaustive
 from automu.logic import parse_formula
-from automu.runtime import sync_accepting_mask
-from automu.transform import formula_to_automaton
-from automu.zoo import safe_one_formula
+from automu.runtime import async_run, fuzz_consistency, sample_timing, sync_accepting_mask
+from automu.transform import automaton_to_formula, formula_to_automaton
+from automu.zoo import chain_graph, safe_one_formula
 from strategies import automata, make_system, seeds
 from test_harness import block_digraph
 from test_runtime import reference_front_monotone, sync_step_accepting_nodes
 from test_transform import SIX_VARIABLES
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def blocks(bits: int) -> list[tuple[int, int]]:
@@ -71,9 +75,11 @@ def test_order_independence_on_compile_ups():
 
 
 def test_no_region_is_derived_twice():
+    # the sync probe is not certified, so its fuzz runs the explorer and the engine
     walk = Automaton._region
-    for formula in (safe_one_formula(), parse_formula(SIX_VARIABLES, bits=1)):
-        a = formula_to_automaton(formula)
+    subjects = [(formula_to_automaton(f), f) for f in (safe_one_formula(), parse_formula(SIX_VARIABLES, bits=1))]
+    subjects.append((parse_automaton((SAMPLES / "sync_probe.json").read_text()), None))
+    for a, formula in subjects:
         derived = collections.Counter()
 
         def counted(self, q, inn, free):
@@ -84,6 +90,14 @@ def test_no_region_is_derived_twice():
         with mock.patch.object(Automaton, "_region", counted):
             a.state_diagram(a.init.values())
             a.is_monotone()
-            assert equiv_exhaustive(a, formula, 3).equivalent
+            if formula is not None:
+                assert equiv_exhaustive(a, formula, 3).equivalent
+            fuzz_consistency(a, max_nodes=3, graphs=4, timings_per_graph=3, seed=1)
+            g = chain_graph()
+            async_run(a, g, sample_timing(g, steps=6, seed=3))
+            try:
+                automaton_to_formula(a)
+            except AutomatonTooLarge:  # the closure guard refuses the six-variable compile-up
+                pass
         assert derived and set(derived.values()) == {1}
         assert derived.keys() == a.region_memo.keys()

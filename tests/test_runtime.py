@@ -235,6 +235,15 @@ class TestTimingSampler:
         t = sample_timing(g, steps=7, lossless=True, seed=1)
         assert parse_timing(timing_to_json(t)) == t
 
+    @pytest.mark.parametrize("part", ["nodes", "edges"])
+    @pytest.mark.parametrize("on", [True, False])
+    def test_json_booleans_are_refused(self, part, on):
+        # JSON true and false are not the integers 1 and 0
+        good = {"nodes": {"u": 1, "v": 1}, "edges": {"u->v": 1}}
+        bad = {**good, part: dict.fromkeys(good[part], on)}
+        with pytest.raises(RuntimeFormatError, match=f"step #1: '{part}'"):
+            parse_timing(json.dumps({"lossless": False, "K": 8, "steps": [good, bad]}))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             TimingSampler(chain_graph(), p_active=0.0)
