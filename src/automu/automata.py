@@ -15,6 +15,8 @@ Regions are split, DPLL style, from the root where every state may be held,
 and a walk over the neighborhoods drawn from a set follows only the out
 branch of a split on a state outside it: each state's regions form one tree,
 which the state diagram, the certificate and the synchronous kernel share.
+``_cubes`` is the one walk of a tree cut to a set: pruned to the targets not
+yet found for the state diagram, whole for the certificate.
 ``step``, the transition function on the encoding, is ``region`` on one
 neighborhood, read from the same memo.
 ``delta`` is ``step`` on state names, and the run engine and the trace
@@ -34,7 +36,7 @@ compile-down read it there.
 ``is_monotone`` is a certificate, over the states reachable from
 initialization and the fronts a node in each of them can read (Front),
 that the automaton gives the same verdicts under every timing on every
-digraph.  It walks each state's region tree once, cut to its Front, and
+digraph.  It reads each state's cubes once, its tree cut to its Front, and
 certifies the flagship ``samples/safe_one.json`` as well as compile-ups of
 least fixpoints; ``check_consistency`` and ``fuzz_consistency`` ask it
 before they explore or sample.
@@ -64,7 +66,7 @@ class NotQuasiAcyclic(ValueError):
 
 
 # how many states the reference scan enumerates subsets of, and the log2 of
-# the neighborhood regions ``state_diagram`` may split one state's rules into
+# the neighborhood regions one walk (``_cubes``) may split a state's rules into
 SUBSET_ENUMERATION_GUARD = 20
 # the most states reachable from initialization that ``is_monotone`` reads;
 # a state's region tree over R can still have 2^|R| leaves
@@ -373,36 +375,42 @@ class Automaton:
         memo = self._cache.setdefault("diagrams", {})
         if key not in memo:
             reach, more = None, key
-            while more != reach:
-                reach, more = more, more.union(*(self._successors(q, more) for q in more))
-            memo[key] = {q: self._successors(q, reach) for q in self.states if q in reach}
+            while more != reach:  # a successor of q is a target of q's pruned walk other than q
+                reach, drawn = more, self.mask(more)
+                diagram = {q: frozenset(self.states[t] for *_, t in self._cubes(self.index[q], drawn, prune=True)) - {q}
+                           for q in self.states if q in reach}
+                more = reach.union(*diagram.values())
+            memo[key] = diagram
         return memo[key]
 
-    def _successors(self, q: str, within: frozenset[str]) -> frozenset[str]:
-        """{ delta(q, N) != q : N subset of ``within`` }, read off q's region
-        tree: a decided region records its target, and an undecided one is
-        split on its ``split`` state, only while some rule that may fire on
-        it has a target not yet found, and into its out half only when that
-        state is outside ``within``.  More than 2^SUBSET_ENUMERATION_GUARD
+    def _cubes(self, q: int, within: int, prune: bool = False) -> Iterator[tuple[int, int, int]]:
+        """State ``q``'s region tree cut to the neighborhoods drawn from
+        ``within``, as its decided regions ``(inn, free, target)``: the
+        neighborhoods that hold ``inn`` and may hold ``free``, both subsets
+        of ``within``, on all of which q steps to ``target``.  An undecided
+        region is split on its ``split`` state, into its out half only when
+        that state is outside ``within``, so the cubes partition the
+        neighborhoods drawn from ``within``.  With ``prune`` a region is
+        split only while some rule that may fire on it has a target not yet
+        found, q counting as found.  More than 2^SUBSET_ENUMERATION_GUARD
         regions raise ``AutomatonTooLarge``."""
-        i, drawn = self.index[q], self.mask(within)
-        found = 1 << i  # a self-loop is not recorded
+        found = 1 << q
         regions = [(0, (1 << len(self.states)) - 1)]  # (states in N, states not yet decided)
         budget = 1 << SUBSET_ENUMERATION_GUARD
         while regions:
             budget -= 1
             if budget < 0:
-                raise AutomatonTooLarge(f"state diagram: the rules of state {q!r} split into more than "
-                                        f"2^{SUBSET_ENUMERATION_GUARD} neighborhood regions")
+                raise AutomatonTooLarge(f"state diagram: the rules of state {self.states[q]!r} split into more "
+                                        f"than 2^{SUBSET_ENUMERATION_GUARD} neighborhood regions")
             inn, free = regions.pop()
-            target, split, targets = self.region(i, inn, free)
+            target, split, targets = self.region(q, inn, free)
             if not split:
                 found |= 1 << target
-            elif targets & ~found:
+                yield inn, free & within, target
+            elif not prune or targets & ~found:
                 regions.append((inn, free ^ split))
-                if split & drawn:
+                if split & within:
                     regions.append((inn | split, free ^ split))
-        return frozenset(self.states[t] for t in _bits(found ^ 1 << i))
 
     def trace_length_bound(self, start: Iterable[str] | None = None) -> int | None:
         """The number of states in the longest trace from ``start`` (default:
@@ -482,9 +490,10 @@ class Automaton:
 
         The subsets of R are not listed: Front and 2 are read off each
         state's region tree, cut to its Front, as cubes of neighborhoods
-        (``_monotone``), split DPLL style (Davis, Logemann and Loveland
-        1962).  More than CERTIFICATE_GUARD states in R returns False before
-        any region is walked."""
+        (``_cubes``, read by ``_monotone``), split DPLL style (Davis,
+        Logemann and Loveland 1962).  More than CERTIFICATE_GUARD states in
+        R returns False before any region is walked, and a walk of more than
+        2^SUBSET_ENUMERATION_GUARD regions returns False when it trips."""
         if "monotone" not in self._cache:
             self._cache["monotone"] = self.trace_length_bound(self.init.values()) is not None and _monotone(self)
         return self._cache["monotone"]
@@ -509,18 +518,18 @@ class Automaton:
         ``state_diagram(start)``.  From every state these are all paths of
         the state diagram, every length-1 trace included; from the
         initialization states, the traces a node can traverse in a run
-        started there.  A trace that would revisit a state raises
-        ``NotQuasiAcyclic``: the set is then infinite."""
+        started there.  A diagram with a cycle, so no ``trace_length_bound``,
+        raises ``NotQuasiAcyclic``: the set is then infinite."""
         key = frozenset(self.states if start is None else start)
         memo = self._cache.setdefault("traces", {})
         if key not in memo:
+            if self.trace_length_bound(key) is None:
+                raise NotQuasiAcyclic("trace set is infinite: state diagram has a non-trivial cycle")
             diagram = self.state_diagram(key)
             reach, frontier = set(), {(q,) for q in key}
             while frontier:  # one layer per trace length
                 reach |= frontier
                 frontier = {t + (q2,) for t in frontier for q2 in diagram[t[-1]]}
-                if any(t[-1] in t[:-1] for t in frontier):
-                    raise NotQuasiAcyclic("trace set is infinite: state diagram has a non-trivial cycle")
             memo[key] = frozenset(reach)
         return memo[key]
 
@@ -537,13 +546,14 @@ def _monotone(a: Automaton) -> bool:
     """The conditions of ``Automaton.is_monotone`` on a quasi-acyclic
     automaton, on masks: bit r of ``up[q]`` says q <= r, the successors
     coming from the state diagram on R, and bit x of ``down[y]`` says
-    x <= y.  1 is read off ``up``.  Front comes from each state's decided
-    regions cut to its Front (``_leaves``), taken predecessors first, so
-    that each Front is whole before its state is walked: a region of q
-    with target t != q adds up(inn | free) to Front(t).  2 pairs, for each
-    q, the regions of q that keep q (the G side) with those of every s <= q
-    whose target is not <= q (the F side); a pair that holds some F ⊑ G
-    (``_paired``) is a counterexample."""
+    x <= y.  1 is read off ``up``.  Front comes from each state's cubes,
+    its region tree cut to its Front (``Automaton._cubes``, unpruned),
+    taken predecessors first, so that each Front is whole before its state
+    is walked: a cube of q with target t != q adds up(inn | free) to
+    Front(t).  2 pairs, for each q, the cubes of q that keep q (the G side)
+    with those of every s <= q whose target is not <= q (the F side); a
+    pair that holds some F ⊑ G (``_paired``) is a counterexample.  A walk
+    beyond the region budget of ``_cubes`` certifies nothing: False."""
     diagram = a.state_diagram(a.init.values())
     if len(diagram) > CERTIFICATE_GUARD:
         return False
@@ -571,42 +581,22 @@ def _monotone(a: Automaton) -> bool:
 
     starts = a.mask(a.init.values())
     front = {q: above(starts) if starts >> q & 1 else 0 for q in order}
-    leaves = {}
+    cubes = {}
     for q in reversed(order):
-        leaves[q] = _leaves(a, q, front[q])
-        for inn, free, t in leaves[q]:
+        try:
+            cubes[q] = list(a._cubes(q, front[q]))
+        except AutomatonTooLarge:
+            return False
+        for inn, free, t in cubes[q]:
             if t != q:
                 front[t] |= above(inn | free)
     for q in order:
-        keeps = [(inn, free) for inn, free, t in leaves[q] if t == q]
+        keeps = [(inn, free) for inn, free, t in cubes[q] if t == q]
         for s in _bits(down[q]):
-            for inn, free, t in leaves[s]:
+            for inn, free, t in cubes[s]:
                 if not up[t] >> q & 1 and any(_paired(inn, free, g, g_free, above, below) for g, g_free in keeps):
                     return False
     return True
-
-
-def _leaves(a: Automaton, q: int, within: int) -> list[tuple[int, int, int]]:
-    """The decided regions of state ``q``'s tree cut to the neighborhoods
-    drawn from ``within``, as cubes ``(inn, free, target)``: the
-    neighborhoods that hold ``inn`` and may hold ``free``, both subsets of
-    ``within``, on all of which q steps to ``target``.  A cube is walked
-    from the region its parent split into, whose states not yet split are
-    ``left``: a split on a state of the cube's ``free`` makes two cubes, and
-    a split on any other state is followed into the half the cube lies in,
-    so every region is read once."""
-    out = []
-    cubes = [(0, within, (1 << len(a.states)) - 1)]
-    while cubes:
-        inn, free, left = cubes.pop()
-        target, split, _ = a.region(q, inn & ~left, left)
-        if not split:
-            out.append((inn, free, target))
-        elif split & free:
-            cubes += [(inn, free ^ split, left ^ split), (inn | split, free ^ split, left ^ split)]
-        else:
-            cubes.append((inn, free, left ^ split))
-    return out
 
 
 def _paired(inn: int, free: int, g_inn: int, g_free: int,

@@ -259,28 +259,26 @@ class Domain:
         """The digraphs, all on m nodes and of one label width, bit j of
         every slice standing for gs[j]; node v of the domain is node v of
         each digraph's ``nodes``."""
-        width, m, bits = len(gs), len(gs[0].nodes), gs[0].bits
-        words: dict[str, int] = {}
-        edges: dict[tuple[int, int], int] = {}
-        for j, g in enumerate(gs):
-            for v, node in enumerate(g.nodes):
-                w = g.labels[node]
-                words[w] = words.get(w, 0) | 1 << v * width + j
-            for e in g.edge_endpoints:
-                edges[e] = edges.get(e, 0) | 1 << j
-        return cls(m, width, edges, words, bits)
+        return cls._of_rows(len(gs[0].nodes), gs[0].bits,
+                            [([g.labels[node] for node in g.nodes], g.edge_endpoints) for g in gs])
 
     @classmethod
     def of_indices(cls, m: int, bits: int, indexed: Sequence[tuple[int, int]]) -> "Domain":
         """The digraphs ``indexed_digraph(m, bits, mask, index)`` for the
         (mask, index) pairs, bit j of every slice standing for the j-th."""
-        width = len(indexed)
+        return cls._of_rows(m, bits, [(labeling(m, bits, index), edge_pairs(m, mask)) for mask, index in indexed])
+
+    @classmethod
+    def _of_rows(cls, m: int, bits: int, rows: Sequence[tuple[Sequence[str], Iterable[tuple[int, int]]]]) -> "Domain":
+        """The digraphs on m nodes given as (the labels of nodes 0..m-1, the
+        edges (u, v) of node indices), bit j of every slice standing for the j-th."""
+        width = len(rows)
         words: dict[str, int] = {}
         edges: dict[tuple[int, int], int] = {}
-        for j, (mask, index) in enumerate(indexed):
-            for v, w in enumerate(labeling(m, bits, index)):
+        for j, (labels, endpoints) in enumerate(rows):
+            for v, w in enumerate(labels):
                 words[w] = words.get(w, 0) | 1 << v * width + j
-            for e in edge_pairs(m, mask):
+            for e in endpoints:
                 edges[e] = edges.get(e, 0) | 1 << j
         return cls(m, width, edges, words, bits)
 

@@ -158,18 +158,23 @@ def equiv_exhaustive(d1: Device, d2: Device, max_nodes: int, jobs: int = 1) -> E
 
 
 def _sampled_slice(
-    d1: Device, d2: Device, max_nodes: int, seeds: list[int]
+    d1: Device, d2: Device, max_nodes: int, seed: int, start: int, stop: int
 ) -> tuple[Counterexample | None, int]:
-    """Draw a pointed digraph per seed and compare the devices at its point,
+    """Compare the devices at samples [start, stop) of those ``seed`` draws,
     in batches of 1, 2, 4, ... samples so that an early disagreement stays
-    cheap.  A sample is drawn as integers (``random_indices``), and a
-    batch's samples of one node count share one domain packed from them;
-    only the reported counterexample is built as a ``Digraph``.  Return the
-    lowest disagreeing sample (or None) and the samples checked up to it."""
-    bits = d1.bits
-    done, size = 0, 1
-    while done < len(seeds):
-        batch = [random_indices(random.Random(s), max_nodes, bits) for s in seeds[done:done + size]]
+    cheap.  ``random.Random(seed)`` draws each sample's sub-seed, a batch's
+    when the batch is reached.  A sample is drawn as integers
+    (``random_indices``), and a batch's samples of one node count share one
+    domain packed from them; only the reported counterexample is built as a
+    ``Digraph``.  Return the lowest disagreeing sample (or None) and the
+    samples checked up to it."""
+    bits, rng = d1.bits, random.Random(seed)
+    for _ in range(start):  # the sub-seeds of the slices before this one
+        rng.randrange(2**32)
+    done, size, count = 0, 1, stop - start
+    while done < count:
+        seeds = [rng.randrange(2**32) for _ in range(min(size, count - done))]
+        batch = [random_indices(random.Random(s), max_nodes, bits) for s in seeds]
         by_nodes: dict[int, list[int]] = {}  # m -> the batch positions of its samples
         for i, (m, _, _, _) in enumerate(batch):
             by_nodes.setdefault(m, []).append(i)
@@ -191,7 +196,7 @@ def _sampled_slice(
             return Counterexample(g, g.nodes[point], v1, v2), done + i + 1
         done += len(batch)
         size = min(2 * size, 1 << graphs.MAX_SLICE_BITS)
-    return None, len(seeds)
+    return None, count
 
 
 def equiv_sampled(
@@ -205,10 +210,8 @@ def equiv_sampled(
     Sampling can only refute equivalence, never establish it."""
     check_budget(max_nodes, jobs, samples=samples)
     _require_same_bits(d1, d2)
-    rng = random.Random(seed)
-    sample_seeds = [rng.randrange(2**32) for _ in range(samples)]
     cex, checked = first_hit(_sampled_slice, [
-        (d1, d2, max_nodes, sample_seeds[start:stop]) for start, stop in split_range(samples, jobs)
+        (d1, d2, max_nodes, seed, start, stop) for start, stop in split_range(samples, jobs)
     ], jobs)
     return EquivVerdict(equivalent=cex is None, checked=checked, counterexample=cex)
 

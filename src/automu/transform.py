@@ -271,12 +271,11 @@ def formula_to_automaton(sys: MuSystem) -> Automaton:
     found meets each code once.
     """
     flat = _atom_system(sys)
+    n = flat.bits + len(flat.vars)
+    if n > MAX_ATOMS:  # before any atom is named: the label width alone can be huge
+        raise SizeGuardExceeded(f"powerset construction over {n} atoms exceeds the guard of {MAX_ATOMS}")
     atoms = [f"p{i}" for i in range(flat.bits)] + list(flat.vars)
-    if len(atoms) > MAX_ATOMS:
-        raise SizeGuardExceeded(
-            f"powerset construction over {len(atoms)} atoms exceeds the guard of {MAX_ATOMS}"
-        )
-    n, bit = len(atoms), {x: 1 << i for i, x in enumerate(atoms)}
+    bit = {x: 1 << i for i, x in enumerate(atoms)}
     nodes = list(_postorder(flat.bodies))
 
     # A neighborhood's code has bit i when some member holds atom i and bit

@@ -1,7 +1,9 @@
 """The one region memo, ``Automaton.region_memo``: what the state diagram,
 the certificate and the synchronous kernel answer does not depend on which
 of them fills it first, and no region is derived twice, by them or by
-``step`` in the run engine and compile-down."""
+``step`` in the run engine and compile-down.  Also the one walk of a
+state's region tree cut to a set, ``Automaton._cubes``, which the state
+diagram and the certificate read."""
 
 import collections
 import random
@@ -10,6 +12,7 @@ from unittest import mock
 
 from hypothesis import given, settings
 
+from automu import automata as automata_module
 from automu.automata import Automaton, AutomatonTooLarge, automaton_to_json, parse_automaton
 from automu.graphs import Domain, slice_width
 from automu.harness import equiv_exhaustive
@@ -19,7 +22,7 @@ from automu.transform import automaton_to_formula, formula_to_automaton
 from automu.zoo import chain_graph, safe_one_formula
 from strategies import automata, make_system, seeds
 from test_harness import block_digraph
-from test_runtime import reference_front_monotone, sync_step_accepting_nodes
+from test_runtime import engine_subjects, reference_front_monotone, sync_step_accepting_nodes
 from test_transform import SIX_VARIABLES
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -101,3 +104,56 @@ def test_no_region_is_derived_twice():
                 pass
         assert derived and set(derived.values()) == {1}
         assert derived.keys() == a.region_memo.keys()
+
+
+def assert_cubes_partition(a: Automaton, rng: random.Random) -> None:
+    """For every state q, the cubes of q's unpruned walk cut to a set W of
+    at most 10 states (R from initialization when that small, then random
+    ones) hold every neighborhood N drawn from W exactly once, and the
+    target of the cube that holds N is ``step(q, N)``."""
+    reach = list(a.state_diagram(a.init.values()))
+    withins = [reach] if len(reach) <= 10 else []
+    withins += [rng.sample(a.states, min(len(a.states), rng.randint(0, 10))) for _ in range(2)]
+    for within in map(a.mask, withins):
+        for q in range(len(a.states)):
+            targets = {}
+            for inn, free, target in a._cubes(q, within):
+                assert not (inn | free) & ~within and not inn & free
+                sub = free
+                while True:  # every subset of free, free itself first
+                    assert inn | sub not in targets
+                    targets[inn | sub] = target
+                    if not sub:
+                        break
+                    sub = sub - 1 & free
+            assert len(targets) == 1 << bin(within).count("1")
+            assert all(a.step(q, n) == t for n, t in targets.items())
+
+
+def test_cubes_partition_on_the_engine_subjects():
+    for a in engine_subjects().values():
+        assert_cubes_partition(a, random.Random(0))
+
+
+@settings(max_examples=40)
+@given(automata(max_states=10), seeds)
+def test_cubes_partition_on_random_automata(a, seed):
+    assert_cubes_partition(a, random.Random(seed))
+
+
+def test_cubes_partition_on_compile_ups():
+    for s in range(60):
+        assert_cubes_partition(formula_to_automaton(make_system(random.Random(s), 1, 3, 3)), random.Random(s))
+
+
+def test_a_certificate_walk_beyond_the_region_budget_certifies_nothing(monkeypatch):
+    # at 2^4 regions the flagship's state diagram from initialization fits, and a walk of its certificate does not
+    fuzz = dict(max_nodes=3, graphs=30, timings_per_graph=4, seed=2)
+    a = parse_automaton((SAMPLES / "safe_one.json").read_text())
+    assert a.is_monotone()
+    want = fuzz_consistency(a, **fuzz)
+    monkeypatch.setattr(automata_module, "SUBSET_ENUMERATION_GUARD", 4)
+    a = parse_automaton((SAMPLES / "safe_one.json").read_text())
+    assert len(a.state_diagram(a.init.values())) == 5
+    assert not a.is_monotone()
+    assert fuzz_consistency(a, **fuzz) == want

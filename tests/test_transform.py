@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -154,6 +155,18 @@ class TestFormulaToAutomaton:
         sys = MuSystem(bits=0, vars=names, bodies=tuple(Var(n) for n in names))
         with pytest.raises(SizeGuardExceeded):
             formula_to_automaton(sys)
+
+    def test_size_guard_trips_before_any_atom_is_named(self):
+        # the label width comes from the largest constant index: one constant asks for 3,000,001 atoms
+        sys = parse_formula("(mu ((X (p 3000000))))")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardExceeded, match="over 3000002 atoms exceeds the guard of 16"):
+                formula_to_automaton(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_variable_named_like_a_constant(self):
         sys = MuSystem(bits=1, vars=("p0",), bodies=(Const(0),))
