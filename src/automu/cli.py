@@ -99,7 +99,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     automaton = _load_automaton(args.automaton)
     graph = parse_digraph(_read(args.graph))
     if args.timing:
-        timing = parse_timing(_read(args.timing))
+        timing = parse_timing(_read(args.timing), graph)
     elif args.sync:
         timing = synchronous_prefix(graph, args.steps)
     else:
@@ -164,9 +164,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         "graph": digraph_to_dict(w.graph),
         "node": w.witness.node,
         "verdict_a": w.witness.verdict_a,
-        "timing_a": timing_to_dict(w.witness.timing_a),
+        "timing_a": timing_to_dict(w.witness.timing_a, w.graph),
         "verdict_b": w.witness.verdict_b,
-        "timing_b": timing_to_dict(w.witness.timing_b),
+        "timing_b": timing_to_dict(w.witness.timing_b, w.graph),
     }, indent=2))
     return 1
 

@@ -14,17 +14,19 @@ this collapses to the synchronous semantics, where each buffer always holds
 exactly the writer's current state.
 
 Runs are infinite in principle; here they are replaced by finite timing
-prefixes plus quiescence detection.  The prefixes come from
-``TimingSampler``, which draws each step by its definition: one ``random()``
-per entity that is not starved.  A configuration is quiescent when a
+prefixes plus quiescence detection.  A prefix holds one mask per step, bit
+i for entity i (see ``TimingPrefix``).  It comes from ``TimingSampler``,
+which draws each step by its definition, one ``random()`` per entity that
+is not starved, or from a timing document, which ``parse_timing`` checks
+against the graph as it reads it.  A configuration is quiescent when a
 fully-active step changes nothing and every buffer holds exactly its
 writer's state; quiescence is absorbing under any timing, so verdicts at
 quiescence are definitive.
 
 ``async_run`` and ``check_consistency``'s sampled loop run on one engine,
 ``_run``, over an automaton and a graph compiled once into indices
-(``_Net``): the automaton's state encoding, buffers of state indices,
-activation masks and the memoized ``Automaton.step``.  Before it samples,
+(``_Net``): the automaton's state encoding, buffers of state indices, the
+timing's masks and the memoized ``Automaton.step``.  Before it samples,
 ``check_consistency`` asks the automaton's certificate
 ``Automaton.is_monotone``, which proves every graph consistent at once, and
 then runs the lossy explorer ``_outcomes`` on the same ``_Net``, which can
@@ -37,7 +39,7 @@ flagship ``samples/safe_one.json`` and the compile-ups of the criterion-4
 formulas.  Only the other graphs are built as a ``Digraph`` and a
 ``_Net``.  ``async_step``, ``is_quiescent``, ``sync_step`` and
 ``initial_configuration`` are the single-step API on named configurations
-and the reference the engine is tested against.
+and ``Activation`` maps, and the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -142,15 +144,17 @@ class Activation:
 
 @dataclass(frozen=True, eq=True)
 class TimingPrefix:
-    """A finite prefix of a timing, as sampled or replayed.
+    """A finite prefix of a timing on one graph g, as sampled or replayed.
 
-    ``lossless`` records that every step delivers only to active targets
-    (an active edge implies an active target node).  ``starvation_bound``
-    records the fairness surrogate used by the sampler: within the prefix no
-    entity stays inactive for that many consecutive steps.
+    A step is the mask of the entities that act, bit i for entity i: the
+    nodes in ``g.nodes`` order, then ``g.sorted_edges``.  ``lossless``
+    records that every step delivers only to active targets (an active edge
+    implies an active target node).  ``starvation_bound`` records the
+    fairness surrogate used by the sampler: within the prefix no entity
+    stays inactive for that many consecutive steps.
     """
 
-    steps: tuple[Activation, ...]
+    steps: tuple[int, ...]
     lossless: bool
     starvation_bound: int
 
@@ -162,8 +166,8 @@ def synchronous_activation(g: Digraph) -> Activation:
 def synchronous_prefix(g: Digraph, steps: int) -> TimingPrefix:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    act = synchronous_activation(g)
-    return TimingPrefix(steps=(act,) * steps, lossless=True, starvation_bound=1)
+    full = (1 << len(g.nodes) + len(g.edges)) - 1  # every entity active
+    return TimingPrefix(steps=(full,) * steps, lossless=True, starvation_bound=1)
 
 
 def initial_configuration(a: Automaton, g: Digraph) -> Configuration:
@@ -277,9 +281,9 @@ class TimingSampler:
     takes one ``random()`` per entity that is not starved, which is active
     iff the draw is below ``p_active``; a starved one takes no draw.
     ``next_bits`` gives a step as a mask whose bit i is entity i, and
-    ``next_step`` wraps the same step into an ``Activation``.  Both read one
-    stream, ``_sample``, which ``check_consistency`` runs the engine on
-    directly.
+    ``next_step`` wraps it into an ``Activation`` for ``async_step``.  Both
+    read one stream, ``_sample``, which ``check_consistency`` runs the
+    engine on directly.
     """
 
     def __init__(
@@ -296,10 +300,6 @@ class TimingSampler:
             raise ValueError("starvation_bound must be >= 1")
         self.g = g
         self._masks = _sample(g, p_active, starvation_bound, lossless, random.Random(seed))
-
-    def __iter__(self) -> Iterator[Activation]:
-        while True:
-            yield self.next_step()
 
     def next_bits(self) -> int:
         """The next step as a mask: bit i is entity i."""
@@ -320,40 +320,48 @@ def sample_timing(
     lossless: bool = False,
     seed: int = 0,
 ) -> TimingPrefix:
-    """Materialize ``steps`` activation maps from a TimingSampler."""
+    """Materialize ``steps`` masks from a TimingSampler."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     sampler = TimingSampler(g, p_active, starvation_bound, lossless, seed)
     return TimingPrefix(
-        steps=tuple(sampler.next_step() for _ in range(steps)),
+        steps=tuple(sampler.next_bits() for _ in range(steps)),
         lossless=lossless,
         starvation_bound=starvation_bound,
     )
 
 
-def _edge_key(e: Edge) -> str:
-    return f"{e[0]}->{e[1]}"
+def _entity_keys(g: Digraph) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
+    """The nodes and the edges of ``g`` as (document key, entity index)
+    pairs, each list in the order a timing document writes them: the nodes
+    by name, the edges sorted, keyed "u->v"."""
+    n = len(g.nodes)
+    return (sorted((v, i) for i, v in enumerate(g.nodes)),
+            [(f"{u}->{v}", i) for i, (u, v) in enumerate(g.sorted_edges, n)])
 
 
-def timing_to_dict(t: TimingPrefix) -> dict:
+def timing_to_dict(t: TimingPrefix, g: Digraph) -> dict:
+    """The document of a timing on ``g`` (the one ``parse_timing`` reads)."""
+    nodes, edges = _entity_keys(g)
     return {
         "lossless": t.lossless,
         "K": t.starvation_bound,
         "steps": [
-            {
-                "nodes": dict(sorted(step.nodes.items())),
-                "edges": {_edge_key(e): on for e, on in sorted(step.edges.items())},
-            }
-            for step in t.steps
+            {"nodes": {v: on >> i & 1 for v, i in nodes}, "edges": {key: on >> i & 1 for key, i in edges}}
+            for on in t.steps
         ],
     }
 
 
-def timing_to_json(t: TimingPrefix) -> str:
-    return json.dumps(timing_to_dict(t), indent=2)
+def timing_to_json(t: TimingPrefix, g: Digraph) -> str:
+    return json.dumps(timing_to_dict(t, g), indent=2)
 
 
-def parse_timing(text: str) -> TimingPrefix:
+def parse_timing(text: str, g: Digraph) -> TimingPrefix:
+    """Read a timing document on ``g`` into masks.  Each step maps exactly
+    g's nodes under 'nodes' and its edges, keyed "u->v", under 'edges' to
+    the integer 0 or 1, and a lossless one activates no edge whose target
+    node is inactive; any other raises ``RuntimeFormatError``."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -366,6 +374,9 @@ def parse_timing(text: str) -> TimingPrefix:
         raise RuntimeFormatError("'K' must be an integer >= 1")
     if not isinstance(doc["steps"], list):
         raise RuntimeFormatError("'steps' must be a list")
+    node_bits, edge_bits = ({key: 1 << i for key, i in keys} for keys in _entity_keys(g))
+    # per edge, in sorted order: its key, its bit, its target and the target's bit
+    deliver = [(key, edge_bits[key], v, node_bits[v]) for key, (_, v) in zip(edge_bits, g.sorted_edges)]
     steps = []
     for i, step in enumerate(doc["steps"]):
         if not isinstance(step, dict) or "nodes" not in step or "edges" not in step:
@@ -374,13 +385,23 @@ def parse_timing(text: str) -> TimingPrefix:
             # a JSON true is an int subclass, not the integer 1
             if not (isinstance(step[part], dict) and all(type(on) is int and on in (0, 1) for on in step[part].values())):
                 raise RuntimeFormatError(f"step #{i}: '{part}' must map ids to 0 or 1")
-        edges = {}
-        for key, on in step["edges"].items():
+        nodes, edges = step["nodes"], step["edges"]
+        for key in edges:
             if "->" not in key:
                 raise RuntimeFormatError(f"step #{i}: bad edge key {key!r} (want 'src->dst')")
-            u, _, v = key.partition("->")
-            edges[(u, v)] = on
-        steps.append(Activation(nodes=dict(step["nodes"]), edges=edges))
+        missing = (node_bits.keys() - nodes.keys()) | (edge_bits.keys() - edges.keys())
+        if missing:
+            raise RuntimeFormatError(f"step #{i}: activation map incomplete: missing {sorted(missing)!r}")
+        extra = (nodes.keys() - node_bits.keys()) | (edges.keys() - edge_bits.keys())
+        if extra:
+            raise RuntimeFormatError(f"step #{i}: {sorted(extra)!r} not in the graph")
+        on = sum(node_bits[v] for v, x in nodes.items() if x) + sum(edge_bits[e] for e, x in edges.items() if x)
+        if doc["lossless"]:
+            for key, bit, v, node in deliver:
+                if on & bit and not on & node:
+                    raise RuntimeFormatError(f"step #{i}: lossless timing activates edge {key} "
+                                             f"while {v!r} is inactive")
+        steps.append(on)
     return TimingPrefix(steps=tuple(steps), lossless=doc["lossless"], starvation_bound=doc["K"])
 
 
@@ -508,34 +529,6 @@ class _Net:
         yield from itertools.repeat(self.full, budget)
         raise AssertionError("quiescence not reached within its theoretical bound")
 
-    def timing_bits(self, timing: TimingPrefix) -> list[int]:
-        """A timing's steps as activation masks, each step checked against
-        the graph: it names exactly its nodes and edges, every value is the
-        integer 0 or 1, and a lossless timing activates no edge whose target
-        node is inactive."""
-        g = self.g
-        nodes, edges = set(g.nodes), set(g.edges)
-        out = []
-        for i, act in enumerate(timing.steps):
-            missing = (nodes - set(act.nodes)) | (edges - set(act.edges))
-            if missing:
-                raise RuntimeFormatError(f"step #{i}: activation map incomplete: "
-                                         f"missing {sorted(map(str, missing))!r}")
-            extra = (set(act.nodes) - nodes) | (set(act.edges) - edges)
-            if extra:
-                raise RuntimeFormatError(f"step #{i}: {sorted(map(str, extra))!r} not in the graph")
-            on = [act.nodes[v] for v in g.nodes] + [act.edges[e] for e in g.sorted_edges]
-            bad = next((x for x in on if type(x) is not int or x not in (0, 1)), None)
-            if bad is not None:
-                raise RuntimeFormatError(f"step #{i}: activation {bad!r} is not 0 or 1")
-            if timing.lossless:
-                for (u, v) in g.sorted_edges:
-                    if act.edges[u, v] and not act.nodes[v]:
-                        raise RuntimeFormatError(f"step #{i}: lossless timing activates edge "
-                                                 f"{_edge_key((u, v))} while {v!r} is inactive")
-            out.append(sum(x << k for k, x in enumerate(on)))
-        return out
-
 
 class _Outcome(NamedTuple):
     """A run in the engine's indices: per node the step it first visited an
@@ -635,10 +628,10 @@ def async_run(
     on the states runs visit) the run continues past the prefix under the
     fully-active fair policy until the configuration is quiescent, at which
     point every verdict is a definitive yes/no.  Otherwise verdicts are yes/unknown at prefix end.
-    A timing that does not match the graph raises ``RuntimeFormatError``.
+    The timing's steps are masks on ``g`` (see ``TimingPrefix``).
     """
     net = _Net(a, g)
-    out = _run(net, net.timing_bits(timing), extend_until_quiescent)
+    out = _run(net, timing.steps, extend_until_quiescent)
     names = a.states
     return RunReport(
         accepted=dict(zip(g.nodes, out.verdicts())),
@@ -926,21 +919,27 @@ class FuzzVerdict:
 def _fuzz_slice(
     a: Automaton,
     max_nodes: int,
-    specs: list[tuple[int, int]],
+    seed: int,
+    start: int,
+    stop: int,
     timings_per_graph: int,
     lossless_only: bool,
 ) -> tuple[FuzzWitness | None, int, int]:
-    """The first witness among the graphs of ``specs``, (graph seed, timing
-    seed) pairs, with the graphs checked and the comparisons up to it.  A
-    graph quiescent at the start and, with timings to sample, a moving graph
-    of a quasi-acyclic automaton that ``Automaton.is_monotone`` certifies
-    are settled from the drawn integers, with the verdict
+    """The first witness among graphs [start, stop) of those whose (graph
+    seed, timing seed) pairs ``random.Random(seed)`` draws, each pair when
+    its graph is reached, with the graphs checked and the comparisons up to
+    it.  A graph quiescent at the start and, with timings to sample, a
+    moving graph of a quasi-acyclic automaton that ``Automaton.is_monotone``
+    certifies are settled from the drawn integers, with the verdict
     ``check_consistency`` gives them; it checks the others.  The trace bound
     is read at the first graph, as ``check_consistency`` reads it."""
-    bits, label_states = a.bits, _label_states(a)
-    quasi = bool(specs) and a.trace_length_bound(a.init.values()) is not None
+    bits, label_states, rng = a.bits, _label_states(a), random.Random(seed)
+    for _ in range(2 * start):  # the pairs of the slices before this one
+        rng.randrange(2**32)
+    quasi = start < stop and a.trace_length_bound(a.init.values()) is not None
     comparisons = 0
-    for offset, (graph_seed, timing_seed) in enumerate(specs):
+    for offset in range(stop - start):
+        graph_seed, timing_seed = rng.randrange(2**32), rng.randrange(2**32)
         m, mask, index, _ = random_indices(random.Random(graph_seed), max_nodes, bits)
         if not _index_movers(a, label_states, m, mask, index):
             continue  # quiescent at the start: no comparison
@@ -954,7 +953,7 @@ def _fuzz_slice(
         comparisons += verdict.comparisons
         if not verdict.consistent:
             return FuzzWitness(graph=g, witness=verdict.witness), offset + 1, comparisons
-    return None, len(specs), comparisons
+    return None, stop - start, comparisons
 
 
 def fuzz_consistency(
@@ -978,10 +977,8 @@ def fuzz_consistency(
     checked by ``check_consistency``.  The verdict is the one a
     ``check_consistency`` call per graph gives."""
     check_budget(max_nodes, jobs, graphs=graphs, timings_per_graph=timings_per_graph)
-    rng = random.Random(seed)
-    specs = [(rng.randrange(2**32), rng.randrange(2**32)) for _ in range(graphs)]
     witness, checked, comparisons = first_hit(_fuzz_slice, [
-        (a, max_nodes, specs[start:stop], timings_per_graph, lossless_only)
+        (a, max_nodes, seed, start, stop, timings_per_graph, lossless_only)
         for start, stop in split_range(graphs, jobs)
     ], jobs)
     return FuzzVerdict(consistent=witness is None, graphs_checked=checked, comparisons=comparisons,

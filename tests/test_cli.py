@@ -211,7 +211,7 @@ class TestExitCodes:
 
 
 def _timing_doc():
-    return timing_to_dict(sample_timing(chain_graph(), steps=4, seed=0))
+    return timing_to_dict(sample_timing(chain_graph(), steps=4, seed=0), chain_graph())
 
 
 def _automaton_doc():
@@ -271,6 +271,27 @@ class TestParseBoundary:
                      "--timing", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: step #0:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("lossless, nodes, edges, fault", [
+        (False, {"u": 1}, {"u->v": 1}, "activation map incomplete: missing ['v']"),
+        (False, {"u": 1, "v": 1}, {}, "activation map incomplete: missing ['u->v']"),
+        (False, {"u": 1, "v": 1, "w": 1}, {"u->v": 1}, "['w'] not in the graph"),
+        (False, {"u": 1, "v": 1, "u->v": 1}, {"u->v": 1}, "['u->v'] not in the graph"),
+        (False, {"u": 2, "v": 1}, {"u->v": 1}, "'nodes' must map ids to 0 or 1"),
+        (False, {"u": 1, "v": 1}, {"u->v": True}, "'edges' must map ids to 0 or 1"),
+        (False, {"u": 1, "v": 1}, {"uv": 1}, "bad edge key 'uv' (want 'src->dst')"),
+        (True, {"u": 1, "v": 0}, {"u->v": 1}, "lossless timing activates edge u->v while 'v' is inactive"),
+    ], ids=["missing_node", "missing_edge", "unknown_id", "edge_under_nodes", "value_2", "value_true",
+            "edge_key_uv", "lossless_into_inactive"])
+    def test_a_timing_with_one_fault_exits_2_naming_it(self, files, tmp_path, capsys,
+                                                       lossless, nodes, edges, fault):
+        good = {"nodes": {"u": 1, "v": 1}, "edges": {"u->v": 1}}
+        path = tmp_path / "timing.json"
+        path.write_text(json.dumps({"lossless": lossless, "K": 8,
+                                    "steps": [good, {"nodes": nodes, "edges": edges}, good]}))
+        assert main(["run", "--automaton", files["safe_one.json"], "--graph", files["chain.json"],
+                     "--timing", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: step #1: {fault}\n"
 
     def test_wide_n_ary_formula(self, files, tmp_path, capsys):
         # 1,200 arguments desugar to a left-associated chain 1,200 deep while
@@ -402,7 +423,7 @@ def _formula_argvs(path, ref):
 DOCUMENT_KINDS = {
     "graph": (mutated_json(digraph_to_dict(chain_graph())), parse_digraph, _graph_argvs),
     "automaton": (mutated_json(_automaton_doc()), parse_automaton, _automaton_argvs),
-    "timing": (mutated_json(_timing_doc()), parse_timing, _timing_argvs),
+    "timing": (mutated_json(_timing_doc()), lambda text: parse_timing(text, chain_graph()), _timing_argvs),
     "formula": (mutated_sexp(SAFE_ONE_SEXP), lambda text: parse_formula(text, bits=1), _formula_argvs),
 }
 
@@ -467,8 +488,8 @@ class TestRoundTrips:
         g = chain_graph()
         t = sample_timing(g, steps=12, seed=3)
         tf = tmp_path / "timing.json"
-        tf.write_text(timing_to_json(t))
-        assert parse_timing(tf.read_text()) == t
+        tf.write_text(timing_to_json(t, g))
+        assert parse_timing(tf.read_text(), g) == t
         code = main(["run", "--automaton", files["safe_one.json"], "--graph", files["chain.json"],
                      "--timing", str(tf)])
         assert code == 0

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -204,7 +205,8 @@ class TestTimingSampler:
     def test_p_one_is_synchronous(self):
         g = two_cycle_graph()
         t = sample_timing(g, steps=5, p_active=1.0, seed=9)
-        assert all(step == synchronous_activation(g) for step in t.steps)
+        assert t.steps == synchronous_prefix(g, 5).steps
+        assert all(step == synchronous_activation(g) for step in activations(g, t.steps))
 
     def test_deterministic(self):
         g = two_cycle_graph()
@@ -214,7 +216,7 @@ class TestTimingSampler:
     def test_lossless_invariant(self):
         g = make_graph(random.Random(2), 5, 1)
         t = sample_timing(g, steps=40, lossless=True, seed=3)
-        for step in t.steps:
+        for step in activations(g, t.steps):
             for (u, v), on in step.edges.items():
                 if on:
                     assert step.nodes[v] == 1
@@ -225,7 +227,7 @@ class TestTimingSampler:
         t = sample_timing(g, steps=60, p_active=0.1, starvation_bound=k, seed=8)
         for entity in list(g.nodes) + list(g.edges):
             idle = 0
-            for step in t.steps:
+            for step in activations(g, t.steps):
                 on = step.nodes[entity] if isinstance(entity, str) else step.edges[entity]
                 idle = 0 if on else idle + 1
                 assert idle < k
@@ -233,7 +235,7 @@ class TestTimingSampler:
     def test_json_round_trip(self):
         g = chain_graph()
         t = sample_timing(g, steps=7, lossless=True, seed=1)
-        assert parse_timing(timing_to_json(t)) == t
+        assert parse_timing(timing_to_json(t, g), g) == t
 
     @pytest.mark.parametrize("part", ["nodes", "edges"])
     @pytest.mark.parametrize("on", [True, False])
@@ -242,7 +244,7 @@ class TestTimingSampler:
         good = {"nodes": {"u": 1, "v": 1}, "edges": {"u->v": 1}}
         bad = {**good, part: dict.fromkeys(good[part], on)}
         with pytest.raises(RuntimeFormatError, match=f"step #1: '{part}'"):
-            parse_timing(json.dumps({"lossless": False, "K": 8, "steps": [good, bad]}))
+            parse_timing(json.dumps({"lossless": False, "K": 8, "steps": [good, bad]}), chain_graph())
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -522,19 +524,19 @@ def reference_run(a, g, activations, extend_until_quiescent):
 
 
 def reference_consistency(a, g, samples, lossless_only=False, seed=0, budget=None):
-    """``check_consistency`` on ``reference_run``, fed by ``next_step`` and
-    recording the activations each run consumed."""
+    """``check_consistency`` on ``reference_run``, fed by ``next_bits`` and
+    recording the masks each run consumed."""
     if budget is None:
         budget = 10 * DEFAULT_STARVATION_BOUND * len(g.nodes)
     quasi = scan_bound(a, a.init.values()) is not None
 
-    def run_prefix(activations, lossless, k):
+    def run_prefix(masks, lossless, k):
         consumed = []
 
         def tee():
-            for act in itertools.islice(activations, budget):
-                consumed.append(act)
-                yield act
+            for on in itertools.islice(masks, budget):
+                consumed.append(on)
+                yield from activations(g, [on])
 
         report = reference_run(a, g, tee(), quasi)
         return report, TimingPrefix(tuple(consumed), lossless=lossless, starvation_bound=k)
@@ -548,7 +550,7 @@ def reference_consistency(a, g, samples, lossless_only=False, seed=0, budget=Non
     for i in range(samples):
         lossless = True if lossless_only else (i % 2 == 0)
         sampler = TimingSampler(g, lossless=lossless, seed=rng.randrange(2**32))
-        report, prefix = run_prefix(iter(sampler), lossless, DEFAULT_STARVATION_BOUND)
+        report, prefix = run_prefix(iter(sampler.next_bits, None), lossless, DEFAULT_STARVATION_BOUND)
         for v in g.nodes:
             got, (ref, ref_prefix) = report.accepted[v], refs[v]
             if got == "unknown":
@@ -624,6 +626,27 @@ class TestIndexPath:
         if name == "sync_probe.json":
             assert witnesses  # the probe's witness comes out the same way
 
+    def test_a_graph_s_seeds_are_drawn_when_it_is_reached(self):
+        # the probe's witness is graph 5: of 200,000 graphs, only five pairs of seeds are drawn
+        made = []
+
+        class Counted(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.draws = 0
+                made.append(self)
+
+            def randrange(self, *args):
+                self.draws += 1
+                return super().randrange(*args)
+
+        a = sync_probe_automaton()
+        want = fuzz_consistency(a, 4, 50, 50)
+        with mock.patch.object(runtime, "random", types.SimpleNamespace(Random=Counted)):
+            got = fuzz_consistency(a, 4, 200_000, 50)
+        assert got == want and got.graphs_checked == 5
+        assert made[0].draws == 2 * got.graphs_checked  # the first generator made draws the pairs
+
     def test_a_settled_graph_is_never_built(self):
         a = formula_to_automaton(reach_one_formula())
         want = reference_fuzz(a, 5, 40, 20)
@@ -663,7 +686,7 @@ class TestEngineAgainstReference:
         a = engine_subjects()[name]
         for i, g in enumerate(engine_graphs(a.bits)):
             for timing, extend in engine_timings(g, i):
-                want = reference_run(a, g, timing.steps, extend)
+                want = reference_run(a, g, activations(g, timing.steps), extend)
                 assert async_run(a, g, timing, extend) == want, (g, timing)
 
     @given(automata(max_states=5), graphs(max_nodes=4), seeds)
@@ -672,7 +695,7 @@ class TestEngineAgainstReference:
         # cyclic automata included: both sides raise alike when asked to extend them
         for timing, extend in engine_timings(g, seed):
             try:
-                want = reference_run(a, g, timing.steps, extend)
+                want = reference_run(a, g, activations(g, timing.steps), extend)
             except NotQuasiAcyclic:
                 with pytest.raises(NotQuasiAcyclic):
                     async_run(a, g, timing, extend)
@@ -748,13 +771,25 @@ class TestSamplerViews:
                 entities = len(g.nodes) + len(g.edges)
                 assert [mask_bits(sampler.next_bits(), entities) for _ in range(steps)] == want
                 timing = sample_timing(g, steps, p, k, lossless, seed)
-                assert [tuple(act.nodes[v] for v in g.nodes) + tuple(act.edges[e] for e in sorted(g.edges))
-                        for act in timing.steps] == want
+                assert [mask_bits(on, entities) for on in timing.steps] == want
 
 
 def mask_bits(on, entities):
     """A step mask as one 0/1 per entity, in index order."""
     return tuple(on >> i & 1 for i in range(entities))
+
+
+def entity_order(g):
+    """A timing's entities in index order: the nodes in order, then the edges sorted."""
+    return list(g.nodes) + sorted(g.edges)
+
+
+def activations(g, steps):
+    """A timing's masks as ``Activation`` maps, bit i for entity i."""
+    order = entity_order(g)
+    for on in steps:
+        act = {x: on >> i & 1 for i, x in enumerate(order)}
+        yield Activation(nodes={v: act[v] for v in g.nodes}, edges={e: act[e] for e in g.edges})
 
 
 def staged_automaton():
@@ -775,9 +810,9 @@ def staged_automaton():
     )
 
 
-def activation(g, active):
-    """The activation in which exactly the named nodes and edges act."""
-    return Activation(nodes={v: int(v in active) for v in g.nodes}, edges={e: int(e in active) for e in g.edges})
+def step_mask(g, active):
+    """The step in which exactly the named nodes and edges act."""
+    return sum(1 << i for i, x in enumerate(entity_order(g)) if x in active)
 
 
 class TestEngineHandCases:
@@ -785,12 +820,12 @@ class TestEngineHandCases:
         """The run along ``steps`` matches the reference with and without
         the extension, leaves edge u -> v holding ``buffer``, and ends with
         ``verdict`` at v."""
-        timing = TimingPrefix(tuple(activation(g, act) for act in steps), lossless=False, starvation_bound=1)
+        timing = TimingPrefix(tuple(step_mask(g, act) for act in steps), lossless=False, starvation_bound=1)
         cut = async_run(a, g, timing, extend_until_quiescent=False)
-        assert cut == reference_run(a, g, timing.steps, False)
+        assert cut == reference_run(a, g, activations(g, timing.steps), False)
         assert cut.final.buffers["u", "v"] == buffer
         report = async_run(a, g, timing)
-        assert report == reference_run(a, g, timing.steps, True)
+        assert report == reference_run(a, g, activations(g, timing.steps), True)
         assert report.accepted["v"] == verdict
 
     def test_writer_moves_while_its_singleton_edge_pops(self):
@@ -829,8 +864,7 @@ def reference_outcomes(a, g):
     visited an accepting state: a search over named configurations in which
     any subset of the nodes and edges acts at each step, stepped by
     ``async_step`` and stopped by ``is_quiescent``."""
-    entities = list(g.nodes) + sorted(g.edges)
-    acts = [activation(g, on) for k in range(len(entities) + 1) for on in itertools.combinations(entities, k)]
+    acts = list(activations(g, range(1 << len(entity_order(g)))))  # every subset of the entities
 
     def key(c, visited):
         return tuple(sorted(c.node_state.items())), tuple(sorted(c.buffers.items())), visited
